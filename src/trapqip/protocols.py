@@ -38,13 +38,15 @@ from .oracles import Permutation, inversion_table
 from .reductions import (
     DistributionTable,
     Reduction,
+    apply_decider,
+    apply_generator,
     copy_register_names,
+    decider_table,
     generate_query_state,
     grouped_register_order,
     honest_answer_state,
     majority_vote_unitary,
     register_xor_table,
-    register_xor_unitary,
 )
 from .sampling import haar_unitary
 
@@ -239,7 +241,7 @@ def _computation_branch(state: StateVector, r: Reduction, accept_output: int) ->
         state = core.apply_basis_permutation(state, xor, [regs["query"], regs["copy"]])
         out = "out" if r.k == 1 else f"out{i}"
         state = core.adjoin_register(state, out, 1)
-        state = core.apply_on_registers(state, r.decider, [regs["answer"], regs["work"], out])
+        state = apply_decider(state, r, regs["answer"], regs["work"], out)
         out_names.append(out)
     if r.copies > 1:
         state = core.adjoin_register(state, "vote", 1)
@@ -278,7 +280,7 @@ def _copy_slice(r: Reduction, i: int) -> Reduction:
         copies=1,
         epsilon=r.base_epsilon,
         distributions=(r.distributions[i],),
-        generators=(r.generators[i],),
+        preps=(r.preps[i],),
     )
 
 
@@ -379,8 +381,7 @@ def run_multiquery_protocol(
 
 def _pre_copy_state(r: Reduction, x: int, i: int) -> StateVector:
     lay = layout(("x", r.m), ("query", r.m), ("answer", r.m), ("work", r.m))
-    state = basis_state(lay, {"x": x})
-    state = core.apply_on_registers(state, r.generators[i], ["x", "query", "work"])
+    state = apply_generator(basis_state(lay, {"x": x}), r, i)
     prob, state = core.condition_on(state, {"x": x})
     if abs(prob - 1.0) > ATOL:
         raise InvariantError("generator failed to leave the input register intact")
@@ -497,7 +498,7 @@ def run_smooth_protocol(
         for i, regs in enumerate(names):
             out = "out" if r.k == 1 else f"out{i}"
             comp = core.adjoin_register(comp, out, 1)
-            comp = core.apply_on_registers(comp, r.decider, [regs["answer"], regs["work"], out])
+            comp = apply_decider(comp, r, regs["answer"], regs["work"], out)
             out_names.append(out)
         if r.copies > 1:
             comp = core.adjoin_register(comp, "vote", 1)
@@ -565,15 +566,14 @@ def run_classical_query_protocol(
         if probs[q] <= 0:
             raise ValueError(f"query {q} is outside the distribution's support")
         lay = layout(("x", r.m), ("query", r.m), ("answer", r.m), ("work", r.m))
-        state = basis_state(lay, {"x": x})
-        state = core.apply_on_registers(state, r.generators[i], ["x", "query", "work"])
+        state = apply_generator(basis_state(lay, {"x": x}), r, i)
         prob, state = core.condition_on(state, {"x": x, "query": q})
         if prob <= 0:
             raise InvariantError("conditioning on a supported query failed")
         a = f.inverse_of(q) if prover.kind == PROVER_HONEST else prover.answers[q]
         state = core.apply_basis_permutation(state, np.arange(size) ^ a, ["answer"])
         state = core.adjoin_register(state, "out", 1)
-        state = core.apply_on_registers(state, r.decider, ["answer", "work", "out"])
+        state = apply_decider(state, r, "answer", "work", "out")
         drawn.append(q)
         replies.append(a)
         checks.append(f(a) == q)
@@ -616,30 +616,31 @@ def _acceptance_layout(m: int) -> RegisterLayout:
     return layout(("query", m), ("answer", m), ("work", m), ("copy", m), ("out", 1))
 
 
-def _embed_unitary(u: UnitaryOperator, lay: RegisterLayout, targets) -> np.ndarray:
-    axes = lay.positions(*targets)
-    k = len(axes)
-    n = lay.total_qubits
-    arr = np.eye(lay.dim, dtype=np.complex128).reshape([2] * n + [lay.dim])
-    op = u.matrix.reshape([2] * (2 * k))
-    out = np.tensordot(op, arr, axes=(list(range(k, 2 * k)), axes))
-    out = np.moveaxis(out, list(range(k)), axes)
-    return out.reshape(lay.dim, lay.dim)
-
-
 def _acceptance_projector(r: Reduction, accept_output: int) -> np.ndarray:
     """Projector onto accepting runs of the computation branch, with the copy
-    erasure and the decider both embedded over (query, answer, work, copy, out)."""
+    erasure and the decider both embedded over (query, answer, work, copy, out).
+
+    W = (noise on out) . (decider table) . (copy erasure).  The erasure only
+    permutes (query, copy), which nothing after it reads, so it cancels in
+    W^dag M W.  The table XORs the language bit into out, so index i pairs
+    only with i ^ 1, through the 2x2 block rot^dag diag(mask) rot.
+    """
     lay = _acceptance_layout(r.m)
     if lay.total_qubits > _PROJECTOR_QUBIT_CAP:
         raise CapacityError(
             f"dense acceptance projector needs {lay.total_qubits} qubits; "
             f"supported up to {_PROJECTOR_QUBIT_CAP}"
         )
-    w = _embed_unitary(register_xor_unitary(r.m), lay, ["query", "copy"])
-    w = _embed_unitary(r.decider, lay, ["answer", "work", "out"]) @ w
-    mask = ((np.arange(lay.dim) & 1) == accept_output).astype(float)
-    return w.conj().T @ (mask[:, None] * w)
+    idx = np.arange(lay.dim)
+    answer_work = (idx >> (r.m + 1)) & ((1 << (2 * r.m)) - 1)
+    out = decider_table(r.m, r.bit)[(answer_work << 1) | (idx & 1)] & 1
+    rot = np.eye(2) if r.noise is None else r.noise.matrix
+    mask = np.array([accept_output == 0, accept_output == 1], dtype=float)
+    block = rot.conj().T @ (mask[:, None] * rot)
+    proj = np.zeros((lay.dim, lay.dim), dtype=np.complex128)
+    proj[idx, idx] = block[out, out]
+    proj[idx, idx ^ 1] = block[out, out ^ 1]
+    return proj
 
 
 def cheat_upper_bound(r: Reduction, f: Permutation, x: int, accept_output: int = 0) -> CheatBound:

@@ -4,9 +4,13 @@ The language is the `bit`-th bit (most significant bit first) of x XOR s, and
 the hiding permutation is f(x) = x XOR s.  The query generator prepares
 sum_q sqrt(d_q) |q, 0>_(query, answer) |q XOR x>_work, so an honest inverse
 answer f^{-1}(q) XORed with the work value recovers x XOR s on every branch.
-The decider copies the language bit of that recovery to a fresh output qubit
-and leaves everything else untouched.  Noise is a fixed rotation on the output
-qubit; amplification runs independent copies through a coherent majority vote.
+It runs as a 2^m-dim prep unitary on `query` followed by the basis map
+work ^= query ^ x on (x, query, work).  The decider is the basis map that
+XORs the language bit of that recovery into a fresh output qubit, leaving
+everything else untouched; noise is a fixed rotation on the output qubit
+after it.  Both basis maps are index tables, applied in time linear in the
+state size.  Amplification runs independent copies through a coherent
+majority vote.
 """
 
 from __future__ import annotations
@@ -130,9 +134,13 @@ def _prep_unitary(probs: np.ndarray) -> np.ndarray:
     return np.eye(dim) - 2.0 * np.outer(v, v) / nv
 
 
+def _prep_operator(table: DistributionTable) -> UnitaryOperator:
+    return UnitaryOperator(layout(("query", table.m)), _prep_unitary(table.probs))
+
+
 @lru_cache(maxsize=64)
 def register_xor_table(m: int) -> np.ndarray:
-    """Basis map of register_xor_unitary on the packed (src, dst) index."""
+    """Basis map |a, b> -> |a, b XOR a> on the packed (src, dst) index."""
     idx = np.arange(1 << (2 * m))
     table = idx ^ (idx >> m)
     table.setflags(write=False)
@@ -140,53 +148,27 @@ def register_xor_table(m: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def register_xor_unitary(m: int) -> UnitaryOperator:
-    """|a, b> -> |a, b XOR a> on two m-qubit registers; its own inverse."""
-    size = 1 << m
-    dim = size * size
-    idx = np.arange(dim)
-    a = idx >> m
-    b = idx & (size - 1)
-    rows = (a << m) | (b ^ a)
-    mat = np.zeros((dim, dim))
-    mat[rows, idx] = 1.0
-    return UnitaryOperator(layout(("src", m), ("dst", m)), mat)
+def generator_table(m: int) -> np.ndarray:
+    """Basis map |x, q, w> -> |x, q, w XOR q XOR x> on the packed (x, query, work) index."""
+    idx = np.arange(1 << (3 * m))
+    table = idx ^ ((idx >> m) & ((1 << m) - 1)) ^ (idx >> (2 * m))
+    table.setflags(write=False)
+    return table
 
 
-def _generator_unitary(table: DistributionTable) -> UnitaryOperator:
-    """G on (x, query, work): |x,0,0> -> sum_q sqrt(d_q) |x, q, q XOR x>."""
-    m = table.m
-    size = 1 << m
-    dim = size**3
-    prep = np.kron(np.eye(size), np.kron(_prep_unitary(table.probs), np.eye(size)))
-    idx = np.arange(dim)
-    w = idx & (size - 1)
-    q = (idx >> m) & (size - 1)
-    x = idx >> (2 * m)
-    rows = (x << (2 * m)) | (q << m) | (w ^ q ^ x)
-    cnots = np.zeros((dim, dim))
-    cnots[rows, idx] = 1.0
-    return UnitaryOperator(layout(("x", m), ("query", m), ("work", m)), cnots @ prep)
-
-
-def _decider_unitary(m: int, bit: int) -> UnitaryOperator:
-    """R on (answer, work, out): XOR the language bit of answer^work into out.
+@lru_cache(maxsize=64)
+def decider_table(m: int, bit: int) -> np.ndarray:
+    """Basis map XORing the language bit of answer^work into out, on (answer, work, out).
 
     Equal to compute(answer into work), copy bit to out, uncompute, collapsed
     into a single basis permutation.
     """
-    if not 0 <= bit < m:
-        raise ValueError(f"bit {bit} out of range for m={m}")
-    size = 1 << m
-    dim = (size**2) * 2
-    idx = np.arange(dim)
-    w = (idx >> 1) & (size - 1)
+    idx = np.arange(1 << (2 * m + 1))
+    w = (idx >> 1) & ((1 << m) - 1)
     a = idx >> (m + 1)
-    lang = ((a ^ w) >> (m - 1 - bit)) & 1
-    rows = idx ^ lang
-    mat = np.zeros((dim, dim))
-    mat[rows, idx] = 1.0
-    return UnitaryOperator(layout(("answer", m), ("work", m), ("out", 1)), mat)
+    table = idx ^ (((a ^ w) >> (m - 1 - bit)) & 1)
+    table.setflags(write=False)
+    return table
 
 
 def majority_error(eps: float, t: int) -> float:
@@ -223,9 +205,11 @@ class Reduction:
     """One worst-case-to-average-case reduction instance.
 
     k is the total query count; copies is the majority-vote arity (equal to k
-    for this family, where every query group is one copy).  generators holds
-    the per-query G, decider the per-copy R; epsilon is the closed-form error
-    of the whole reduction on honest runs.
+    for this family, where every query group is one copy).  The per-query
+    generator is preps[i] on `query` followed by generator_table(m); the
+    per-copy decider is decider_table(m, bit) followed by the rotation noise
+    on `out`, if any (apply_generator and apply_decider run them).  epsilon
+    is the closed-form error of the whole reduction on honest runs.
     """
 
     family: str
@@ -237,24 +221,16 @@ class Reduction:
     s: int
     bit: int
     distributions: tuple[DistributionTable, ...]
-    generators: tuple[UnitaryOperator, ...]
-    decider: UnitaryOperator
+    preps: tuple[UnitaryOperator, ...]
+    noise: UnitaryOperator | None = None
 
     def __post_init__(self) -> None:
-        if len(self.distributions) != self.k or len(self.generators) != self.k:
-            raise ValueError("need one distribution and one generator per query")
+        if len(self.distributions) != self.k or len(self.preps) != self.k:
+            raise ValueError("need one distribution and one prep per query")
         if self.copies != self.k:
             raise ValueError("this family uses one query group per copy")
-
-    @property
-    def G(self) -> UnitaryOperator:
-        """Per-query generator (all equal unless distributions differ per query)."""
-        return self.generators[0]
-
-    @property
-    def R(self) -> UnitaryOperator:
-        """Per-copy decider."""
-        return self.decider
+        if not 0 <= self.bit < self.m:
+            raise ValueError(f"bit {self.bit} out of range for m={self.m}")
 
     def language(self, x: int) -> int:
         if not 0 <= x < (1 << self.m):
@@ -289,8 +265,7 @@ def build_xor_reduction(m: int, s: int, bit: int) -> Reduction:
         s=s,
         bit=bit,
         distributions=(table,),
-        generators=(_generator_unitary(table),),
-        decider=_decider_unitary(m, bit),
+        preps=(_prep_operator(table),),
     )
 
 
@@ -311,8 +286,7 @@ def build_smooth_xor_reduction(m: int, s: int, bit: int, table: DistributionTabl
         s=s,
         bit=bit,
         distributions=(table,),
-        generators=(_generator_unitary(table),),
-        decider=_decider_unitary(m, bit),
+        preps=(_prep_operator(table),),
     )
 
 
@@ -340,8 +314,7 @@ def build_known_smooth_reduction(m: int, s: int, bit: int, tables) -> Reduction:
         s=s,
         bit=bit,
         distributions=tables,
-        generators=tuple(_generator_unitary(t) for t in tables),
-        decider=_decider_unitary(m, bit),
+        preps=tuple(_prep_operator(t) for t in tables),
     )
 
 
@@ -358,13 +331,14 @@ def add_noise(r: Reduction, eps: float) -> Reduction:
     angle = math.asin(math.sqrt(r.epsilon)) + math.asin(math.sqrt(eps))
     c, s_ = math.cos(math.asin(math.sqrt(eps))), math.sqrt(eps)
     rot = np.array([[c, -s_], [s_, c]])
-    noisy = np.kron(np.eye(r.decider.dim // 2), rot) @ r.decider.matrix
+    if r.noise is not None:
+        rot = rot @ r.noise.matrix
     combined = float(math.sin(angle) ** 2)
     return replace(
         r,
         epsilon=combined,
         base_epsilon=combined,
-        decider=UnitaryOperator(r.decider.layout, noisy),
+        noise=UnitaryOperator(layout(("out", 1)), rot),
     )
 
 
@@ -382,7 +356,7 @@ def amplify(r: Reduction, t: int) -> Reduction:
         copies=t,
         epsilon=majority_error(r.epsilon, t),
         distributions=r.distributions * t,
-        generators=r.generators * t,
+        preps=r.preps * t,
     )
 
 
@@ -410,11 +384,24 @@ def _relabel(state: StateVector, mapping: dict[str, str]) -> StateVector:
     return StateVector(core.RegisterLayout(new), state.amplitudes)
 
 
+def apply_generator(state: StateVector, r: Reduction, which: int) -> StateVector:
+    """Run the which-th query generator on the (x, query, work) registers."""
+    state = core.apply_on_registers(state, r.preps[which], ["query"])
+    return core.apply_basis_permutation(state, generator_table(r.m), ["x", "query", "work"])
+
+
+def apply_decider(state: StateVector, r: Reduction, answer: str, work: str, out: str) -> StateVector:
+    """Run the decider on the named (answer, work, out) registers."""
+    state = core.apply_basis_permutation(state, decider_table(r.m, r.bit), [answer, work, out])
+    if r.noise is not None:
+        state = core.apply_on_registers(state, r.noise, [out])
+    return state
+
+
 def _single_query_state(r: Reduction, x: int, which: int) -> StateVector:
     m = r.m
     lay = layout(("x", m), ("query", m), ("answer", m), ("work", m), ("copy", m))
-    state = basis_state(lay, {"x": x})
-    state = core.apply_on_registers(state, r.generators[which], ["x", "query", "work"])
+    state = apply_generator(basis_state(lay, {"x": x}), r, which)
     state = core.apply_basis_permutation(state, register_xor_table(m), ["query", "copy"])
     prob, state = core.condition_on(state, {"x": x})
     if abs(prob - 1.0) > core.ATOL:

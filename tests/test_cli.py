@@ -85,6 +85,83 @@ class TestRun:
         assert rec["upper_bound"] is None
 
 
+# Exact `trapqip run` output for fixed configs: any change to the arithmetic
+# of the engines, the builders or the record format shows up here.
+PINNED_RECORDS = [
+    (
+        "[run]\nprotocol = 2\nm = 3\ns = 101\nbit = 1\neps = 0.1\nt = 3\nx = 6\n",
+        """{
+  "accept_prob": 0.513999999999999,
+  "amplified_error": 0.028000000000000008,
+  "config_digest": "80f1b505c6e88ef7",
+  "eps": 0.1,
+  "k": 3,
+  "m": 3,
+  "p0": 0.028000000000000025,
+  "p1": 0.999999999999998,
+  "protocol": "2",
+  "prover_kind": "honest",
+  "search_value": null,
+  "seed": 0,
+  "t": 3,
+  "upper_bound": null,
+  "x": 6
+}
+""",
+    ),
+    (
+        "[run]\nprotocol = 1\nm = 3\ns = 011\nbit = 2\neps = 0.25\nx = 5\n",
+        """{
+  "accept_prob": 0.8749999999999997,
+  "amplified_error": 0.25,
+  "config_digest": "31af57d4b5866b84",
+  "eps": 0.25,
+  "k": 1,
+  "m": 3,
+  "p0": 0.75,
+  "p1": 0.9999999999999993,
+  "protocol": "1",
+  "prover_kind": "honest",
+  "search_value": null,
+  "seed": 0,
+  "t": 1,
+  "upper_bound": null,
+  "x": 5
+}
+""",
+    ),
+    (
+        "[run]\nprotocol = classical\nm = 3\ns = 110\nbit = 0\neps = 0.1\nt = 3\nx = 3\nseed = 4\n",
+        """{
+  "accept_prob": 0.028000000000000025,
+  "amplified_error": 0.028000000000000008,
+  "config_digest": "008f0daa21960a5a",
+  "eps": 0.1,
+  "k": 3,
+  "m": 3,
+  "p0": 0.028000000000000025,
+  "p1": 0.028000000000000025,
+  "protocol": "classical",
+  "prover_kind": "honest",
+  "search_value": null,
+  "seed": 4,
+  "t": 3,
+  "upper_bound": null,
+  "x": 3
+}
+""",
+    ),
+]
+
+
+class TestPinnedRecords:
+    @pytest.mark.parametrize("config, record", PINNED_RECORDS, ids=["protocol2", "protocol1", "classical"])
+    def test_record_bytes(self, config, record, tmp_path, capsys):
+        dest = tmp_path / "rec.json"
+        assert cli.main(["run", "--config", _write(tmp_path, config), "--out", str(dest)]) == 0
+        capsys.readouterr()
+        assert dest.read_bytes() == record.encode()
+
 class TestSweep:
     def test_eps_range_tracks_completeness(self, tmp_path, capsys):
         cfg = _write(tmp_path, "[run]\nm = 2\n[sweep]\neps = 0, 0.1, 0.25\n")

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trapqip.core import (
     CapacityError,
@@ -115,6 +117,28 @@ class TestApply:
         np.testing.assert_allclose(
             apply_basis_permutation(st, table, ["a", "b"]).amplitudes,
             apply_on_registers(st, u, ["a", "b"]).amplitudes,
+            atol=1e-12,
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_basis_permutation_property(self, data):
+        widths = data.draw(st.lists(st.integers(1, 2), min_size=1, max_size=4), label="widths")
+        names = [f"r{i}" for i in range(len(widths))]
+        lay = layout(*zip(names, widths))
+        targets = data.draw(st.permutations(names), label="order")
+        targets = targets[: data.draw(st.integers(1, len(names)), label="count")]
+        k = sum(lay.width(n) for n in targets)
+        table = np.array(data.draw(st.permutations(range(1 << k)), label="table"))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        amps = rng.normal(size=lay.dim) + 1j * rng.normal(size=lay.dim)
+        state = StateVector(lay, amps / np.linalg.norm(amps))
+        dense = np.zeros((1 << k, 1 << k))
+        dense[table, np.arange(1 << k)] = 1.0
+        u = UnitaryOperator(layout(("block", k)), dense)
+        np.testing.assert_allclose(
+            apply_basis_permutation(state, table, targets).amplitudes,
+            apply_on_registers(state, u, targets).amplitudes,
             atol=1e-12,
         )
 

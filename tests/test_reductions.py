@@ -1,14 +1,18 @@
 """Query-state builders, noise, and majority amplification."""
 
+import math
+
 import numpy as np
 import pytest
 
-from trapqip.core import apply_on_registers, basis_state, layout, measure_probability
+from trapqip.core import StateVector, UnitaryOperator, apply_on_registers, basis_state, layout, measure_probability
 from trapqip.oracles import xor_shift_permutation
 from trapqip.reductions import (
     DistributionTable,
     add_noise,
     amplify,
+    apply_decider,
+    apply_generator,
     build_known_smooth_reduction,
     build_smooth_xor_reduction,
     build_xor_reduction,
@@ -176,3 +180,75 @@ class TestMajority:
             out = apply_on_registers(st, u, ["votes", "target"])
             want = 1 if bin(votes).count("1") >= 2 else 0
             assert measure_probability(out, {"votes": votes, "target": want}) == pytest.approx(1.0)
+
+
+def _dense_generator(probs: np.ndarray, m: int) -> UnitaryOperator:
+    """Reference G on (x, query, work): CNOT-style basis map after a dense prep."""
+    size = 1 << m
+    target = np.sqrt(probs)
+    v = target - np.eye(size)[0]
+    prep_q = np.eye(size) if v @ v < 1e-30 else np.eye(size) - 2.0 * np.outer(v, v) / (v @ v)
+    prep = np.kron(np.eye(size), np.kron(prep_q, np.eye(size)))
+    idx = np.arange(size**3)
+    w, q, x = idx & (size - 1), (idx >> m) & (size - 1), idx >> (2 * m)
+    cnots = np.zeros((size**3, size**3))
+    cnots[(x << (2 * m)) | (q << m) | (w ^ q ^ x), idx] = 1.0
+    return UnitaryOperator(layout(("x", m), ("query", m), ("work", m)), cnots @ prep)
+
+
+def _dense_decider(m: int, bit: int, noise_levels) -> UnitaryOperator:
+    """Reference R on (answer, work, out): language-bit permutation, then each rotation."""
+    dim = (1 << (2 * m)) * 2
+    idx = np.arange(dim)
+    w, a = (idx >> 1) & ((1 << m) - 1), idx >> (m + 1)
+    mat = np.zeros((dim, dim))
+    mat[idx ^ (((a ^ w) >> (m - 1 - bit)) & 1), idx] = 1.0
+    for eps in noise_levels:
+        c, s = math.cos(math.asin(math.sqrt(eps))), math.sqrt(eps)
+        mat = np.kron(np.eye(dim // 2), np.array([[c, -s], [s, c]])) @ mat
+    return UnitaryOperator(layout(("answer", m), ("work", m), ("out", 1)), mat)
+
+
+def _random_state(lay, rng) -> StateVector:
+    amps = rng.normal(size=lay.dim) + 1j * rng.normal(size=lay.dim)
+    return StateVector(lay, amps / np.linalg.norm(amps))
+
+
+class TestTablesMatchDenseOperators:
+    """The table-backed generator and decider against rebuilt dense matrices."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_generator(self, m):
+        rng = np.random.default_rng(m)
+        raw = rng.uniform(0.5, 1.5, size=1 << m)
+        smooth = DistributionTable(m, raw / raw.sum())
+        lay = layout(("x", m), ("query", m), ("answer", m), ("work", m))
+        for r in (build_xor_reduction(m, 1, 0), build_smooth_xor_reduction(m, 1, 0, smooth)):
+            dense = _dense_generator(r.distributions[0].probs, m)
+            for _ in range(3):
+                st = _random_state(lay, rng)
+                np.testing.assert_allclose(
+                    apply_generator(st, r, 0).amplitudes,
+                    apply_on_registers(st, dense, ["x", "query", "work"]).amplitudes,
+                    atol=1e-12,
+                )
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_decider_with_stacked_noise(self, m):
+        rng = np.random.default_rng(10 + m)
+        # an idle register between the targets checks the embedding
+        lay = layout(("out", 1), ("answer", m), ("copy", 1), ("work", m))
+        stacks = [()] + [(eps,) * n for eps in (0.0, 0.1, 0.25) for n in (1, 2)]
+        for bit in range(m):
+            for levels in stacks:
+                r = build_xor_reduction(m, 1, bit)
+                for level in levels:
+                    r = add_noise(r, level)
+                dense = _dense_decider(m, bit, levels)
+                for _ in range(2):
+                    st = _random_state(lay, rng)
+                    np.testing.assert_allclose(
+                        apply_decider(st, r, "answer", "work", "out").amplitudes,
+                        apply_on_registers(st, dense, ["answer", "work", "out"]).amplitudes,
+                        atol=1e-12,
+                    )
