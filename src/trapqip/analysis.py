@@ -221,17 +221,13 @@ def epr_trivialization(f: Permutation) -> LemmaReport:
     with_oracle = core.apply_basis_permutation(StateVector(lay, amps), inversion_table(f), ["a", "c"])
 
     # Hadamards, the forward oracle, a register copy, and an a<->c swap
-    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-    h_full = hadamard
-    for _ in range(m - 1):
-        h_full = np.kron(h_full, hadamard)
     f_of = np.array([f(v) for v in range(size)])
     idx = np.arange(size * size)
     forward = idx ^ f_of[idx >> m]
 
     oracle_free = core.basis_state(lay)
     oracle_free = core.apply_on_registers(
-        oracle_free, core.UnitaryOperator(layout(("reg", m)), h_full), ["a"]
+        oracle_free, core.UnitaryOperator(layout(("reg", m)), core.hadamard_power(m)), ["a"]
     )
     oracle_free = core.apply_basis_permutation(oracle_free, forward, ["a", "b"])
     oracle_free = core.apply_basis_permutation(oracle_free, register_xor_table(m), ["b", "c"])

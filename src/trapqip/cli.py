@@ -35,7 +35,6 @@ from .protocols import (
     cheat_upper_bound,
     prover_search,
     run_classical_query_protocol,
-    run_multiquery_protocol,
     run_protocol,
     run_smooth_protocol,
 )
@@ -250,8 +249,6 @@ def _execute(rc: RunConfig, digest: str) -> dict:
             gamma=rc.gamma, gamma_prime=rc.gamma_prime,
             accept_output=rc.accept_output, seed=rc.seed,
         )
-    elif r.copies > 1:
-        result = run_multiquery_protocol(r, f, rc.x, prover, accept_output=rc.accept_output)
     else:
         result = run_protocol(r, f, rc.x, prover, accept_output=rc.accept_output)
     upper = None

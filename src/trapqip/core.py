@@ -12,8 +12,9 @@ returns a fresh value.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -148,10 +149,6 @@ class RegisterLayout:
             self.width(n)
         return RegisterLayout(tuple(r for r in self.registers if r[0] in keep))
 
-    def register_value_bits(self, name: str, index: int) -> int:
-        shift = self.total_qubits - self.offset(name) - self.width(name)
-        return (index >> shift) & ((1 << self.width(name)) - 1)
-
 
 def layout(*registers: tuple[str, int]) -> RegisterLayout:
     return RegisterLayout(tuple(registers))
@@ -264,10 +261,6 @@ class KrausChannel:
         object.__setattr__(self, "elements", elems)
 
 
-def channel_from_unitary(u: UnitaryOperator) -> KrausChannel:
-    return KrausChannel(u.layout, (u.matrix,))
-
-
 def channel_from_environment(u: np.ndarray, sys_dim: int) -> KrausChannel:
     """Stinespring dilation: unitary on system (x) environment, environment starts at |0>.
 
@@ -349,24 +342,6 @@ def apply_basis_permutation(state: StateVector, table: np.ndarray, targets: Sequ
     out[table] = flat
     out = np.moveaxis(out.reshape([2] * n), list(range(k)), axes)
     return StateVector(state.layout, np.ascontiguousarray(out).reshape(-1))
-
-
-def conjugate_on_registers(rho: DensityOperator, u: UnitaryOperator, targets: Sequence[str]) -> DensityOperator:
-    """U rho U^dagger with U acting on the named registers."""
-    axes = _target_axes(rho.layout, targets)
-    k = len(axes)
-    if u.dim != (1 << k):
-        raise LayoutError(f"unitary dim {u.dim} does not cover {k} target qubits")
-    n = rho.layout.total_qubits
-    mat = rho.matrix.reshape([2] * (2 * n))
-    op = u.matrix.reshape([2] * (2 * k))
-    out = np.tensordot(op, mat, axes=(list(range(k, 2 * k)), axes))
-    out = np.moveaxis(out, list(range(k)), axes)
-    col_axes = [n + a for a in axes]
-    out = np.tensordot(out, op.conj(), axes=(col_axes, list(range(k, 2 * k))))
-    # tensordot moved the contracted column axes to the end; put them back
-    out = np.moveaxis(out, list(range(2 * n - k, 2 * n)), col_axes)
-    return DensityOperator(rho.layout, out.reshape(rho.dim, rho.dim))
 
 
 def apply_channel(rho: DensityOperator, channel: KrausChannel, targets: Sequence[str]) -> DensityOperator:
@@ -452,12 +427,9 @@ def overlap(rho: DensityOperator | StateVector, phi: StateVector) -> float:
     return float(val.real)
 
 
-def measure_probability(state: StateVector, assignments: Mapping[str, int]) -> float:
-    """Probability that measuring the named registers yields the given values."""
-    lay = state.layout
-    n = lay.total_qubits
-    psi = state.amplitudes.reshape([2] * n)
-    idx: list = [slice(None)] * n
+def _assignment_index(lay: RegisterLayout, assignments: Mapping[str, int]) -> tuple:
+    """Index into the [2]*n amplitude tensor fixing the named registers' bits."""
+    idx: list = [slice(None)] * lay.total_qubits
     for name, value in assignments.items():
         width = lay.width(name)
         off = lay.offset(name)
@@ -465,7 +437,13 @@ def measure_probability(state: StateVector, assignments: Mapping[str, int]) -> f
             raise LayoutError(f"value {value} does not fit register {name!r}")
         for b in range(width):
             idx[off + b] = (value >> (width - 1 - b)) & 1
-    sub = psi[tuple(idx)]
+    return tuple(idx)
+
+
+def measure_probability(state: StateVector, assignments: Mapping[str, int]) -> float:
+    """Probability that measuring the named registers yields the given values."""
+    psi = state.amplitudes.reshape([2] * state.layout.total_qubits)
+    sub = psi[_assignment_index(state.layout, assignments)]
     return float(np.sum(np.abs(sub) ** 2))
 
 
@@ -476,17 +454,9 @@ def condition_on(state: StateVector, assignments: Mapping[str, int], drop: bool 
     vanishes.  With drop=True the measured registers are removed.
     """
     lay = state.layout
-    n = lay.total_qubits
-    psi = state.amplitudes.reshape([2] * n)
-    idx: list = [slice(None)] * n
-    for name, value in assignments.items():
-        width = lay.width(name)
-        off = lay.offset(name)
-        if not 0 <= value < (1 << width):
-            raise LayoutError(f"value {value} does not fit register {name!r}")
-        for b in range(width):
-            idx[off + b] = (value >> (width - 1 - b)) & 1
-    sub = np.asarray(psi[tuple(idx)])
+    psi = state.amplitudes.reshape([2] * lay.total_qubits)
+    idx = _assignment_index(lay, assignments)
+    sub = np.asarray(psi[idx])
     prob = float(np.sum(np.abs(sub) ** 2))
     if prob <= ATOL**2:
         return 0.0, None
@@ -496,7 +466,7 @@ def condition_on(state: StateVector, assignments: Mapping[str, int], drop: bool 
             new_lay = new_lay.without(name)
         return prob, StateVector(new_lay, (sub / np.sqrt(prob)).reshape(-1))
     full = np.zeros_like(psi)
-    full[tuple(idx)] = sub / np.sqrt(prob)
+    full[idx] = sub / np.sqrt(prob)
     return prob, StateVector(lay, full.reshape(-1))
 
 
@@ -519,10 +489,13 @@ def reorder_registers(state: StateVector, order: Sequence[str]) -> StateVector:
     return StateVector(new_lay, np.ascontiguousarray(psi).reshape(-1))
 
 
-def permute_qubits(state: StateVector, new_layout: RegisterLayout, perm: Sequence[int]) -> StateVector:
-    """Relabel qubits: axis i of the result is axis perm[i] of the input."""
-    n = state.layout.total_qubits
-    if sorted(perm) != list(range(n)) or new_layout.total_qubits != n:
-        raise LayoutError("perm must be a permutation of all qubit positions")
-    psi = state.amplitudes.reshape([2] * n).transpose(list(perm))
-    return StateVector(new_layout, np.ascontiguousarray(psi).reshape(-1))
+
+@lru_cache(maxsize=16)
+def hadamard_power(n: int) -> np.ndarray:
+    """Read-only real matrix of H on each of n qubits, first qubit most significant."""
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    full = h
+    for _ in range(n - 1):
+        full = np.kron(full, h)
+    full.setflags(write=False)
+    return full

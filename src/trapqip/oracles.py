@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import RegisterLayout, UnitaryOperator, layout
+from .core import UnitaryOperator, layout
 
 
 @dataclass(frozen=True)
@@ -37,10 +37,6 @@ class Permutation:
 
     def __call__(self, x: int) -> int:
         return self.table[x]
-
-    @property
-    def inverse(self) -> "Permutation":
-        return Permutation(self.m, self._inverse_table)
 
     def inverse_of(self, y: int) -> int:
         return self._inverse_table[y]

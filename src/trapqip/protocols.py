@@ -38,6 +38,7 @@ from .oracles import Permutation, inversion_table
 from .reductions import (
     DistributionTable,
     Reduction,
+    _relabel,
     apply_decider,
     apply_generator,
     copy_register_names,
@@ -148,24 +149,6 @@ def trap_state(m: int, copies: int = 1) -> StateVector:
     return core.reorder_registers(state, grouped_register_order(copies))
 
 
-def _relabel(state: StateVector, mapping: dict[str, str]) -> StateVector:
-    new = tuple((mapping.get(n, n), w) for n, w in state.layout.registers)
-    return StateVector(RegisterLayout(new), state.amplitudes)
-
-
-def prepare_superposed_query(r: Reduction, x: int) -> StateVector:
-    """The sent state: computation and trap branches over a fresh branch qubit."""
-    comp = generate_query_state(r, x)
-    trap = trap_state(r.m, r.k)
-    if comp.layout.registers != trap.layout.registers:
-        raise InvariantError("branch layouts diverged")
-    lay = comp.layout.extended("branch", 1)
-    e0 = np.array([1.0, 0.0])
-    e1 = np.array([0.0, 1.0])
-    amps = (np.kron(comp.amplitudes, e0) + np.kron(trap.amplitudes, e1)) / math.sqrt(2.0)
-    return StateVector(lay, amps)
-
-
 @lru_cache(maxsize=64)
 def trap_verifier(f: Permutation) -> UnitaryOperator:
     """Uncompute the honest trap response to all-zero on (query, answer, copy).
@@ -185,11 +168,7 @@ def trap_verifier(f: Permutation) -> UnitaryOperator:
     rows = ((q ^ f_of[a]) << (2 * m)) | (a << m) | (c ^ q)
     perm = np.zeros((dim, dim))
     perm[rows, idx] = 1.0
-    had = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-    f_step = had
-    for _ in range(m - 1):
-        f_step = np.kron(f_step, had)
-    full = np.kron(np.eye(size), np.kron(f_step, np.eye(size)))
+    full = np.kron(np.eye(size), np.kron(core.hadamard_power(m), np.eye(size)))
     lay = layout(("query", m), ("answer", m), ("copy", m))
     return UnitaryOperator(lay, full @ perm)
 
@@ -207,12 +186,8 @@ def trap_answer_state(r: Reduction, f: Permutation) -> StateVector:
 # the protocol engine
 
 
-def _prover_width(prover: Prover) -> int:
-    return prover.prover_qubits if prover.kind == PROVER_UNITARY else 0
-
-
 def _apply_prover_stage(state: StateVector, r: Reduction, f: Permutation, prover: Prover) -> StateVector:
-    width = _prover_width(prover)
+    width = prover.prover_qubits if prover.kind == PROVER_UNITARY else 0
     if width:
         state = core.tensor_product(basis_state(layout(("prover", width))), state)
     names = copy_register_names(r.k)
@@ -233,32 +208,34 @@ def _apply_prover_stage(state: StateVector, r: Reduction, f: Permutation, prover
     return state
 
 
-def _computation_branch(state: StateVector, r: Reduction, accept_output: int) -> tuple[float, StateVector]:
-    names = copy_register_names(r.k)
-    xor = register_xor_table(r.m)
-    out_names = []
-    for i, regs in enumerate(names):
-        state = core.apply_basis_permutation(state, xor, [regs["query"], regs["copy"]])
-        out = "out" if r.k == 1 else f"out{i}"
+def _decide(state: StateVector, r: Reduction, accept_output: int) -> float:
+    """Adjoin an out qubit per copy, run the decider, vote over several copies, measure."""
+    outs = ["out"] if r.k == 1 else [f"out{i}" for i in range(r.k)]
+    for regs, out in zip(copy_register_names(r.k), outs):
         state = core.adjoin_register(state, out, 1)
         state = apply_decider(state, r, regs["answer"], regs["work"], out)
-        out_names.append(out)
+    final = outs[0]
     if r.copies > 1:
         state = core.adjoin_register(state, "vote", 1)
-        state = core.apply_on_registers(state, majority_vote_unitary(r.copies), [*out_names, "vote"])
+        state = core.apply_on_registers(state, majority_vote_unitary(r.copies), [*outs, "vote"])
         final = "vote"
-    else:
-        final = out_names[0]
-    return core.measure_probability(state, {final: accept_output}), state
+    return core.measure_probability(state, {final: accept_output})
 
 
-def _trap_branch(state: StateVector, r: Reduction, f: Permutation) -> tuple[float, StateVector]:
+def _computation_branch(state: StateVector, r: Reduction, accept_output: int) -> float:
+    xor = register_xor_table(r.m)
+    for regs in copy_register_names(r.k):
+        state = core.apply_basis_permutation(state, xor, [regs["query"], regs["copy"]])
+    return _decide(state, r, accept_output)
+
+
+def _trap_branch(state: StateVector, r: Reduction, f: Permutation) -> float:
     names = copy_register_names(r.k)
     verifier = trap_verifier(f)
     for regs in names:
         state = core.apply_on_registers(state, verifier, [regs["query"], regs["answer"], regs["copy"]])
     zeros = {name: 0 for regs in names for name in regs.values()}
-    return core.measure_probability(state, zeros), state
+    return core.measure_probability(state, zeros)
 
 
 def _majority_accept(one_probs, copies: int, accept_output: int) -> float:
@@ -290,16 +267,13 @@ def _check_instance(r: Reduction, f: Permutation, x: int) -> None:
     r.language(x)
 
 
-def _sample_draws(p0: float, p1: float, shots: int, seed, metadata: dict) -> None:
-    rng = np.random.default_rng(seed)
-    branches = rng.integers(0, 2, size=shots)
-    draws = rng.random(shots)
-    accepts = np.where(branches == 0, draws < p0, draws < p1)
-    metadata["sampled_branches"] = branches.tolist()
-    metadata["sampled_accepts"] = [bool(v) for v in accepts]
+def run_protocol(r: Reduction, f: Permutation, x: int, prover: Prover, accept_output: int = 0) -> ProtocolResult:
+    """Trap protocol for any odd copy count; exact p0, p1 from the statevector.
 
-
-def _run_trap_protocol(r, f, x, prover, accept_output, shots, seed, keep_states) -> ProtocolResult:
+    Several copies run over grouped per-copy registers with a majority
+    decider.  Honest provers are evaluated per copy and combined exactly;
+    entangling cheats run on the full grouped state, within the qubit cap.
+    """
     _check_instance(r, f, x)
     if prover.kind == PROVER_CLASSICAL:
         raise ValueError("classical provers answer basis queries; use run_classical_query_protocol")
@@ -320,59 +294,22 @@ def _run_trap_protocol(r, f, x, prover, accept_output, shots, seed, keep_states)
         for i in range(r.copies):
             single = _copy_slice(r, i)
             comp = _apply_prover_stage(generate_query_state(single, x), single, f, prover)
-            e_i, _ = _computation_branch(comp, single, 1)
+            ones.append(_computation_branch(comp, single, 1))
             trap = _apply_prover_stage(trap_state(single.m), single, f, prover)
-            z_i, _ = _trap_branch(trap, single, f)
-            ones.append(e_i)
-            trap_ok *= z_i
+            trap_ok *= _trap_branch(trap, single, f)
         p0 = _majority_accept(ones, r.copies, accept_output)
         p1 = trap_ok
         metadata["per_copy_one_probs"] = ones
     else:
         comp = _apply_prover_stage(generate_query_state(r, x), r, f, prover)
-        p0, comp_final = _computation_branch(comp, r, accept_output)
+        p0 = _computation_branch(comp, r, accept_output)
         trap = _apply_prover_stage(trap_state(r.m, r.k), r, f, prover)
-        p1, trap_final = _trap_branch(trap, r, f)
-        if keep_states:
-            metadata["computation_state"] = comp_final
-            metadata["trap_state"] = trap_final
-    if shots:
-        _sample_draws(p0, p1, shots, seed, metadata)
+        p1 = _trap_branch(trap, r, f)
     return ProtocolResult(p0=float(p0), p1=float(p1), metadata=metadata)
 
 
-def run_protocol(
-    r: Reduction,
-    f: Permutation,
-    x: int,
-    prover: Prover,
-    accept_output: int = 0,
-    shots: int | None = None,
-    seed: int | None = None,
-    keep_states: bool = False,
-) -> ProtocolResult:
-    """Single-query trap protocol; exact p0, p1 from the statevector."""
-    if r.copies != 1:
-        raise ValueError("reduction has several copies; use run_multiquery_protocol")
-    return _run_trap_protocol(r, f, x, prover, accept_output, shots, seed, keep_states)
-
-
-def run_multiquery_protocol(
-    r: Reduction,
-    f: Permutation,
-    x: int,
-    prover: Prover,
-    accept_output: int = 0,
-    shots: int | None = None,
-    seed: int | None = None,
-    keep_states: bool = False,
-) -> ProtocolResult:
-    """Trap protocol over grouped per-copy registers with a majority decider.
-
-    Honest provers are evaluated per copy and combined exactly; entangling
-    cheats run on the full grouped state, within the qubit cap.
-    """
-    return _run_trap_protocol(r, f, x, prover, accept_output, shots, seed, keep_states)
+# the same engine under the name multi-copy callers import
+run_multiquery_protocol = run_protocol
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +340,6 @@ def run_smooth_protocol(
     gamma_prime: int | None = None,
     accept_output: int = 0,
     seed: int = 0,
-    keep_states: bool = False,
 ) -> ProtocolResult:
     """Trap protocol for a smooth non-uniform query distribution.
 
@@ -491,28 +427,9 @@ def run_smooth_protocol(
             break
         down_rounds.append(_geometric_rounds(rng, step.success_prob))
         comp = step.accepted
-    if down_impossible:
-        p0 = 0.0
-    else:
-        out_names = []
-        for i, regs in enumerate(names):
-            out = "out" if r.k == 1 else f"out{i}"
-            comp = core.adjoin_register(comp, out, 1)
-            comp = apply_decider(comp, r, regs["answer"], regs["work"], out)
-            out_names.append(out)
-        if r.copies > 1:
-            comp = core.adjoin_register(comp, "vote", 1)
-            comp = core.apply_on_registers(comp, majority_vote_unitary(r.copies), [*out_names, "vote"])
-            final = "vote"
-        else:
-            final = out_names[0]
-        p0 = core.measure_probability(comp, {final: accept_output})
-
+    p0 = 0.0 if down_impossible else _decide(comp, r, accept_output)
     trap = _apply_prover_stage(trap_state(r.m, r.k), r, f, prover)
-    p1, trap_final = _trap_branch(trap, r, f)
-    if keep_states and not down_impossible:
-        metadata["computation_state"] = comp
-        metadata["trap_state"] = trap_final
+    p1 = _trap_branch(trap, r, f)
 
     metadata.update(
         up_rounds=up_rounds,
@@ -681,12 +598,10 @@ def branch_overlap_pair(r: Reduction, f: Permutation, x: int, prover: Prover) ->
     honest_trap = trap_answer_state(r, f)
     out = []
     for start, honest in ((generate_query_state(r, x), honest_comp), (trap_state(r.m, r.k), honest_trap)):
-        state = _apply_prover_stage(start, r, f, prover)
-        if _prover_width(prover):
-            rho = core.partial_trace(core.density_from_state(state), keep=honest.layout.names)
-            out.append(core.overlap(rho, honest))
-        else:
-            out.append(float(abs(np.vdot(honest.amplitudes, state.amplitudes)) ** 2))
+        amps = _apply_prover_stage(start, r, f, prover).amplitudes
+        # <honest| on the message registers; the private register, if any,
+        # is the most significant, so each row is one of its basis values
+        out.append(float(np.linalg.norm(amps.reshape(-1, honest.dim) @ honest.amplitudes.conj()) ** 2))
     return out[0], out[1]
 
 

@@ -110,11 +110,10 @@ def qrs_rotation(plan: QrsPlan) -> UnitaryOperator:
 
 @dataclass(frozen=True, eq=False)
 class QrsRound:
-    """One flag measurement: exact statistics and both post-selected states."""
+    """One flag measurement: its success probability and the post-selected state."""
 
     success_prob: float
     accepted: StateVector | None
-    rejected: StateVector | None
 
 
 def qrs_round(state: StateVector, plan: QrsPlan, index_register: str) -> QrsRound:
@@ -126,8 +125,7 @@ def qrs_round(state: StateVector, plan: QrsPlan, index_register: str) -> QrsRoun
     work = core.adjoin_register(state, "flag", 1)
     work = core.apply_on_registers(work, qrs_rotation(plan), ["flag", index_register])
     p_succ, accepted = core.condition_on(work, {"flag": 1})
-    _, rejected = core.condition_on(work, {"flag": 0})
-    return QrsRound(success_prob=p_succ, accepted=accepted, rejected=rejected)
+    return QrsRound(success_prob=p_succ, accepted=accepted)
 
 
 @dataclass(frozen=True, eq=False)

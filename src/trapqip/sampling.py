@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DensityOperator, KrausChannel, RegisterLayout, StateVector, channel_from_environment, layout
+from .core import KrausChannel, StateVector, channel_from_environment, layout
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from .core import CapacityError
+from .core import CapacityError, hadamard_power
 
 MAX_WIDTH = 8
 MAX_INSTANCES = 64
@@ -134,15 +133,6 @@ def gf2_null_vector(rows, n: int) -> int | None:
 # quantum solver
 
 
-@lru_cache(maxsize=8)
-def _hadamard_full(n: int) -> np.ndarray:
-    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-    full = h
-    for _ in range(n - 1):
-        full = np.kron(full, h)
-    return full
-
-
 @dataclass(frozen=True)
 class SimonResult:
     """Recovered secret plus the query ledger; iterates as (secret, queries)."""
@@ -168,7 +158,7 @@ def simon_solve(oracle: GeneralizedSimonOracle, i: int, seed: int) -> SimonResul
     n = oracle.n
     size = 1 << n
     table = np.array(oracle.tables[i])
-    had = _hadamard_full(n)
+    had = hadamard_power(n)
     rng = np.random.default_rng(seed)
     rows: list[int] = []
     measurements: list[int] = []

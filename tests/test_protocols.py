@@ -4,8 +4,17 @@ import numpy as np
 import pytest
 
 from trapqip.core import CapacityError, InvariantError, LayoutError
-from trapqip.core import apply_on_registers, measure_probability
-from trapqip.oracles import random_permutation, xor_shift_permutation
+from trapqip.core import (
+    apply_basis_permutation,
+    apply_on_registers,
+    basis_state,
+    layout,
+    measure_probability,
+    overlap,
+    partial_trace,
+    tensor_product,
+)
+from trapqip.oracles import inversion_table, random_permutation, xor_shift_permutation
 from trapqip.protocols import (
     ProtocolResult,
     Prover,
@@ -17,6 +26,7 @@ from trapqip.protocols import (
     run_protocol,
     run_smooth_protocol,
     trap_answer_state,
+    trap_state,
     trap_verifier,
 )
 from trapqip.reductions import (
@@ -25,6 +35,9 @@ from trapqip.reductions import (
     amplify,
     build_smooth_xor_reduction,
     build_xor_reduction,
+    generate_query_state,
+    honest_answer_state,
+    majority_error,
 )
 from trapqip.sampling import haar_unitary
 
@@ -102,6 +115,26 @@ class TestBranchBalance:
             prover = Prover.unitary_cheat(u, prover_qubits=p)
             p0, p1 = branch_overlap_pair(r, f, i % 4, prover)
             assert abs(p0 - p1) <= 1e-9
+
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    def test_overlaps_match_partial_trace_reference(self, p):
+        # reference: trace the private register out of the full post-prover
+        # density, then take the overlap with the honest response
+        rng = np.random.default_rng(20 + p)
+        r = add_noise(build_xor_reduction(2, 1, 0), 0.25)
+        f = random_permutation(2, 3)
+        u = haar_unitary(1 << (4 + p), rng)
+        prover = Prover.unitary_cheat(u, prover_qubits=p)
+        for x in range(4):
+            comp = (generate_query_state(r, x), honest_answer_state(r, f, x))
+            trap = (trap_state(2), trap_answer_state(r, f))
+            for value, (start, honest) in zip(branch_overlap_pair(r, f, x, prover), (comp, trap)):
+                state = tensor_product(basis_state(layout(("prover", p))), start) if p else start
+                state = apply_basis_permutation(state, inversion_table(f), ["query", "answer"])
+                targets = (["prover"] if p else []) + ["query", "answer"]
+                state = apply_on_registers(state, prover.unitary, targets)
+                want = overlap(partial_trace(state, keep=honest.layout.names), honest)
+                assert abs(value - want) <= 1e-12
 
 
 class TestCheatBound:
@@ -191,6 +224,17 @@ class TestMultiQuery:
         hon = run_multiquery_protocol(r, f, 1, Prover.honest())
         dense = run_multiquery_protocol(r, f, 1, Prover.unitary_cheat(np.eye(1 << 6)))
         np.testing.assert_allclose(dense.accept_prob, hon.accept_prob, atol=1e-9)
+
+    @pytest.mark.parametrize("prover", [Prover.honest(), Prover.unitary_cheat(np.eye(1 << 6))])
+    def test_run_protocol_takes_any_copy_count(self, prover):
+        # language(x) = x XOR 1; each copy errs with 1/3, the vote with 7/27
+        r = amplify(add_noise(build_xor_reduction(1, 1, 0), 1 / 3), 3)
+        f = xor_shift_permutation(1, 1)
+        err = majority_error(1 / 3, 3)
+        for x, want in ((0, err), (1, 1 - err)):
+            res = run_protocol(r, f, x, prover)
+            assert abs(res.p0 - want) <= 1e-12
+            assert abs(res.p1 - 1.0) <= 1e-12
 
     def test_dense_multi_copy_over_cap(self):
         # 4 registers * 2 qubits * 3 copies already exceeds the default cap
