@@ -27,12 +27,13 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, rejection, sampling, separation
-from .core import CapacityError, InvariantError, StateVector, layout, trace_distance
+from .core import CapacityError, InvariantError, StateVector, layout, require_cap, trace_distance, within_cap
 from .oracles import CorruptionSet, Permutation, corrupted_inversion_oracle, inversion_oracle, random_permutation, xor_shift_permutation
 from .protocols import (
     Prover,
     branch_overlap_pair,
     cheat_upper_bound,
+    footprint,
     prover_search,
     run_classical_query_protocol,
     run_protocol,
@@ -70,8 +71,6 @@ RECORD_FIELDS = (
     "config_digest",
     "amplified_error",
 )
-
-_PROVER_STAGE_CAP = 12
 
 
 class ConfigError(ValueError):
@@ -218,9 +217,6 @@ def _build_prover(rc: RunConfig, r, f: Permutation):
     if kind.startswith("classical:"):
         answers = [int(tok) for tok in kind.split(":", 1)[1].split(",") if tok.strip()]
         return Prover.classical(answers), None
-    width = rc.p_qubits + 2 * r.m * r.copies
-    if width > _PROVER_STAGE_CAP:
-        raise CapacityError(f"prover stage spans {width} qubits, cap is {_PROVER_STAGE_CAP}")
     if kind == "identity":
         return Prover.unitary_cheat(np.eye(1 << (2 * r.m * r.copies))), None
     if kind == "search":
@@ -240,6 +236,12 @@ def _build_prover(rc: RunConfig, r, f: Permutation):
 
 def _execute(rc: RunConfig, digest: str) -> dict:
     r, f = _build_reduction(rc)
+    # private width of the cheat _build_prover makes; prover_search checks its own
+    cheat = rc.p_qubits if rc.prover == "search" else 0
+    if rc.prover == "honest" or rc.prover.startswith("classical:"):
+        cheat = None
+    entry = {"3": "smooth", "classical": "classical"}.get(rc.protocol, "trap")
+    require_cap(footprint(entry, r, cheat), "this run")
     prover, achieved = _build_prover(rc, r, f)
     if rc.protocol == "classical":
         result = run_classical_query_protocol(r, f, rc.x, prover, seed=rc.seed, accept_output=rc.accept_output)
@@ -252,7 +254,7 @@ def _execute(rc: RunConfig, digest: str) -> dict:
     else:
         result = run_protocol(r, f, rc.x, prover, accept_output=rc.accept_output)
     upper = None
-    if rc.protocol in ("1", "2") and r.copies == 1 and 4 * r.m + 1 <= _PROVER_STAGE_CAP:
+    if rc.protocol in ("1", "2") and r.copies == 1 and within_cap(footprint("ceiling", r)):
         upper = float(cheat_upper_bound(r, f, rc.x, accept_output=rc.accept_output).bound)
     return {
         "protocol": rc.protocol,

@@ -1,7 +1,7 @@
 """Dense linear algebra for small multi-register qubit systems.
 
 Everything here works on explicit statevectors and density matrices, sized for
-desk-scale experiments (a build-time qubit cap, default 18, guards against
+desk-scale experiments (one qubit budget, default 18, guards against
 accidental blowups).  Register bookkeeping uses named registers; qubit 0 is the
 most significant position of the first-declared register, so the basis index of
 a computational state is the concatenated register values read left to right.
@@ -36,7 +36,7 @@ class InvariantError(RuntimeError):
 
 
 def qubit_cap() -> int:
-    """Maximum total qubits per layout; overridable via the environment."""
+    """The qubit budget of within_cap; overridable via the environment."""
     raw = os.environ.get(QUBIT_CAP_ENV)
     if raw is None:
         return DEFAULT_QUBIT_CAP
@@ -49,8 +49,19 @@ def qubit_cap() -> int:
     return cap
 
 
+def within_cap(qubits: int) -> bool:
+    """The one budget rule: no object holds over 2^qubit_cap() entries, so a
+    state on n qubits counts n and a dense operator on n qubits counts 2n."""
+    return qubits <= qubit_cap()
+
+
+def require_cap(qubits: int, what: str) -> None:
+    if not within_cap(qubits):
+        raise CapacityError(f"{what} needs {qubits} qubits of budget, cap is {qubit_cap()}")
+
+
 def _readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=np.complex128, copy=True)
+    out = np.array(arr, dtype=np.complex128, copy=True, order="C")  # reshapes stay views
     out.setflags(write=False)
     return out
 
@@ -72,10 +83,7 @@ class RegisterLayout:
             raise LayoutError(f"duplicate register names in {names}")
         if any(w < 1 for _, w in regs):
             raise LayoutError("register widths must be >= 1")
-        total = sum(w for _, w in regs)
-        cap = qubit_cap()
-        if total > cap:
-            raise CapacityError(f"layout needs {total} qubits, cap is {cap}")
+        require_cap(sum(w for _, w in regs), "layout")
         offsets = {}
         pos = 0
         for name, width in regs:
@@ -224,6 +232,7 @@ class UnitaryOperator:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
+        require_cap(2 * self.layout.total_qubits, "dense operator")
         mat = _readonly(np.asarray(self.matrix))
         dim = self.layout.dim
         if mat.shape != (dim, dim):

@@ -24,11 +24,8 @@ import numpy as np
 
 from . import core, rejection
 from .core import (
-    ATOL,
-    CapacityError,
     InvariantError,
     LayoutError,
-    RegisterLayout,
     StateVector,
     UnitaryOperator,
     basis_state,
@@ -55,10 +52,6 @@ PROVER_HONEST = "honest"
 PROVER_UNITARY = "unitary-cheat"
 PROVER_CLASSICAL = "classical"
 
-# Dense acceptance projectors get diagonalized; 12 qubits keeps that under a
-# second and covers every width the verification suite exercises.
-_PROJECTOR_QUBIT_CAP = 12
-
 
 @dataclass(frozen=True, eq=False)
 class Prover:
@@ -84,6 +77,10 @@ class Prover:
                 raise ValueError("private register width must be >= 0")
         if self.kind == PROVER_CLASSICAL and self.answers is None:
             raise ValueError("classical prover needs an answer table")
+
+    @property
+    def cheat_width(self) -> int | None:
+        return self.prover_qubits if self.kind == PROVER_UNITARY else None
 
     @staticmethod
     def honest() -> "Prover":
@@ -261,10 +258,35 @@ def _copy_slice(r: Reduction, i: int) -> Reduction:
     )
 
 
-def _check_instance(r: Reduction, f: Permutation, x: int) -> None:
+def footprint(entry: str, r: Reduction, cheat: int | None = None) -> int:
+    """Budget of the widest object an entry point builds, as core.within_cap counts it.
+
+    entry is "trap", "smooth", "classical", "overlap", "ceiling" or "search";
+    cheat is the private width of the prover's unitary, None when it has none.
+    Smaller objects (preps, flag rotations, the vote unitary) are dominated.
+    """
+    m, k, p = r.m, r.copies, cheat or 0
+    if entry == "classical":
+        widths = [3 * m]  # (query, answer, work) before the query is read
+    elif entry in ("ceiling", "search"):
+        # the dense projector on (query, answer, work, copy, out); p + 4m states
+        widths = [2 * (4 * m + 1), p + 4 * m]
+    else:
+        # honest multi-copy trap and smooth runs go copy by copy; outs and vote
+        # (or a resampling flag) join the state; the trap verifier is dense on 3m
+        groups = 1 if cheat is None and entry != "overlap" else k
+        state = p + 4 * m * groups
+        widths = [state] if entry == "overlap" else [state + groups + (groups > 1), 6 * m]
+    if cheat is not None:
+        widths.append(2 * (p + 2 * m * k))
+    return max(widths)
+
+
+def _check_instance(r: Reduction, f: Permutation, x: int, entry: str, cheat: int | None = None) -> None:
     if f.m != r.m:
         raise LayoutError(f"permutation width {f.m} does not match query width {r.m}")
     r.language(x)
+    core.require_cap(footprint(entry, r, cheat), f"the {entry} run")
 
 
 def run_protocol(r: Reduction, f: Permutation, x: int, prover: Prover, accept_output: int = 0) -> ProtocolResult:
@@ -274,11 +296,11 @@ def run_protocol(r: Reduction, f: Permutation, x: int, prover: Prover, accept_ou
     decider.  Honest provers are evaluated per copy and combined exactly;
     entangling cheats run on the full grouped state, within the qubit cap.
     """
-    _check_instance(r, f, x)
     if prover.kind == PROVER_CLASSICAL:
         raise ValueError("classical provers answer basis queries; use run_classical_query_protocol")
     if accept_output not in (0, 1):
         raise ValueError("accept_output must be 0 or 1")
+    _check_instance(r, f, x, "trap", prover.cheat_width)
     metadata: dict = {
         "protocol": "trap",
         "prover_kind": prover.kind,
@@ -317,12 +339,8 @@ run_multiquery_protocol = run_protocol
 
 
 def _pre_copy_state(r: Reduction, x: int, i: int) -> StateVector:
-    lay = layout(("x", r.m), ("query", r.m), ("answer", r.m), ("work", r.m))
-    state = apply_generator(basis_state(lay, {"x": x}), r, i)
-    prob, state = core.condition_on(state, {"x": x})
-    if abs(prob - 1.0) > ATOL:
-        raise InvariantError("generator failed to leave the input register intact")
-    return state
+    lay = layout(("query", r.m), ("answer", r.m), ("work", r.m))
+    return apply_generator(basis_state(lay, {"work": x}), r, i)
 
 
 def _geometric_rounds(rng, success_prob: float) -> int:
@@ -349,11 +367,11 @@ def run_smooth_protocol(
     rejection-sampling flags succeeding; the seeded round counts drawn against
     the copy budgets land in metadata, including any budget overrun.
     """
-    _check_instance(r, f, x)
     if not r.is_smooth:
         raise ValueError("query distribution carries no smoothness certificate")
     if prover.kind == PROVER_CLASSICAL:
         raise ValueError("classical provers answer basis queries; use run_classical_query_protocol")
+    _check_instance(r, f, x, "smooth", prover.cheat_width)
     rng = np.random.default_rng(seed)
     metadata: dict = {
         "protocol": "smooth",
@@ -464,9 +482,9 @@ def run_classical_query_protocol(
     decided by the reduction.  The single-phase acceptance is reported as both
     p0 and p1, so accept_prob equals it.
     """
-    _check_instance(r, f, x)
     if prover.kind == PROVER_UNITARY:
         raise ValueError("unitary cheats act on quantum messages; use run_protocol")
+    _check_instance(r, f, x, "classical")
     rng = np.random.default_rng(seed)
     size = 1 << r.m
     if queries is not None and len(queries) != r.k:
@@ -482,9 +500,7 @@ def run_classical_query_protocol(
             raise ValueError(f"query {q} does not fit {r.m} bits")
         if probs[q] <= 0:
             raise ValueError(f"query {q} is outside the distribution's support")
-        lay = layout(("x", r.m), ("query", r.m), ("answer", r.m), ("work", r.m))
-        state = apply_generator(basis_state(lay, {"x": x}), r, i)
-        prob, state = core.condition_on(state, {"x": x, "query": q})
+        prob, state = core.condition_on(_pre_copy_state(r, x, i), {"query": q})
         if prob <= 0:
             raise InvariantError("conditioning on a supported query failed")
         a = f.inverse_of(q) if prover.kind == PROVER_HONEST else prover.answers[q]
@@ -529,10 +545,6 @@ class CheatBound:
         return self.bound
 
 
-def _acceptance_layout(m: int) -> RegisterLayout:
-    return layout(("query", m), ("answer", m), ("work", m), ("copy", m), ("out", 1))
-
-
 def _acceptance_projector(r: Reduction, accept_output: int) -> np.ndarray:
     """Projector onto accepting runs of the computation branch, with the copy
     erasure and the decider both embedded over (query, answer, work, copy, out).
@@ -542,19 +554,14 @@ def _acceptance_projector(r: Reduction, accept_output: int) -> np.ndarray:
     W^dag M W.  The table XORs the language bit into out, so index i pairs
     only with i ^ 1, through the 2x2 block rot^dag diag(mask) rot.
     """
-    lay = _acceptance_layout(r.m)
-    if lay.total_qubits > _PROJECTOR_QUBIT_CAP:
-        raise CapacityError(
-            f"dense acceptance projector needs {lay.total_qubits} qubits; "
-            f"supported up to {_PROJECTOR_QUBIT_CAP}"
-        )
-    idx = np.arange(lay.dim)
+    dim = 1 << (4 * r.m + 1)
+    idx = np.arange(dim)
     answer_work = (idx >> (r.m + 1)) & ((1 << (2 * r.m)) - 1)
     out = decider_table(r.m, r.bit)[(answer_work << 1) | (idx & 1)] & 1
     rot = np.eye(2) if r.noise is None else r.noise.matrix
     mask = np.array([accept_output == 0, accept_output == 1], dtype=float)
     block = rot.conj().T @ (mask[:, None] * rot)
-    proj = np.zeros((lay.dim, lay.dim), dtype=np.complex128)
+    proj = np.zeros((dim, dim), dtype=np.complex128)
     proj[idx, idx] = block[out, out]
     proj[idx, idx ^ 1] = block[out, out ^ 1]
     return proj
@@ -568,9 +575,9 @@ def cheat_upper_bound(r: Reduction, f: Permutation, x: int, accept_output: int =
     dyad.  Both must agree within 1e-9 or the call fails.  Meaningful as a
     soundness ceiling on inputs the verifier should reject.
     """
-    _check_instance(r, f, x)
     if r.copies != 1:
         raise ValueError("cheating ceiling is defined per copy; slice the reduction first")
+    _check_instance(r, f, x, "ceiling")
     proj = _acceptance_projector(r, accept_output)
     honest = honest_answer_state(r, f, x)
     phi = np.kron(honest.amplitudes, np.array([1.0, 0.0]))
@@ -593,7 +600,7 @@ def branch_overlap_pair(r: Reduction, f: Permutation, x: int, prover: Prover) ->
     The two values agree for uniform-query reductions whatever the cheat does;
     their common deficit is what the trap branch charges the prover.
     """
-    _check_instance(r, f, x)
+    _check_instance(r, f, x, "overlap", prover.cheat_width)
     honest_comp = honest_answer_state(r, f, x)
     honest_trap = trap_answer_state(r, f)
     out = []
@@ -669,13 +676,13 @@ def prover_search(
     value is non-decreasing in the iteration count.  The result is checked
     against the closed-form ceiling.
     """
-    _check_instance(r, f, x)
     if r.copies != 1:
         raise ValueError("search runs per copy; slice the reduction first")
     if p_qubits < 0:
         raise ValueError("private register width must be >= 0")
     if not r.distributions[0].is_uniform:
         raise ValueError("ceiling holds for uniform queries; search the resampled interface")
+    _check_instance(r, f, x, "search", p_qubits)
     objective = _search_context(r, f, x, p_qubits, accept_output)
     dim = 1 << (p_qubits + 2 * r.m)
     rng = np.random.default_rng(seed)

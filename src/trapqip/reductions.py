@@ -4,8 +4,9 @@ The language is the `bit`-th bit (most significant bit first) of x XOR s, and
 the hiding permutation is f(x) = x XOR s.  The query generator prepares
 sum_q sqrt(d_q) |q, 0>_(query, answer) |q XOR x>_work, so an honest inverse
 answer f^{-1}(q) XORed with the work value recovers x XOR s on every branch.
-It runs as a 2^m-dim prep unitary on `query` followed by the basis map
-work ^= query ^ x on (x, query, work).  The decider is the basis map that
+The input x is classical, so it is no register: work starts at x, and the
+generator is a 2^m-dim prep unitary on `query` followed by the basis map
+work ^= query on (query, work).  The decider is the basis map that
 XORs the language bit of that recovery into a fresh output qubit, leaving
 everything else untouched; noise is a fixed rotation on the output qubit
 after it.  Both basis maps are index tables, applied in time linear in the
@@ -148,15 +149,6 @@ def register_xor_table(m: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def generator_table(m: int) -> np.ndarray:
-    """Basis map |x, q, w> -> |x, q, w XOR q XOR x> on the packed (x, query, work) index."""
-    idx = np.arange(1 << (3 * m))
-    table = idx ^ ((idx >> m) & ((1 << m) - 1)) ^ (idx >> (2 * m))
-    table.setflags(write=False)
-    return table
-
-
-@lru_cache(maxsize=64)
 def decider_table(m: int, bit: int) -> np.ndarray:
     """Basis map XORing the language bit of answer^work into out, on (answer, work, out).
 
@@ -206,10 +198,11 @@ class Reduction:
 
     k is the total query count; copies is the majority-vote arity (equal to k
     for this family, where every query group is one copy).  The per-query
-    generator is preps[i] on `query` followed by generator_table(m); the
-    per-copy decider is decider_table(m, bit) followed by the rotation noise
-    on `out`, if any (apply_generator and apply_decider run them).  epsilon
-    is the closed-form error of the whole reduction on honest runs.
+    generator is preps[i] on `query` followed by register_xor_table(m) on
+    (query, work), with work holding x beforehand; the per-copy decider is
+    decider_table(m, bit) followed by the rotation noise on `out`, if any
+    (apply_generator and apply_decider run them).  epsilon is the
+    closed-form error of the whole reduction on honest runs.
     """
 
     family: str
@@ -242,18 +235,9 @@ class Reduction:
         return all(t.is_smooth for t in self.distributions)
 
 
-def _check_copy_width(m: int) -> None:
-    # the per-copy layout spans (query, answer, work, copy); refuse before
-    # any dense operator gets allocated
-    if 4 * m > core.qubit_cap():
-        raise core.CapacityError(
-            f"one copy needs {4 * m} qubits, cap is {core.qubit_cap()}"
-        )
-
-
 def build_xor_reduction(m: int, s: int, bit: int) -> Reduction:
     """Exact reduction with uniform queries."""
-    _check_copy_width(m)
+    core.require_cap(4 * m, "one copy")
     table = DistributionTable.uniform(m)
     return Reduction(
         family="xor-shift",
@@ -271,7 +255,7 @@ def build_xor_reduction(m: int, s: int, bit: int) -> Reduction:
 
 def build_smooth_xor_reduction(m: int, s: int, bit: int, table: DistributionTable) -> Reduction:
     """Exact reduction querying from a smooth non-uniform distribution."""
-    _check_copy_width(m)
+    core.require_cap(4 * m, "one copy")
     if table.m != m:
         raise ValueError("distribution width does not match m")
     if not table.is_smooth:
@@ -385,9 +369,9 @@ def _relabel(state: StateVector, mapping: dict[str, str]) -> StateVector:
 
 
 def apply_generator(state: StateVector, r: Reduction, which: int) -> StateVector:
-    """Run the which-th query generator on the (x, query, work) registers."""
+    """Run the which-th query generator on (query, work); work must hold x."""
     state = core.apply_on_registers(state, r.preps[which], ["query"])
-    return core.apply_basis_permutation(state, generator_table(r.m), ["x", "query", "work"])
+    return core.apply_basis_permutation(state, register_xor_table(r.m), ["query", "work"])
 
 
 def apply_decider(state: StateVector, r: Reduction, answer: str, work: str, out: str) -> StateVector:
@@ -400,13 +384,9 @@ def apply_decider(state: StateVector, r: Reduction, answer: str, work: str, out:
 
 def _single_query_state(r: Reduction, x: int, which: int) -> StateVector:
     m = r.m
-    lay = layout(("x", m), ("query", m), ("answer", m), ("work", m), ("copy", m))
-    state = apply_generator(basis_state(lay, {"x": x}), r, which)
-    state = core.apply_basis_permutation(state, register_xor_table(m), ["query", "copy"])
-    prob, state = core.condition_on(state, {"x": x})
-    if abs(prob - 1.0) > core.ATOL:
-        raise core.InvariantError("generator failed to leave the input register intact")
-    return state
+    lay = layout(("query", m), ("answer", m), ("work", m), ("copy", m))
+    state = apply_generator(basis_state(lay, {"work": x}), r, which)
+    return core.apply_basis_permutation(state, register_xor_table(m), ["query", "copy"])
 
 
 def generate_query_state(r: Reduction, x: int) -> StateVector:

@@ -1,0 +1,131 @@
+"""The one qubit-budget rule: footprints against what the engines build."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from trapqip.core import CapacityError, qubit_cap
+from trapqip.oracles import xor_shift_permutation
+from trapqip.protocols import (
+    PROVER_UNITARY,
+    Prover,
+    branch_overlap_pair,
+    cheat_upper_bound,
+    footprint,
+    prover_search,
+    run_classical_query_protocol,
+    run_protocol,
+    run_smooth_protocol,
+    trap_verifier,
+)
+from trapqip.reductions import (
+    DistributionTable,
+    add_noise,
+    amplify,
+    build_smooth_xor_reduction,
+    build_xor_reduction,
+    majority_vote_unitary,
+)
+
+ENTRIES = ("trap", "smooth", "classical", "overlap", "ceiling", "search")
+
+
+def _cases(entry):
+    """(m, t, cheat) per entry: cheat None is the honest prover, otherwise the
+    private width of an identity cheat, or of the search's unitaries."""
+    cheats = {"classical": (None,), "ceiling": (None,), "search": (0, 1, 2)}.get(entry, (None, 0, 1, 2))
+    for m in (1, 2, 3, 4):
+        for t in (1,) if entry in ("ceiling", "search") else (1, 3):
+            for cheat in cheats:
+                yield m, t, cheat
+
+
+def _reduction(entry, m, t):
+    if entry == "smooth":
+        raw = np.linspace(0.5, 1.5, 1 << m)
+        base = build_smooth_xor_reduction(m, 1, 0, DistributionTable(m, raw / raw.sum()))
+    else:
+        base = add_noise(build_xor_reduction(m, 1, 0), 0.1)
+    return amplify(base, t)
+
+
+def _call(entry, r, prover, cheat):
+    f = xor_shift_permutation(r.m, 1)
+    if entry == "trap":
+        return run_protocol(r, f, 1, prover)
+    if entry == "smooth":
+        return run_smooth_protocol(r, f, 1, prover, seed=4)
+    if entry == "classical":
+        return run_classical_query_protocol(r, f, 1, prover, seed=4)
+    if entry == "overlap":
+        return branch_overlap_pair(r, f, 1, prover)
+    if entry == "ceiling":
+        return cheat_upper_bound(r, f, 1)
+    return prover_search(r, f, 1, cheat, iters=3, seed=4)
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_footprint_matches_what_engines_build(entry, monkeypatch):
+    """Each config runs under a cap of exactly its footprint, or is refused
+    at entry before anything is allocated."""
+    cap = qubit_cap()
+    ran = refused = 0
+    for m, t, cheat in _cases(entry):
+        r = _reduction(entry, m, t)
+        need = footprint(entry, r, cheat)
+        label = f"{entry} m={m} t={t} cheat={cheat}: footprint {need}"
+        if need > cap:
+            # a cheat this wide cannot even be built; the entry must refuse
+            # without touching it
+            prover = Prover.honest() if cheat is None else Prover(PROVER_UNITARY, object(), cheat)
+            tracemalloc.start()
+            try:
+                with pytest.raises(CapacityError):
+                    _call(entry, r, prover, cheat)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, f"{label}: refused after {peak} bytes"
+            refused += 1
+            continue
+        # a cap of exactly the footprint: any wider layout or dense operator
+        # raises CapacityError; cached builders are rebuilt under it.  Raw
+        # arrays (projector, Givens matrices) are bounded through the peak.
+        monkeypatch.setenv("TRAPQIP_MAX_QUBITS", str(need))
+        trap_verifier.cache_clear()
+        majority_vote_unitary.cache_clear()
+        tracemalloc.start()
+        try:
+            prover = Prover.honest()
+            if cheat is not None and entry != "search":
+                prover = Prover.unitary_cheat(np.eye(1 << (cheat + 2 * m * t)), cheat)
+            _call(entry, r, prover, cheat)
+            peak = tracemalloc.get_traced_memory()[1]
+        except CapacityError as exc:
+            pytest.fail(f"{label}: refused late: {exc}")
+        finally:
+            tracemalloc.stop()
+            monkeypatch.delenv("TRAPQIP_MAX_QUBITS")
+            trap_verifier.cache_clear()
+            majority_vote_unitary.cache_clear()
+        # sixteen complex128 copies of the widest object, plus bookkeeping
+        assert peak <= (256 << need) + (1 << 20), f"{label}: peak {peak} bytes"
+        ran += 1
+    assert ran and (refused or entry == "classical")
+
+
+def test_default_cap_limits():
+    """At the default cap: projector m <= 2, trap runs m <= 3, classical m = 4."""
+    assert qubit_cap() == 18
+
+    def fits(entry, m, t=1, cheat=None):
+        return footprint(entry, amplify(build_xor_reduction(m, 1, 0), t), cheat) <= 18
+
+    assert fits("ceiling", 2) and not fits("ceiling", 3)
+    assert fits("trap", 3) and fits("trap", 3, t=5) and not fits("trap", 4)
+    assert fits("smooth", 3) and not fits("smooth", 4)
+    assert fits("classical", 4)
+    # an entangling cheat runs every copy at once
+    assert fits("trap", 1, t=3, cheat=2) and not fits("trap", 2, t=3, cheat=0)
+    assert fits("search", 2, cheat=5) and not fits("search", 2, cheat=6)

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,6 +77,27 @@ class TestRun:
         code = cli.main(["run", "--config", cfg])
         capsys.readouterr()
         assert code == 3
+
+    def test_over_budget_run_refused_before_allocation(self, tmp_path, capsys):
+        # three entangled m = 2 copies need a 4096-dim identity cheat and a
+        # 28-qubit state; the footprint refuses them before either is built
+        cfg = _write(tmp_path, "[run]\nprotocol = 2\nm = 2\ns = 01\nt = 3\nprover = identity\n")
+        tracemalloc.start()
+        try:
+            code = cli.main(["run", "--config", cfg])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "resource cap" in capsys.readouterr().err
+        assert code == 3
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("protocol, code", [("1", 3), ("classical", 0)])
+    def test_m4_refused_for_trap_runs_only(self, protocol, code, tmp_path, capsys):
+        # the dense 12-qubit trap verifier is over budget; classical runs hold 12 qubits
+        cfg = _write(tmp_path, f"[run]\nprotocol = {protocol}\nm = 4\ns = 0001\nx = 3\n")
+        assert cli.main(["run", "--config", cfg]) == code
+        capsys.readouterr()
 
     def test_classical_protocol_record(self, tmp_path, capsys):
         cfg = _write(tmp_path, "[run]\nprotocol = classical\nm = 2\neps = 0.3333333333333333\nt = 3\n")

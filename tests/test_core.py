@@ -151,6 +151,24 @@ class TestApply:
         with pytest.raises(InvariantError):
             UnitaryOperator(layout(("a", 1)), np.array([[1.0, 0.0], [1.0, 1.0]]))
 
+    def test_stored_matrix_is_c_ordered(self):
+        # dagger() hands over a Fortran-ordered transpose; stored in C order,
+        # apply_on_registers reshapes it without a copy
+        rng = np.random.default_rng(8)
+        q, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+        u = UnitaryOperator(layout(("a", 3)), q)
+        for op, want in ((u, q), (u.dagger(), q.conj().T)):
+            assert op.matrix.flags.c_contiguous
+            assert np.array_equal(op.matrix, want)
+
+    def test_dense_operator_counts_twice_its_width(self, monkeypatch):
+        # a dense operator on n qubits holds 4^n entries, a state 2^n
+        monkeypatch.setenv("TRAPQIP_MAX_QUBITS", "4")
+        basis_state(layout(("a", 4)))
+        UnitaryOperator(layout(("a", 2)), np.eye(4))
+        with pytest.raises(CapacityError):
+            UnitaryOperator(layout(("a", 3)), np.eye(8))
+
 
 class TestMeasurement:
     def test_condition_renormalizes_and_drops(self):

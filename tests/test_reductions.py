@@ -5,7 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from trapqip.core import StateVector, UnitaryOperator, apply_on_registers, basis_state, layout, measure_probability
+from trapqip.core import (
+    StateVector,
+    UnitaryOperator,
+    apply_basis_permutation,
+    apply_on_registers,
+    basis_state,
+    layout,
+    measure_probability,
+    tensor_product,
+)
 from trapqip.oracles import xor_shift_permutation
 from trapqip.reductions import (
     DistributionTable,
@@ -219,19 +228,27 @@ class TestTablesMatchDenseOperators:
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_generator(self, m):
+        # x is a basis value: XORing it into work, then the generator, is the
+        # x-slice of the dense G on (x, query, work), which leaves x intact
         rng = np.random.default_rng(m)
         raw = rng.uniform(0.5, 1.5, size=1 << m)
         smooth = DistributionTable(m, raw / raw.sum())
-        lay = layout(("x", m), ("query", m), ("answer", m), ("work", m))
+        lay = layout(("query", m), ("answer", m), ("work", m))
         for r in (build_xor_reduction(m, 1, 0), build_smooth_xor_reduction(m, 1, 0, smooth)):
             dense = _dense_generator(r.distributions[0].probs, m)
-            for _ in range(3):
-                st = _random_state(lay, rng)
-                np.testing.assert_allclose(
-                    apply_generator(st, r, 0).amplitudes,
-                    apply_on_registers(st, dense, ["x", "query", "work"]).amplitudes,
-                    atol=1e-12,
-                )
+            for x in range(1 << m):
+                for _ in range(3):
+                    st = _random_state(lay, rng)
+                    with_x = apply_on_registers(
+                        tensor_product(basis_state(layout(("x", m)), x), st), dense, ["x", "query", "work"]
+                    )
+                    assert abs(measure_probability(with_x, {"x": x}) - 1.0) <= 1e-12
+                    shifted = apply_basis_permutation(st, np.arange(1 << m) ^ x, ["work"])
+                    np.testing.assert_allclose(
+                        apply_generator(shifted, r, 0).amplitudes,
+                        with_x.amplitudes.reshape(1 << m, -1)[x],
+                        atol=1e-12,
+                    )
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_decider_with_stacked_noise(self, m):
