@@ -30,11 +30,9 @@ from .core import (
 from .oracles import (
     CorruptionSet,
     Permutation,
-    corrupted_inversion_oracle,
-    inversion_oracle,
     inversion_table,
     load_permutation,
-    permutation_unitary,
+    query_table,
     random_permutation,
     save_permutation,
     xor_shift_permutation,

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import core
 from .core import InvariantError, KrausChannel, StateVector, layout
-from .oracles import Permutation, inversion_table
+from .oracles import Permutation, inversion_table, query_table
 from .reductions import register_xor_table
 
 PROJECTOR_TOL = 1e-9
@@ -221,15 +221,11 @@ def epr_trivialization(f: Permutation) -> LemmaReport:
     with_oracle = core.apply_basis_permutation(StateVector(lay, amps), inversion_table(f), ["a", "c"])
 
     # Hadamards, the forward oracle, a register copy, and an a<->c swap
-    f_of = np.array([f(v) for v in range(size)])
-    idx = np.arange(size * size)
-    forward = idx ^ f_of[idx >> m]
-
     oracle_free = core.basis_state(lay)
     oracle_free = core.apply_on_registers(
         oracle_free, core.UnitaryOperator(layout(("reg", m)), core.hadamard_power(m)), ["a"]
     )
-    oracle_free = core.apply_basis_permutation(oracle_free, forward, ["a", "b"])
+    oracle_free = core.apply_basis_permutation(oracle_free, query_table(f.table), ["a", "b"])
     oracle_free = core.apply_basis_permutation(oracle_free, register_xor_table(m), ["b", "c"])
     swapped = core.reorder_registers(oracle_free, ["c", "b", "a"])
     oracle_free = StateVector(lay, swapped.amplitudes)

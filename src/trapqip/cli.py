@@ -28,7 +28,7 @@ import numpy as np
 
 from . import analysis, rejection, sampling, separation
 from .core import CapacityError, InvariantError, StateVector, layout, require_cap, trace_distance, within_cap
-from .oracles import CorruptionSet, Permutation, corrupted_inversion_oracle, inversion_oracle, random_permutation, xor_shift_permutation
+from .oracles import CorruptionSet, Permutation, inversion_table, random_permutation, xor_shift_permutation
 from .protocols import (
     Prover,
     branch_overlap_pair,
@@ -218,7 +218,7 @@ def _build_prover(rc: RunConfig, r, f: Permutation):
         answers = [int(tok) for tok in kind.split(":", 1)[1].split(",") if tok.strip()]
         return Prover.classical(answers), None
     if kind == "identity":
-        return Prover.unitary_cheat(np.eye(1 << (2 * r.m * r.copies))), None
+        return Prover.unitary_cheat(np.eye(1 << (rc.p_qubits + 2 * r.m * r.copies)), rc.p_qubits), None
     if kind == "search":
         prover, achieved = prover_search(
             r, f, rc.x, rc.p_qubits, rc.iters, seed=rc.seed, accept_output=rc.accept_output
@@ -229,17 +229,16 @@ def _build_prover(rc: RunConfig, r, f: Permutation):
         if r.copies != 1:
             raise ConfigError("corrupt prover kind supports a single copy only")
         bad = CorruptionSet(r.m, members)
-        net = corrupted_inversion_oracle(f, bad).matrix @ inversion_oracle(f).dagger().matrix
-        return Prover.unitary_cheat(net), None
+        # undo the honest oracle, then answer with the lying one
+        net = np.eye(1 << (2 * r.m))[:, inversion_table(f, bad)[inversion_table(f)]]
+        return Prover.unitary_cheat(np.kron(np.eye(1 << rc.p_qubits), net), rc.p_qubits), None
     raise ConfigError(f"unknown prover kind {kind!r}")
 
 
 def _execute(rc: RunConfig, digest: str) -> dict:
     r, f = _build_reduction(rc)
-    # private width of the cheat _build_prover makes; prover_search checks its own
-    cheat = rc.p_qubits if rc.prover == "search" else 0
-    if rc.prover == "honest" or rc.prover.startswith("classical:"):
-        cheat = None
+    # private width of the cheat _build_prover makes; None when it makes none
+    cheat = None if rc.prover == "honest" or rc.prover.startswith("classical:") else rc.p_qubits
     entry = {"3": "smooth", "classical": "classical"}.get(rc.protocol, "trap")
     require_cap(footprint(entry, r, cheat), "this run")
     prover, achieved = _build_prover(rc, r, f)

@@ -1,20 +1,18 @@
-"""Permutations on m-bit strings and the unitary query oracles built from them.
+"""Permutations on m-bit strings and the query oracles built from them.
 
-The standard oracle convention throughout is |x, y> -> |x, y XOR f(x)>; the
-inversion oracle answers with f^{-1}.  A corrupted oracle disagrees with the
-honest inverse on a declared corruption set, modelling almost-correct answer
-functions whose error weight is measured against a query distribution.
+Every oracle is an XOR query |x, y> -> |x, y XOR a(x)>, kept as an index
+table (query_table); the inversion oracle answers with a = f^{-1}.  A
+corrupted oracle disagrees with the honest inverse on a declared corruption
+set, modelling almost-correct answer functions whose error weight is
+measured against a query distribution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-
-from .core import UnitaryOperator, layout
 
 
 @dataclass(frozen=True)
@@ -78,64 +76,34 @@ class CorruptionSet:
         return float(sum(arr[q] for q in self.members))
 
 
-def _xor_query_matrix(m: int, answer_of) -> np.ndarray:
-    """Permutation matrix of |x, y> -> |x, y XOR answer_of(x)> on 2m qubits."""
-    size = 1 << m
-    dim = size * size
-    x = np.repeat(np.arange(size), size)
-    y = np.tile(np.arange(size), size)
-    ans = np.array([answer_of(v) for v in range(size)])
-    rows = x * size + (y ^ ans[x])
-    mat = np.zeros((dim, dim))
-    mat[rows, np.arange(dim)] = 1.0
-    return mat
+def query_table(answers) -> np.ndarray:
+    """Basis map |q, y> -> |q, y XOR answers[q]> on the packed (query, answer) index.
 
-
-def permutation_unitary(p: Permutation) -> UnitaryOperator:
-    """Oracle U_f: |x, y> -> |x, y XOR f(x)> on registers (input, output)."""
-    lay = layout(("input", p.m), ("output", p.m))
-    return UnitaryOperator(lay, _xor_query_matrix(p.m, p))
-
-
-@lru_cache(maxsize=128)
-def inversion_oracle(p: Permutation) -> UnitaryOperator:
-    """Oracle answering with f^{-1}: |q, y> -> |q, y XOR f^{-1}(q)>."""
-    lay = layout(("query", p.m), ("answer", p.m))
-    return UnitaryOperator(lay, _xor_query_matrix(p.m, p.inverse_of))
+    answers holds one m-bit answer per m-bit query; the map is an involution
+    for any answers, applied with core.apply_basis_permutation.
+    """
+    answers = np.asarray(answers)
+    m = answers.size.bit_length() - 1
+    if answers.shape != (1 << m,) or answers.min() < 0 or answers.max() >= answers.size:
+        raise ValueError(f"need one answer below {answers.size} per query, got shape {answers.shape}")
+    idx = np.arange(answers.size**2)
+    return idx ^ answers[idx >> m]
 
 
 def inversion_table(p: Permutation, lying: "CorruptionSet | None" = None) -> np.ndarray:
-    """Basis map of the inversion oracle on the packed (query, answer) index.
+    """The inversion oracle |q, y> -> |q, y XOR f^{-1}(q)> as a query_table.
 
-    Same action as inversion_oracle (or corrupted_inversion_oracle when a
-    corruption set is given) but as an index table, cheap at any width.
+    Given a corruption set, the oracle lies on its members: there the answer's
+    lowest-order bit is flipped, so the reply fails the f(answer) == query
+    check, and it agrees with the honest inverse elsewhere.
     """
-    size = 1 << p.m
-    answers = np.array([p.inverse_of(q) for q in range(size)])
+    answers = np.array([p.inverse_of(q) for q in range(1 << p.m)])
     if lying is not None:
         if lying.m != p.m:
             raise ValueError("corruption set and permutation have different widths")
         for q in lying.members:
             answers[q] ^= 1
-    idx = np.arange(size * size)
-    return idx ^ answers[idx >> p.m]
-
-
-def corrupted_inversion_oracle(p: Permutation, bad: CorruptionSet) -> UnitaryOperator:
-    """Inversion oracle that lies on the corruption set.
-
-    On members the answer's lowest-order bit is flipped, so the reply fails the
-    f(answer) == query check there and agrees with the honest inverse elsewhere.
-    """
-    if bad.m != p.m:
-        raise ValueError("corruption set and permutation have different widths")
-
-    def answer(q: int) -> int:
-        a = p.inverse_of(q)
-        return a ^ 1 if q in bad.members else a
-
-    lay = layout(("query", p.m), ("answer", p.m))
-    return UnitaryOperator(lay, _xor_query_matrix(p.m, answer))
+    return query_table(answers)
 
 
 def save_permutation(p: Permutation, path) -> None:

@@ -31,19 +31,19 @@ from .core import (
     basis_state,
     layout,
 )
-from .oracles import Permutation, inversion_table
+from .oracles import Permutation
 from .reductions import (
     DistributionTable,
     Reduction,
-    _relabel,
+    answer_queries,
     apply_decider,
     apply_generator,
     copy_register_names,
     decider_table,
     generate_query_state,
-    grouped_register_order,
     honest_answer_state,
-    majority_vote_unitary,
+    join_copies,
+    majority_vote_table,
     register_xor_table,
 )
 from .sampling import haar_unitary
@@ -136,14 +136,7 @@ def trap_state(m: int, copies: int = 1) -> StateVector:
     scale = 1.0 / math.sqrt(1 << m)
     for q in range(1 << m):
         amps[lay.pack({"query": q, "copy": q})] = scale
-    single = StateVector(lay, amps)
-    if copies == 1:
-        return single
-    names = copy_register_names(copies)
-    state = _relabel(single, names[0])
-    for i in range(1, copies):
-        state = core.tensor_product(state, _relabel(single, names[i]))
-    return core.reorder_registers(state, grouped_register_order(copies))
+    return join_copies([StateVector(lay, amps)] * copies)
 
 
 @lru_cache(maxsize=64)
@@ -163,20 +156,16 @@ def trap_verifier(f: Permutation) -> UnitaryOperator:
     q = idx >> (2 * m)
     f_of = np.array([f(v) for v in range(size)])
     rows = ((q ^ f_of[a]) << (2 * m)) | (a << m) | (c ^ q)
-    perm = np.zeros((dim, dim))
-    perm[rows, idx] = 1.0
     full = np.kron(np.eye(size), np.kron(core.hadamard_power(m), np.eye(size)))
     lay = layout(("query", m), ("answer", m), ("copy", m))
-    return UnitaryOperator(lay, full @ perm)
+    # the Hadamards after the basis chain, as a column gather; kept dense
+    # because the trap-branch p1 bytes come from this dense contraction
+    return UnitaryOperator(lay, full[:, rows])
 
 
 def trap_answer_state(r: Reduction, f: Permutation) -> StateVector:
     """Trap state after the honest inverse oracle filled the answer registers."""
-    state = trap_state(r.m, r.k)
-    table = inversion_table(f)
-    for regs in copy_register_names(r.k):
-        state = core.apply_basis_permutation(state, table, [regs["query"], regs["answer"]])
-    return state
+    return answer_queries(trap_state(r.m, r.k), f, r.k)
 
 
 # ---------------------------------------------------------------------------
@@ -187,11 +176,9 @@ def _apply_prover_stage(state: StateVector, r: Reduction, f: Permutation, prover
     width = prover.prover_qubits if prover.kind == PROVER_UNITARY else 0
     if width:
         state = core.tensor_product(basis_state(layout(("prover", width))), state)
-    names = copy_register_names(r.k)
-    table = inversion_table(f)
-    for regs in names:
-        state = core.apply_basis_permutation(state, table, [regs["query"], regs["answer"]])
+    state = answer_queries(state, f, r.k)
     if prover.kind == PROVER_UNITARY:
+        names = copy_register_names(r.k)
         targets = ["prover"] if width else []
         targets += [regs["query"] for regs in names]
         targets += [regs["answer"] for regs in names]
@@ -214,7 +201,7 @@ def _decide(state: StateVector, r: Reduction, accept_output: int) -> float:
     final = outs[0]
     if r.copies > 1:
         state = core.adjoin_register(state, "vote", 1)
-        state = core.apply_on_registers(state, majority_vote_unitary(r.copies), [*outs, "vote"])
+        state = core.apply_basis_permutation(state, majority_vote_table(r.copies), [*outs, "vote"])
         final = "vote"
     return core.measure_probability(state, {final: accept_output})
 
@@ -263,7 +250,8 @@ def footprint(entry: str, r: Reduction, cheat: int | None = None) -> int:
 
     entry is "trap", "smooth", "classical", "overlap", "ceiling" or "search";
     cheat is the private width of the prover's unitary, None when it has none.
-    Smaller objects (preps, flag rotations, the vote unitary) are dominated.
+    Smaller objects (preps, flag rotations) are dominated; the vote is a
+    basis table on the state, not a dense operator.
     """
     m, k, p = r.m, r.copies, cheat or 0
     if entry == "classical":
@@ -406,7 +394,7 @@ def run_smooth_protocol(
         return ProtocolResult(p0=float(p0), p1=float(trap_ok), metadata=metadata)
 
     uniform = DistributionTable.uniform(r.m)
-    names = copy_register_names(r.k)
+    xor = register_xor_table(r.m)
     up_rounds, up_probs, up_budgets = [], [], []
     parts = []
     for i in range(r.k):
@@ -420,19 +408,12 @@ def run_smooth_protocol(
         up_probs.append(step.success_prob)
         up_budgets.append(budget)
         state = core.adjoin_register(step.accepted, "copy", r.m)
-        state = core.apply_basis_permutation(state, register_xor_table(r.m), ["query", "copy"])
-        parts.append(_relabel(state, names[i]))
-    sent = parts[0]
-    for part in parts[1:]:
-        sent = core.tensor_product(sent, part)
-    if r.k > 1:
-        sent = core.reorder_registers(sent, grouped_register_order(r.k))
+        parts.append(core.apply_basis_permutation(state, xor, ["query", "copy"]))
 
-    comp = _apply_prover_stage(sent, r, f, prover)
+    comp = _apply_prover_stage(join_copies(parts), r, f, prover)
     down_rounds, down_probs, down_budgets = [], [], []
     down_impossible = False
-    xor = register_xor_table(r.m)
-    for i, regs in enumerate(names):
+    for i, regs in enumerate(copy_register_names(r.k)):
         comp = core.apply_basis_permutation(comp, xor, [regs["query"], regs["copy"]])
         plan = rejection.make_plan(uniform, r.distributions[i])
         step = rejection.qrs_round(comp, plan, regs["query"])

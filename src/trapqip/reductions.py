@@ -171,21 +171,15 @@ def majority_error(eps: float, t: int) -> float:
 
 
 @lru_cache(maxsize=16)
-def majority_vote_unitary(t: int) -> UnitaryOperator:
-    """|o_1..o_t, b> -> |o_1..o_t, b XOR majority(o)> on t vote bits plus a target."""
+def majority_vote_table(t: int) -> np.ndarray:
+    """Basis map |o_1..o_t, b> -> |o_1..o_t, b XOR majority(o)> on t vote bits plus a target."""
     if t < 1 or t % 2 == 0:
         raise ValueError(f"vote arity must be odd, got {t}")
-    dim = 1 << (t + 1)
-    idx = np.arange(dim)
-    votes = idx >> 1
-    ones = np.zeros(dim, dtype=int)
-    for b in range(t):
-        ones += (votes >> b) & 1
-    maj = (ones > t // 2).astype(int)
-    rows = idx ^ maj
-    mat = np.zeros((dim, dim))
-    mat[rows, idx] = 1.0
-    return UnitaryOperator(layout(("votes", t), ("target", 1)), mat)
+    idx = np.arange(1 << (t + 1))
+    ones = sum((idx >> (b + 1)) & 1 for b in range(t))
+    table = idx ^ (ones > t // 2)
+    table.setflags(write=False)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -357,12 +351,6 @@ def copy_register_names(k: int) -> list[dict[str, str]]:
     return [{kind: f"{kind}{i}" for kind in QUERY_REGISTER_KINDS} for i in range(k)]
 
 
-def grouped_register_order(k: int) -> list[str]:
-    """All query registers, then answers, then work, then copies."""
-    names = copy_register_names(k)
-    return [names[i][kind] for kind in QUERY_REGISTER_KINDS for i in range(k)]
-
-
 def _relabel(state: StateVector, mapping: dict[str, str]) -> StateVector:
     new = tuple((mapping.get(n, n), w) for n, w in state.layout.registers)
     return StateVector(core.RegisterLayout(new), state.amplitudes)
@@ -389,32 +377,41 @@ def _single_query_state(r: Reduction, x: int, which: int) -> StateVector:
     return core.apply_basis_permutation(state, register_xor_table(m), ["query", "copy"])
 
 
-def generate_query_state(r: Reduction, x: int) -> StateVector:
-    """The verifier's pre-send state: generator output plus a basis copy of q.
+def join_copies(parts) -> StateVector:
+    """Tensor per-copy states, in order, into one multi-copy state.
 
-    For several copies the per-copy registers are grouped by kind (all query
+    Register names carry the copy index and are grouped by kind (all query
     registers first, then answers, work, copies) via an explicit qubit
-    permutation, and register names carry the copy index.
+    permutation; a single part is returned as it is.
     """
+    if len(parts) == 1:
+        return parts[0]
+    names = copy_register_names(len(parts))
+    state = _relabel(parts[0], names[0])
+    for regs, part in zip(names[1:], parts[1:]):
+        state = core.tensor_product(state, _relabel(part, regs))
+    return core.reorder_registers(state, [regs[kind] for kind in QUERY_REGISTER_KINDS for regs in names])
+
+
+def answer_queries(state: StateVector, f: Permutation, k: int) -> StateVector:
+    """The honest inverse oracle on the (query, answer) pair of each of k copies."""
+    table = inversion_table(f)
+    for regs in copy_register_names(k):
+        state = core.apply_basis_permutation(state, table, [regs["query"], regs["answer"]])
+    return state
+
+
+def generate_query_state(r: Reduction, x: int) -> StateVector:
+    """The verifier's pre-send state: generator output plus a basis copy of q,
+    one copy per query, joined by join_copies."""
     if not 0 <= x < (1 << r.m):
         raise ValueError(f"input {x} does not fit {r.m} bits")
-    names = copy_register_names(r.k)
-    parts = [_relabel(_single_query_state(r, x, i), names[i]) for i in range(r.k)]
-    state = parts[0]
-    for part in parts[1:]:
-        state = core.tensor_product(state, part)
-    if r.k > 1:
-        state = core.reorder_registers(state, grouped_register_order(r.k))
-    return state
+    return join_copies([_single_query_state(r, x, i) for i in range(r.k)])
 
 
 def honest_answer_state(r: Reduction, f: Permutation, x: int) -> StateVector:
     """Query state after an honest inverse oracle filled the answer registers."""
-    state = generate_query_state(r, x)
-    table = inversion_table(f)
-    for regs in copy_register_names(r.k):
-        state = core.apply_basis_permutation(state, table, [regs["query"], regs["answer"]])
-    return state
+    return answer_queries(generate_query_state(r, x), f, r.k)
 
 
 # ---------------------------------------------------------------------------

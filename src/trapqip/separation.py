@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import CapacityError, hadamard_power
+from .oracles import query_table
 
 MAX_WIDTH = 8
 MAX_INSTANCES = 64
@@ -157,22 +158,20 @@ def simon_solve(oracle: GeneralizedSimonOracle, i: int, seed: int) -> SimonResul
     """
     n = oracle.n
     size = 1 << n
-    table = np.array(oracle.tables[i])
+    query = query_table(oracle.tables[i])
     had = hadamard_power(n)
     rng = np.random.default_rng(seed)
     rows: list[int] = []
     measurements: list[int] = []
     budget = ROUND_BUDGET_PER_BIT * n
+    # |0,0> -> H on x, as the packed (x, y) amplitudes
+    start = np.zeros(size * size, dtype=np.complex128)
+    start[::size] = 1.0 / math.sqrt(size)
     for _ in range(budget):
-        # |0,0> -> H on x -> y ^= f(x) -> H on x, as a (x, y) matrix of amps
-        state = np.zeros((size, size), dtype=np.complex128)
-        state[:, 0] = 1.0 / math.sqrt(size)
-        shuffled = np.empty_like(state)
-        cols = np.arange(size)
-        for x in range(size):
-            shuffled[x, cols ^ table[x]] = state[x, cols]
+        # y ^= f(x) is one gather (the query map is an involution), then H on x
+        shuffled = start[query].reshape(size, size)
         oracle.count_quantum_query(i)
-        final = had @ shuffled.reshape(size, size)
+        final = had @ shuffled
         probs = np.abs(final) ** 2
         marginal = probs.sum(axis=1)
         w = int(rng.choice(size, p=marginal / marginal.sum()))

@@ -25,7 +25,6 @@ from trapqip.reductions import (
     amplify,
     build_smooth_xor_reduction,
     build_xor_reduction,
-    majority_vote_unitary,
 )
 
 ENTRIES = ("trap", "smooth", "classical", "overlap", "ceiling", "search")
@@ -94,7 +93,6 @@ def test_footprint_matches_what_engines_build(entry, monkeypatch):
         # arrays (projector, Givens matrices) are bounded through the peak.
         monkeypatch.setenv("TRAPQIP_MAX_QUBITS", str(need))
         trap_verifier.cache_clear()
-        majority_vote_unitary.cache_clear()
         tracemalloc.start()
         try:
             prover = Prover.honest()
@@ -108,7 +106,6 @@ def test_footprint_matches_what_engines_build(entry, monkeypatch):
             tracemalloc.stop()
             monkeypatch.delenv("TRAPQIP_MAX_QUBITS")
             trap_verifier.cache_clear()
-            majority_vote_unitary.cache_clear()
         # sixteen complex128 copies of the widest object, plus bookkeeping
         assert peak <= (256 << need) + (1 << 20), f"{label}: peak {peak} bytes"
         ran += 1

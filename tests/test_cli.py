@@ -92,7 +92,33 @@ class TestRun:
         assert code == 3
         assert peak < 1 << 20
 
-    @pytest.mark.parametrize("protocol, code", [("1", 3), ("classical", 0)])
+    def test_identity_cheat_private_width_is_budgeted(self, tmp_path, capsys):
+        # p_qubits widens the identity cheat to a 2^14-dim dense operator,
+        # 28 qubits of budget; the footprint refuses it before it is built
+        cfg = _write(tmp_path, "[run]\nm = 1\ns = 1\nprover = identity\np_qubits = 12\n")
+        tracemalloc.start()
+        try:
+            code = cli.main(["run", "--config", cfg])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "resource cap" in capsys.readouterr().err
+        assert code == 3
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("prover", ["identity", "corrupt:1;2"])
+    def test_private_qubit_leaves_product_cheats_unchanged(self, prover, tmp_path, capsys):
+        # identity and corrupt: act as the identity on the private register
+        base = f"[run]\nm = 2\ns = 01\neps = 0.25\nx = 1\nprover = {prover}\n"
+        records = []
+        for text in (base, base + "p_qubits = 1\n"):
+            code, out = _run(["run", "--config", _write(tmp_path, text)], capsys)
+            assert code == 0
+            records.append(json.loads(out))
+        for key in ("p0", "p1"):
+            np.testing.assert_allclose(records[1][key], records[0][key], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("protocol, code",[("1", 3), ("classical", 0)])
     def test_m4_refused_for_trap_runs_only(self, protocol, code, tmp_path, capsys):
         # the dense 12-qubit trap verifier is over budget; classical runs hold 12 qubits
         cfg = _write(tmp_path, f"[run]\nprotocol = {protocol}\nm = 4\ns = 0001\nx = 3\n")

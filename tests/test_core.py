@@ -60,6 +60,19 @@ class TestLayout:
             layout(("big", 5))
         layout(("ok", 4))
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_pack_unpack_round_trip(self, data):
+        widths = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=4), label="widths")
+        lay = layout(*((f"r{i}", w) for i, w in enumerate(widths)))
+        values = {name: data.draw(st.integers(0, (1 << w) - 1), label=name) for name, w in lay.registers}
+        index = lay.pack(values)
+        assert lay.unpack(index) == values
+        # the registers split the index into disjoint bit fields
+        assert index == sum(lay.pack({name: v}) for name, v in values.items())
+        other = data.draw(st.integers(0, lay.dim - 1), label="index")
+        assert lay.pack(lay.unpack(other)) == other
+
 
 class TestStates:
     def test_basis_state_amplitudes(self):

@@ -1,21 +1,44 @@
-"""Permutation oracles and their reversible circuits."""
+"""Permutations and the XOR-query tables of their oracles."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from trapqip.core import apply_on_registers, basis_state, layout, measure_probability
+from trapqip.core import (
+    StateVector,
+    UnitaryOperator,
+    apply_basis_permutation,
+    apply_on_registers,
+    basis_state,
+    layout,
+    measure_probability,
+)
 from trapqip.oracles import (
     CorruptionSet,
     Permutation,
-    corrupted_inversion_oracle,
-    inversion_oracle,
     inversion_table,
     load_permutation,
-    permutation_unitary,
+    query_table,
     random_permutation,
     save_permutation,
     xor_shift_permutation,
 )
+
+
+def _dense_query(answers) -> np.ndarray:
+    """Reference 0/1 matrix of |q, y> -> |q, y XOR answers[q]>, entry by entry."""
+    size = len(answers)
+    mat = np.zeros((size * size, size * size))
+    for q in range(size):
+        for y in range(size):
+            mat[q * size + (y ^ int(answers[q])), q * size + y] = 1.0
+    return mat
+
+
+def _query(table, q, y=0, m=2):
+    st = basis_state(layout(("query", m), ("answer", m)), {"query": q, "answer": y})
+    return apply_basis_permutation(st, table, ["query", "answer"])
 
 
 class TestPermutation:
@@ -46,54 +69,70 @@ class TestPermutation:
 class TestOracles:
     def test_inversion_oracle_xors_preimage(self):
         f = random_permutation(2, seed=1)
-        u = inversion_oracle(f)
+        table = inversion_table(f)
         for q in range(4):
-            st = basis_state(layout(("query", 2), ("answer", 2)), {"query": q, "answer": 0})
-            out = apply_on_registers(st, u, ["query", "answer"])
+            out = _query(table, q)
             assert measure_probability(out, {"query": q, "answer": f.inverse_of(q)}) == pytest.approx(1.0)
 
     def test_inversion_oracle_is_self_inverse_on_answers(self):
         # answer register updates by xor, so applying twice returns the input
         f = random_permutation(2, seed=2)
-        u = inversion_oracle(f)
-        st = basis_state(layout(("query", 2), ("answer", 2)), {"query": 3, "answer": 1})
-        twice = apply_on_registers(apply_on_registers(st, u, ["query", "answer"]), u, ["query", "answer"])
+        table = inversion_table(f)
+        np.testing.assert_array_equal(table[table], np.arange(16))
+        twice = apply_basis_permutation(_query(table, 3, 1), table, ["query", "answer"])
         assert measure_probability(twice, {"query": 3, "answer": 1}) == pytest.approx(1.0)
 
     def test_inversion_table_matches_dense_oracle(self):
         for seed in range(5):
             f = random_permutation(2, seed=seed)
-            table = inversion_table(f)
-            dense = inversion_oracle(f).matrix
-            for idx in range(16):
-                assert dense[table[idx], idx] == pytest.approx(1.0)
+            dense = _dense_query([f.inverse_of(q) for q in range(4)])
+            np.testing.assert_array_equal(np.eye(16)[:, inversion_table(f)], dense)
 
-    def test_permutation_unitary_forward_direction(self):
+    def test_forward_query_table_direction(self):
         f = xor_shift_permutation(2, 3)
-        u = permutation_unitary(f)
-        st = basis_state(layout(("input", 2), ("output", 2)), {"input": 1, "output": 0})
-        out = apply_on_registers(st, u, ["input", "output"])
-        assert measure_probability(out, {"input": 1, "output": f(1)}) == pytest.approx(1.0)
+        out = _query(query_table(f.table), 1)
+        assert measure_probability(out, {"query": 1, "answer": f(1)}) == pytest.approx(1.0)
+
+    def test_query_table_rejects_malformed_answers(self):
+        for answers in ([0, 1, 2], [0, 4, 1, 2], [0, -1]):
+            with pytest.raises(ValueError):
+                query_table(answers)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_query_table_property(self, data):
+        # any answer array, permutation or not, gives an involutive basis map
+        # that agrees with the dense reference
+        m = data.draw(st.integers(1, 4), label="m")
+        size = 1 << m
+        answers = data.draw(st.lists(st.integers(0, size - 1), min_size=size, max_size=size), label="answers")
+        table = query_table(answers)
+        np.testing.assert_array_equal(np.sort(table), np.arange(size * size))
+        np.testing.assert_array_equal(table[table], np.arange(size * size))
+        lay = layout(("answer", m), ("spare", 1), ("query", m))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        amps = rng.normal(size=lay.dim) + 1j * rng.normal(size=lay.dim)
+        state = StateVector(lay, amps / np.linalg.norm(amps))
+        dense = UnitaryOperator(layout(("block", 2 * m)), _dense_query(answers))
+        np.testing.assert_array_equal(
+            apply_basis_permutation(state, table, ["query", "answer"]).amplitudes,
+            apply_on_registers(state, dense, ["query", "answer"]).amplitudes,
+        )
 
 
 class TestCorruption:
     def test_corrupted_oracle_flips_members_only(self):
         f = xor_shift_permutation(2, 1)
-        bad = CorruptionSet(2, frozenset({2}))
-        u = corrupted_inversion_oracle(f, bad)
+        table = inversion_table(f, CorruptionSet(2, frozenset({2})))
         for q in range(4):
-            st = basis_state(layout(("query", 2), ("answer", 2)), {"query": q})
-            out = apply_on_registers(st, u, ["query", "answer"])
             want = f.inverse_of(q) ^ (1 if q == 2 else 0)
-            assert measure_probability(out, {"query": q, "answer": want}) == pytest.approx(1.0)
+            assert measure_probability(_query(table, q), {"query": q, "answer": want}) == pytest.approx(1.0)
 
     def test_corrupted_table_agrees(self):
         f = random_permutation(2, seed=7)
         bad = CorruptionSet(2, frozenset({0, 3}))
-        table = inversion_table(f, lying=bad)
-        dense = corrupted_inversion_oracle(f, bad).matrix
-        for idx in range(16):
-            assert dense[table[idx], idx] == pytest.approx(1.0)
+        dense = _dense_query([f.inverse_of(q) ^ (q in bad.members) for q in range(4)])
+        np.testing.assert_array_equal(np.eye(16)[:, inversion_table(f, lying=bad)], dense)
 
     def test_weight_uniform_and_weighted(self):
         bad = CorruptionSet(2, frozenset({0, 1}))

@@ -29,7 +29,7 @@ from trapqip.reductions import (
     honest_answer_state,
     load_distribution,
     majority_error,
-    majority_vote_unitary,
+    majority_vote_table,
     reduction_descriptor,
     reduction_from_descriptor,
     save_distribution,
@@ -182,13 +182,17 @@ class TestMajority:
         assert r.base_epsilon == pytest.approx(1 / 3)
         assert r.copies == 3 and r.k == 3
 
-    def test_vote_unitary_counts_majority(self):
-        u = majority_vote_unitary(3)
-        for votes in range(8):
-            st = basis_state(layout(("votes", 3), ("target", 1)), {"votes": votes, "target": 0})
-            out = apply_on_registers(st, u, ["votes", "target"])
-            want = 1 if bin(votes).count("1") >= 2 else 0
-            assert measure_probability(out, {"votes": votes, "target": want}) == pytest.approx(1.0)
+    def test_vote_table_counts_majority(self):
+        for t in (1, 3, 5, 7):
+            table = majority_vote_table(t)
+            for votes in range(1 << t):
+                want = 1 if bin(votes).count("1") > t // 2 else 0
+                st = basis_state(layout(("votes", t), ("target", 1)), {"votes": votes, "target": 0})
+                out = apply_basis_permutation(st, table, ["votes", "target"])
+                assert measure_probability(out, {"votes": votes, "target": want}) == pytest.approx(1.0)
+                assert table[(votes << 1) | 1] == (votes << 1) | (1 ^ want)
+        with pytest.raises(ValueError):
+            majority_vote_table(4)
 
 
 def _dense_generator(probs: np.ndarray, m: int) -> UnitaryOperator:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trapqip import core
 from trapqip.rejection import (
@@ -59,6 +61,24 @@ class TestPlan:
         assert copies_budget_to_uniform(EXAMPLE) == 4
         assert copies_budget_from_uniform(EXAMPLE) == 4
         assert copies_budget_to_uniform(UNIFORM) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_plan_invariants(self, data):
+        # alpha <= source everywhere, and one round succeeds with exactly 1/beta
+        m = data.draw(st.integers(1, 3), label="m")
+        weights = st.lists(st.floats(0.05, 1.0), min_size=1 << m, max_size=1 << m)
+        src = np.array(data.draw(weights, label="source"))
+        tgt = np.array(data.draw(weights, label="target"))
+        tgt[: data.draw(st.integers(0, (1 << m) - 1), label="holes")] = 0.0
+        source = DistributionTable(m, src / src.sum())
+        target = DistributionTable(m, tgt / tgt.sum())
+        plan = make_plan(source, target)
+        assert np.all(plan.alpha <= source.probs + 1e-12)
+        assert plan.beta >= 1.0 - 1e-12
+        assert plan.alpha.sum() == pytest.approx(plan.success_probability)
+        step = qrs_round(_amplitude_state(source), plan, "idx")
+        assert abs(step.success_prob - plan.success_probability) <= 1e-9
 
 
 class TestRotation:
