@@ -31,10 +31,8 @@ from .oracles import (
     CorruptionSet,
     Permutation,
     inversion_table,
-    load_permutation,
     query_table,
     random_permutation,
-    save_permutation,
     xor_shift_permutation,
 )
 from .reductions import (

@@ -202,6 +202,7 @@ class DensityOperator:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
+        require_cap(2 * self.layout.total_qubits, "density matrix")
         mat = _readonly(np.asarray(self.matrix))
         dim = self.layout.dim
         if mat.shape != (dim, dim):
@@ -221,6 +222,7 @@ class DensityOperator:
 
 
 def density_from_state(state: StateVector) -> DensityOperator:
+    require_cap(2 * state.layout.total_qubits, "density matrix")
     return DensityOperator(state.layout, np.outer(state.amplitudes, state.amplitudes.conj()))
 
 
@@ -257,6 +259,7 @@ class KrausChannel:
     elements: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
+        require_cap(2 * self.layout.total_qubits, "Kraus element")
         dim = self.layout.dim
         elems = tuple(_readonly(np.asarray(e)) for e in self.elements)
         if not elems:

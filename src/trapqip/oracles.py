@@ -10,7 +10,6 @@ measured against a query distribution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -105,39 +104,3 @@ def inversion_table(p: Permutation, lying: "CorruptionSet | None" = None) -> np.
             answers[q] ^= 1
     return query_table(answers)
 
-
-def save_permutation(p: Permutation, path) -> None:
-    """Text format: first line m=<int>, then one 'x f(x)' pair per line in binary."""
-    lines = [f"m={p.m}"]
-    for x in range(1 << p.m):
-        lines.append(f"{x:0{p.m}b} {p.table[x]:0{p.m}b}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_permutation(path) -> Permutation:
-    text = Path(path).read_text()
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("m="):
-        raise ValueError(f"{path}: line 1: expected m=<int> header")
-    try:
-        m = int(lines[0][2:])
-    except ValueError:
-        raise ValueError(f"{path}: line 1: malformed width {lines[0]!r}") from None
-    if m < 1:
-        raise ValueError(f"{path}: line 1: width must be positive")
-    size = 1 << m
-    if len(lines) - 1 != size:
-        raise ValueError(f"{path}: expected {size} pairs, found {len(lines) - 1}")
-    table = [-1] * size
-    for i, ln in enumerate(lines[1:], start=2):
-        parts = ln.split()
-        if len(parts) != 2 or len(parts[0]) != m or len(parts[1]) != m:
-            raise ValueError(f"{path}: line {i}: expected two {m}-bit binary words")
-        try:
-            x, y = int(parts[0], 2), int(parts[1], 2)
-        except ValueError:
-            raise ValueError(f"{path}: line {i}: not binary: {ln!r}") from None
-        if table[x] != -1:
-            raise ValueError(f"{path}: line {i}: duplicate input {parts[0]}")
-        table[x] = y
-    return Permutation(m, tuple(table))

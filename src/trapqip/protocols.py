@@ -257,7 +257,11 @@ def footprint(entry: str, r: Reduction, cheat: int | None = None) -> int:
     if entry == "classical":
         widths = [3 * m]  # (query, answer, work) before the query is read
     elif entry in ("ceiling", "search"):
-        # the dense projector on (query, answer, work, copy, out); p + 4m states
+        # p + 4m states.  2(4m + 1) counts a dense projector on (query,
+        # answer, work, copy, out), wider than anything these entries build
+        # from its per-index entries.  It stays the rule because it keeps the
+        # CLI's upper_bound at m <= 2, and the pinned protocol-1 m = 3 records
+        # hold no ceiling; widening it waits for a deliberate re-pin of them.
         widths = [2 * (4 * m + 1), p + 4 * m]
     else:
         # honest multi-copy trap and smooth runs go copy by copy; outs and vote
@@ -526,14 +530,16 @@ class CheatBound:
         return self.bound
 
 
-def _acceptance_projector(r: Reduction, accept_output: int) -> np.ndarray:
-    """Projector onto accepting runs of the computation branch, with the copy
+def _acceptance_entries(r: Reduction, accept_output: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-index entries diag[i] = P[i, i] and off[i] = P[i, i ^ 1] of the
+    projector P onto accepting runs of the computation branch, with the copy
     erasure and the decider both embedded over (query, answer, work, copy, out).
 
     W = (noise on out) . (decider table) . (copy erasure).  The erasure only
     permutes (query, copy), which nothing after it reads, so it cancels in
     W^dag M W.  The table XORs the language bit into out, so index i pairs
-    only with i ^ 1, through the 2x2 block rot^dag diag(mask) rot.
+    only with i ^ 1, through the 2x2 block rot^dag diag(mask) rot; every other
+    entry of P is zero.
     """
     dim = 1 << (4 * r.m + 1)
     idx = np.arange(dim)
@@ -542,31 +548,39 @@ def _acceptance_projector(r: Reduction, accept_output: int) -> np.ndarray:
     rot = np.eye(2) if r.noise is None else r.noise.matrix
     mask = np.array([accept_output == 0, accept_output == 1], dtype=float)
     block = rot.conj().T @ (mask[:, None] * rot)
-    proj = np.zeros((dim, dim), dtype=np.complex128)
-    proj[idx, idx] = block[out, out]
-    proj[idx, idx ^ 1] = block[out, out ^ 1]
-    return proj
+    return block[out, out], block[out, out ^ 1]
 
 
 def cheat_upper_bound(r: Reduction, f: Permutation, x: int, accept_output: int = 0) -> CheatBound:
     """Cheating ceiling (1 + sin theta)/2 with an eigenvalue-oracle cross-check.
 
-    sin^2 theta is the honest response's mass in the acceptance projector; the
-    oracle value is half the top eigenvalue of projector plus honest-response
-    dyad.  Both must agree within 1e-9 or the call fails.  Meaningful as a
+    sin^2 theta = <phi|P|phi> is the honest response's mass in the acceptance
+    projector P; phi has out = 0, so it only meets P's diagonal.  The oracle
+    value is half the top eigenvalue of P + |phi><phi|, found by eigvalsh on
+    the span of e_i and e_(i^1) over the support of phi: that span holds phi
+    and is invariant under P, so its top eigenvalue is at least 1, while P
+    has none above 1 elsewhere.  It is at most 2^(m+1)-dimensional.  Both
+    values must agree within 1e-9 or the call fails.  Meaningful as a
     soundness ceiling on inputs the verifier should reject.
     """
     if r.copies != 1:
         raise ValueError("cheating ceiling is defined per copy; slice the reduction first")
     _check_instance(r, f, x, "ceiling")
-    proj = _acceptance_projector(r, accept_output)
+    diag, off = _acceptance_entries(r, accept_output)
     honest = honest_answer_state(r, f, x)
     phi = np.kron(honest.amplitudes, np.array([1.0, 0.0]))
-    sin_sq = float(np.real(np.vdot(phi, proj @ phi)))
+    sin_sq = float(np.sum(diag.real * np.abs(phi) ** 2))
     sin_sq = min(max(sin_sq, 0.0), 1.0)
     sin_theta = math.sqrt(sin_sq)
     bound = (1.0 + sin_theta) / 2.0
-    top = float(np.linalg.eigvalsh(proj + np.outer(phi, phi.conj()))[-1])
+    support = np.flatnonzero(phi)
+    # sorted and closed under i ^ 1, so the partner of position k is k ^ 1
+    span = np.union1d(support, support ^ 1)
+    k = np.arange(span.size)
+    restricted = np.outer(phi[span], phi[span].conj())
+    restricted[k, k] += diag[span]
+    restricted[k, k ^ 1] += off[span]
+    top = float(np.linalg.eigvalsh(restricted)[-1])
     eigen_bound = top / 2.0
     if abs(bound - eigen_bound) > 1e-9:
         raise InvariantError(
@@ -598,14 +612,25 @@ def branch_overlap_pair(r: Reduction, f: Permutation, x: int, prover: Prover) ->
 
 
 def _search_context(r: Reduction, f: Permutation, x: int, p_qubits: int, accept_output: int):
+    """Row-separable form of the search objective for cheat unitaries u.
+
+    Rows of u @ a0 and u @ a1 are indexed by (prover, query, answer) and
+    columns by (work, copy).  The out = 0 block of the acceptance projector is
+    diagonal, so p0 is a sum over rows of |u @ a0|^2 against real weights.
+    p1 is the squared trap amplitude summed over private-register values; a
+    value's amplitude is the sum of its rows' terms against the accepting
+    trap vector.  Returns a0, a1 and a function of (row indices, rows of
+    u @ a0, rows of u @ a1) giving each row's two terms.
+    """
     m = r.m
-    mv_dim = 1 << (4 * m)
-    proj = _acceptance_projector(r, accept_output)
-    accept_block = np.ascontiguousarray(proj[0::2, 0::2])
+    msg = 1 << (2 * m)
+    diag, _ = _acceptance_entries(r, accept_output)
+    weights = diag[0::2].real.reshape(msg, msg)
 
     mv_lay = layout(("query", m), ("answer", m), ("work", m), ("copy", m))
     zero = basis_state(mv_lay)
     accept_vec = core.apply_on_registers(zero, trap_verifier(f).dagger(), ["query", "answer", "copy"])
+    v_conj = accept_vec.amplitudes.conj().reshape(msg, msg)
 
     prover0 = basis_state(layout(("prover", p_qubits))) if p_qubits else None
 
@@ -613,30 +638,11 @@ def _search_context(r: Reduction, f: Permutation, x: int, p_qubits: int, accept_
         state = core.tensor_product(prover0, mv_state) if prover0 is not None else mv_state
         return state.amplitudes.reshape(1 << (p_qubits + 2 * m), -1)
 
-    a0 = prepared(honest_answer_state(r, f, x))
-    a1 = prepared(trap_answer_state(r, f))
-    v_conj = accept_vec.amplitudes.conj()
+    def row_terms(rows: np.ndarray, b0: np.ndarray, b1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        msg_rows = rows & (msg - 1)
+        return (np.abs(b0) ** 2 * weights[msg_rows]).sum(axis=1), (b1 * v_conj[msg_rows]).sum(axis=1)
 
-    def objective(u: np.ndarray) -> float:
-        b0 = (u @ a0).reshape(1 << p_qubits, mv_dim)
-        b1 = (u @ a1).reshape(1 << p_qubits, mv_dim)
-        p0 = float(np.real(np.einsum("pi,ij,pj->", b0.conj(), accept_block, b0)))
-        p1 = float(np.sum(np.abs(b1 @ v_conj) ** 2))
-        return (p0 + p1) / 2.0
-
-    return objective
-
-
-def _givens_step(dim: int, rng) -> np.ndarray:
-    i, j = rng.choice(dim, size=2, replace=False)
-    theta = rng.normal(0.0, 0.3)
-    phase = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-    g = np.eye(dim, dtype=np.complex128)
-    g[i, i] = math.cos(theta)
-    g[j, j] = math.cos(theta)
-    g[i, j] = -phase * math.sin(theta)
-    g[j, i] = np.conj(phase) * math.sin(theta)
-    return g
+    return prepared(honest_answer_state(r, f, x)), prepared(trap_answer_state(r, f)), row_terms
 
 
 def prover_search(
@@ -652,10 +658,13 @@ def prover_search(
     """Hill-climb over cheat unitaries; returns the best prover and its value.
 
     Proposals compose small random two-coordinate rotations onto the current
-    unitary, with periodic fresh Haar restarts.  The identity start makes the
-    zero-iteration result the honest value, and for a fixed seed the best
-    value is non-decreasing in the iteration count.  The result is checked
-    against the closed-form ceiling.
+    unitary, with periodic fresh Haar restarts.  A rotation touches two rows
+    of the unitary, so a proposal updates those rows of u @ a0 and u @ a1 and
+    their score terms, never the full product.  Scores are recomputed from
+    scratch at the start, at each restart and for the returned unitary.  The
+    identity start makes the zero-iteration result the honest value, and for
+    a fixed seed the best value is non-decreasing in the iteration count.
+    The result is checked against the closed-form ceiling.
     """
     if r.copies != 1:
         raise ValueError("search runs per copy; slice the reduction first")
@@ -664,26 +673,47 @@ def prover_search(
     if not r.distributions[0].is_uniform:
         raise ValueError("ceiling holds for uniform queries; search the resampled interface")
     _check_instance(r, f, x, "search", p_qubits)
-    objective = _search_context(r, f, x, p_qubits, accept_output)
+    a0, a1, row_terms = _search_context(r, f, x, p_qubits, accept_output)
     dim = 1 << (p_qubits + 2 * r.m)
     rng = np.random.default_rng(seed)
 
+    def score(t0: np.ndarray, s1: np.ndarray) -> float:
+        trap = s1.reshape(1 << p_qubits, -1).sum(axis=1)
+        return float((t0.sum() + (np.abs(trap) ** 2).sum()) / 2.0)
+
+    def from_scratch(u: np.ndarray):
+        b0, b1 = u @ a0, u @ a1
+        t0, s1 = row_terms(np.arange(dim), b0, b1)
+        return b0, b1, t0, s1, score(t0, s1)
+
     current = np.eye(dim, dtype=np.complex128)
-    current_score = objective(current)
-    best, best_score = current, current_score
+    b0, b1, t0, s1, current_score = from_scratch(current)
+    best, best_score = current.copy(), current_score
     for i in range(1, iters + 1):
         if restart_every and i % restart_every == 0:
             # unconditional restart; escapes local maxima, best is kept aside
             current = haar_unitary(dim, rng)
-            current_score = objective(current)
+            b0, b1, t0, s1, current_score = from_scratch(current)
         else:
-            candidate = _givens_step(dim, rng) @ current
-            score = objective(candidate)
-            if score >= current_score:
-                current, current_score = candidate, score
+            rows = rng.choice(dim, size=2, replace=False)
+            theta = rng.normal(0.0, 0.3)
+            phase = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+            c, s = math.cos(theta), math.sin(theta)
+            g = np.array([[c, -phase * s], [np.conj(phase) * s, c]])
+            new_b0, new_b1 = g @ b0[rows], g @ b1[rows]
+            old_t0, old_s1 = t0[rows], s1[rows]
+            t0[rows], s1[rows] = row_terms(rows, new_b0, new_b1)
+            candidate = score(t0, s1)
+            if candidate >= current_score:
+                current[rows] = g @ current[rows]
+                b0[rows], b1[rows] = new_b0, new_b1
+                current_score = candidate
+            else:
+                t0[rows], s1[rows] = old_t0, old_s1
         if current_score > best_score:
-            best, best_score = current, current_score
+            best, best_score = current.copy(), current_score
 
+    best_score = from_scratch(best)[-1]
     ceiling = cheat_upper_bound(r, f, x, accept_output)
     if best_score > ceiling.bound + 1e-9:
         raise InvariantError(

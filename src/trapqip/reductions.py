@@ -413,44 +413,3 @@ def honest_answer_state(r: Reduction, f: Permutation, x: int) -> StateVector:
     """Query state after an honest inverse oracle filled the answer registers."""
     return answer_queries(generate_query_state(r, x), f, r.k)
 
-
-# ---------------------------------------------------------------------------
-# descriptors
-
-
-def reduction_descriptor(r: Reduction, distribution_ref: str | None = None) -> dict[str, str]:
-    """Flat text-config form: family, m, s, bit, eps, t, distribution reference."""
-    desc = {
-        "family": r.family,
-        "m": str(r.m),
-        "s": format(r.s, f"0{r.m}b"),
-        "bit": str(r.bit),
-        "t": str(r.copies),
-        "eps": repr(float(r.base_epsilon)),
-    }
-    if distribution_ref is not None:
-        desc["distribution"] = distribution_ref
-    return desc
-
-
-def reduction_from_descriptor(desc, base_dir=None) -> Reduction:
-    """Rebuild a reduction from its descriptor; eps/t reapply noise and copies."""
-    try:
-        m = int(desc["m"])
-        s = int(desc["s"], 2)
-        bit = int(desc["bit"])
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"bad reduction descriptor: {exc}") from exc
-    ref = desc.get("distribution")
-    if ref in (None, "", "uniform"):
-        r = build_xor_reduction(m, s, bit)
-    else:
-        path = Path(base_dir) / ref if base_dir is not None else Path(ref)
-        r = build_smooth_xor_reduction(m, s, bit, load_distribution(path))
-    eps = float(desc.get("eps", "0") or 0)
-    if eps:
-        r = add_noise(r, eps)
-    t = int(desc.get("t", "1") or 1)
-    if t != 1:
-        r = amplify(r, t)
-    return r

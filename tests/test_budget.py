@@ -5,7 +5,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from trapqip.core import CapacityError, qubit_cap
+from trapqip.core import (
+    CapacityError,
+    DensityOperator,
+    KrausChannel,
+    basis_state,
+    density_from_state,
+    layout,
+    qubit_cap,
+)
 from trapqip.oracles import xor_shift_permutation
 from trapqip.protocols import (
     PROVER_UNITARY,
@@ -90,7 +98,7 @@ def test_footprint_matches_what_engines_build(entry, monkeypatch):
             continue
         # a cap of exactly the footprint: any wider layout or dense operator
         # raises CapacityError; cached builders are rebuilt under it.  Raw
-        # arrays (projector, Givens matrices) are bounded through the peak.
+        # arrays (projector entries, search products) are bounded through the peak.
         monkeypatch.setenv("TRAPQIP_MAX_QUBITS", str(need))
         trap_verifier.cache_clear()
         tracemalloc.start()
@@ -113,7 +121,7 @@ def test_footprint_matches_what_engines_build(entry, monkeypatch):
 
 
 def test_default_cap_limits():
-    """At the default cap: projector m <= 2, trap runs m <= 3, classical m = 4."""
+    """At the default cap: ceiling m <= 2, trap runs m <= 3, classical m = 4."""
     assert qubit_cap() == 18
 
     def fits(entry, m, t=1, cheat=None):
@@ -126,3 +134,26 @@ def test_default_cap_limits():
     # an entangling cheat runs every copy at once
     assert fits("trap", 1, t=3, cheat=2) and not fits("trap", 2, t=3, cheat=0)
     assert fits("search", 2, cheat=5) and not fits("search", 2, cheat=6)
+
+
+@pytest.mark.parametrize("build", ["density", "density_from_state", "channel"])
+def test_over_cap_density_and_channel_refused_before_allocation(build):
+    """A density or Kraus element on n qubits counts 2n: one qubit past half
+    the cap is refused before its matrix is copied or checked."""
+    lay = layout(("sys", qubit_cap() // 2 + 1))
+    # a zero-stride view: no memory behind it, a full copy would be 16 MB
+    hollow = np.broadcast_to(np.complex128(0), (lay.dim, lay.dim))
+    state = basis_state(lay)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            if build == "density":
+                DensityOperator(lay, hollow)
+            elif build == "density_from_state":
+                density_from_state(state)
+            else:
+                KrausChannel(lay, (hollow,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"refused after {peak} bytes"

@@ -18,10 +18,8 @@ from trapqip.oracles import (
     CorruptionSet,
     Permutation,
     inversion_table,
-    load_permutation,
     query_table,
     random_permutation,
-    save_permutation,
     xor_shift_permutation,
 )
 
@@ -57,13 +55,6 @@ class TestPermutation:
     def test_non_bijective_table_rejected(self):
         with pytest.raises(ValueError):
             Permutation(2, (0, 0, 1, 2))
-
-    def test_save_load_round_trip(self, tmp_path):
-        f = random_permutation(3, seed=4)
-        path = tmp_path / "perm.txt"
-        save_permutation(f, path)
-        g = load_permutation(path)
-        assert [f(x) for x in range(8)] == [g(x) for x in range(8)]
 
 
 class TestOracles:

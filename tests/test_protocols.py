@@ -1,7 +1,11 @@
 """Protocol engine tests: completeness, trap checks, cheating ceilings."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trapqip.core import CapacityError, InvariantError, LayoutError
 from trapqip.core import (
@@ -18,6 +22,7 @@ from trapqip.oracles import inversion_table, random_permutation, xor_shift_permu
 from trapqip.protocols import (
     ProtocolResult,
     Prover,
+    _acceptance_entries,
     branch_overlap_pair,
     cheat_upper_bound,
     prover_search,
@@ -33,6 +38,7 @@ from trapqip.reductions import (
     DistributionTable,
     add_noise,
     amplify,
+    build_known_smooth_reduction,
     build_smooth_xor_reduction,
     build_xor_reduction,
     generate_query_state,
@@ -137,6 +143,100 @@ class TestBranchBalance:
                 assert abs(value - want) <= 1e-12
 
 
+def _dense_projector(r, accept_output):
+    """Reference acceptance projector W^dag M W from dense matrices: W is the
+    copy erasure, then the decider, then the noise rotation on out, over
+    (query, answer, work, copy, out); M keeps out = accept_output."""
+    m = r.m
+    size = 1 << m
+    dim = 1 << (4 * m + 1)
+    idx = np.arange(dim)
+    query = idx >> (3 * m + 1)
+    answer = (idx >> (2 * m + 1)) & (size - 1)
+    work = (idx >> (m + 1)) & (size - 1)
+    erase = np.zeros((dim, dim))
+    erase[idx ^ (query << 1), idx] = 1.0
+    decide = np.zeros((dim, dim))
+    decide[idx ^ (((answer ^ work) >> (m - 1 - r.bit)) & 1), idx] = 1.0
+    rot = np.eye(2) if r.noise is None else r.noise.matrix
+    w = np.kron(np.eye(dim // 2), rot) @ decide @ erase
+    keep = np.kron(np.eye(dim // 2), np.diag([accept_output == 0, accept_output == 1]).astype(float))
+    return w.conj().T @ keep @ w
+
+
+def _reference_search(r, f, x, p_qubits, iters, seed, accept_output=0, restart_every=250):
+    """The search as a dense loop: a full Givens matrix per proposal, and p0
+    from the projector's accept block contracted with einsum."""
+    m = r.m
+    dim = 1 << (p_qubits + 2 * m)
+    accept_block = _dense_projector(r, accept_output)[0::2, 0::2]
+    zero = basis_state(layout(("query", m), ("answer", m), ("work", m), ("copy", m)))
+    accept_vec = apply_on_registers(zero, trap_verifier(f).dagger(), ["query", "answer", "copy"])
+    private = np.eye(1 << p_qubits)[0]
+    a0 = np.kron(private, honest_answer_state(r, f, x).amplitudes).reshape(dim, -1)
+    a1 = np.kron(private, trap_answer_state(r, f).amplitudes).reshape(dim, -1)
+
+    def objective(u):
+        b0 = (u @ a0).reshape(1 << p_qubits, -1)
+        b1 = (u @ a1).reshape(1 << p_qubits, -1)
+        p0 = float(np.real(np.einsum("pi,ij,pj->", b0.conj(), accept_block, b0)))
+        p1 = float(np.sum(np.abs(b1 @ accept_vec.amplitudes.conj()) ** 2))
+        return (p0 + p1) / 2.0
+
+    rng = np.random.default_rng(seed)
+    current = np.eye(dim, dtype=np.complex128)
+    current_score = objective(current)
+    best, best_score = current, current_score
+    for it in range(1, iters + 1):
+        if restart_every and it % restart_every == 0:
+            current = haar_unitary(dim, rng)
+            current_score = objective(current)
+        else:
+            i, j = rng.choice(dim, size=2, replace=False)
+            theta = rng.normal(0.0, 0.3)
+            phase = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+            g = np.eye(dim, dtype=np.complex128)
+            g[i, i] = g[j, j] = math.cos(theta)
+            g[i, j] = -phase * math.sin(theta)
+            g[j, i] = np.conj(phase) * math.sin(theta)
+            candidate = g @ current
+            score = objective(candidate)
+            if score >= current_score:
+                current, current_score = candidate, score
+        if current_score > best_score:
+            best, best_score = current, current_score
+    return best, best_score
+
+
+class TestStructuredProjector:
+    """Per-index projector entries and the compressed eigen oracle against
+    the dense projector."""
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_entries_and_ceiling_match_dense_projector(self, m):
+        f = random_permutation(m, seed=7)
+        for bit in range(m):
+            for eps in (0.0, 0.1, 0.25):
+                base = build_xor_reduction(m, 1, bit)
+                r = add_noise(base, eps) if eps else base
+                for accept_output in (0, 1):
+                    dense = _dense_projector(r, accept_output)
+                    diag, off = _acceptance_entries(r, accept_output)
+                    idx = np.arange(dense.shape[0])
+                    assert np.abs(dense[idx, idx] - diag).max() <= 1e-12
+                    assert np.abs(dense[idx, idx ^ 1] - off).max() <= 1e-12
+                    rest = dense.copy()
+                    rest[idx, idx] = rest[idx, idx ^ 1] = 0.0
+                    assert np.abs(rest).max() <= 1e-12
+                    # one input per language side keeps the dense eigvalsh count small
+                    for x in (0, (1 << m) - 1):
+                        cb = cheat_upper_bound(r, f, x, accept_output)
+                        phi = np.kron(honest_answer_state(r, f, x).amplitudes, [1.0, 0.0])
+                        assert abs(cb.sin_sq - np.vdot(phi, dense @ phi).real) <= 1e-12
+                        top = np.linalg.eigvalsh(dense + np.outer(phi, phi.conj()))[-1]
+                        assert abs(cb.eigen_bound - top / 2.0) <= 1e-12
+
+
 class TestCheatBound:
     def test_frozen_bounds(self):
         r = build_xor_reduction(2, 1, 0)
@@ -194,6 +294,41 @@ class TestProverSearch:
         b = prover_search(r, f, 2, 0, 60, seed=5)
         assert a[1] == b[1]
         np.testing.assert_allclose(a[0].unitary.matrix, b[0].unitary.matrix)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_dense_reference_loop(self, seed):
+        # small restart_every so that Haar restarts are covered
+        m, p = 2 - seed // 3, seed % 3
+        base = build_xor_reduction(m, 1, 0)
+        r = add_noise(base, 0.25) if seed % 2 else base
+        f = random_permutation(m, seed=seed)
+        x, accept_output = seed % (1 << m), seed % 2
+        want_u, want = _reference_search(r, f, x, p, 90, seed, accept_output, restart_every=35)
+        prover, value = prover_search(r, f, x, p, 90, seed=seed, accept_output=accept_output, restart_every=35)
+        assert abs(value - want) <= 1e-12
+        assert np.abs(prover.unitary.matrix - want_u).max() <= 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_value_matches_trap_engine(self, data):
+        # the engine never sees the search's incremental scores, so this
+        # catches drift between them and the unitary they describe
+        m = data.draw(st.integers(1, 2))
+        p = data.draw(st.integers(0, 2))
+        eps = data.draw(st.sampled_from((0.0, 0.1, 0.25)))
+        x = data.draw(st.integers(0, (1 << m) - 1))
+        accept_output = data.draw(st.integers(0, 1))
+        iters = data.draw(st.integers(0, 200))
+        restart_every = data.draw(st.sampled_from((0, 40, 250)))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        base = build_xor_reduction(m, 1, 0)
+        r = add_noise(base, eps) if eps else base
+        f = random_permutation(m, seed=3)
+        prover, value = prover_search(
+            r, f, x, p, iters, seed=seed, accept_output=accept_output, restart_every=restart_every
+        )
+        engine = run_protocol(r, f, x, prover, accept_output=accept_output)
+        assert abs(value - engine.accept_prob) <= 1e-12
 
     def test_non_uniform_queries_rejected(self):
         table = DistributionTable(2, (0.5, 0.25, 0.125, 0.125))
@@ -311,6 +446,26 @@ class TestSmoothProtocol:
         for key in ("up_rounds", "down_rounds", "up_budgets", "down_budgets",
                     "budget_exceeded", "protocol", "seed"):
             assert key in res.metadata
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_known_smooth_reduction_end_to_end(self, m):
+        # t = 3 different per-query tables, one draw each, decided by the vote
+        raw = [np.linspace(1.0, 1.0 + 0.3 * i, 1 << m) for i in range(3)]
+        r = build_known_smooth_reduction(m, 1, 0, [DistributionTable(m, w / w.sum()) for w in raw])
+        f = xor_shift_permutation(m, 1)
+        provers = [Prover.honest()]
+        if m == 1:
+            # every copy at once, through the full-width vote
+            provers.append(Prover.unitary_cheat(np.eye(1 << 6)))
+        for x in range(1 << m):
+            want = 1.0 - r.language(x)
+            for prover in provers:
+                res = run_smooth_protocol(r, f, x, prover, seed=7)
+                assert abs(res.p0 - want) <= 1e-12
+                assert abs(res.p1 - 1.0) <= 1e-12
+                assert not res.metadata["budget_exceeded"]
+                rounds = res.metadata["per_copy"] if prover.kind == "honest" else res.metadata["up_rounds"]
+                assert len(rounds) == 3
 
     def test_classical_prover_rejected(self):
         uni = build_smooth_xor_reduction(2, 1, 0, DistributionTable.uniform(2))

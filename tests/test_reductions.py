@@ -30,8 +30,6 @@ from trapqip.reductions import (
     load_distribution,
     majority_error,
     majority_vote_table,
-    reduction_descriptor,
-    reduction_from_descriptor,
     save_distribution,
 )
 
@@ -89,14 +87,6 @@ class TestBuilders:
         t = DistributionTable.uniform(2)
         with pytest.raises(ValueError):
             build_known_smooth_reduction(2, 1, 0, [t, t])
-
-    def test_descriptor_round_trip(self, tmp_path):
-        r = amplify(add_noise(build_xor_reduction(2, 1, 0), 0.1), 3)
-        desc = reduction_descriptor(r)
-        back = reduction_from_descriptor(desc)
-        assert back.m == r.m and back.copies == r.copies
-        assert back.epsilon == pytest.approx(r.epsilon)
-        assert [back.language(x) for x in range(4)] == [r.language(x) for x in range(4)]
 
 
 class TestQueryStates:
