@@ -2,15 +2,20 @@
 
 Turns sum_q sqrt(d_q) |xi_q>|q> into sum_q sqrt(d'_q) |xi_q>|q> by rotating a
 flag qubit conditioned on the index register and post-selecting the flag.  The
-per-round success probability is 1/beta with 1/beta = min_q d_q/d'_q, and a
-budget of ceil(4 beta^2) rounds keeps the overall failure probability
-(1 - 1/beta)^budget negligible at desk scale.
+rotation is a 2x2 block per index, so on flag = 1 a round is the elementwise
+scale of the amplitudes by sqrt(alpha_q / d_q) over the index register: the
+flag is never built, and the dense `qrs_rotation` is kept only as the
+reference the tests check rounds against (Ozols, Roetteler and Roland,
+*Quantum rejection sampling*, ITCS 2012).  The per-round success probability
+is 1/beta with 1/beta = min_q d_q/d'_q, and a budget of ceil(4 beta^2) rounds
+keeps the overall failure probability (1 - 1/beta)^budget negligible at desk
+scale.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,13 +31,18 @@ class QrsPlan:
     """Rotation amplitudes for resampling source -> target.
 
     alpha_q = target_q / beta is the amplitude mass the flag rotation carves
-    out of each source amplitude; alpha_q <= source_q always holds.
+    out of each source amplitude; alpha_q <= source_q always holds.  Derived
+    once, read-only: flag_prob[q] = min(alpha_q / d_q, 1), the chance the flag
+    reads 1 at index q, and flag_amplitude = sqrt(flag_prob); both are 0 where
+    d_q = 0.
     """
 
     source: DistributionTable
     target: DistributionTable
     beta: float
     alpha: np.ndarray
+    flag_prob: np.ndarray = field(init=False, repr=False)
+    flag_amplitude: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         arr = np.array(np.asarray(self.alpha, dtype=float), copy=True)
@@ -41,8 +51,17 @@ class QrsPlan:
         inv_beta = 1.0 / self.beta
         if not 0.0 < inv_beta <= 1.0 + 1e-12:
             raise ValueError(f"per-round success 1/beta = {inv_beta} outside (0, 1]")
-        if np.any(arr > self.source.probs + 1e-12):
+        src = self.source.probs
+        if np.any(arr > src + 1e-12):
             raise ValueError("alpha exceeds the source mass somewhere; plan is invalid")
+        live = src > 0
+        prob = np.zeros(src.shape)
+        prob[live] = np.minimum(arr[live] / src[live], 1.0)
+        amp = np.sqrt(prob)
+        prob.setflags(write=False)
+        amp.setflags(write=False)
+        object.__setattr__(self, "flag_prob", prob)
+        object.__setattr__(self, "flag_amplitude", amp)
 
     @property
     def m(self) -> int:
@@ -82,30 +101,17 @@ def copies_budget_from_uniform(table: DistributionTable) -> int:
 
 
 def qrs_rotation(plan: QrsPlan) -> UnitaryOperator:
-    """Flag rotation controlled on the index register.
+    """Dense flag rotation controlled on the index register: the reference.
 
     Per index q the flag rotates |0> -> (sqrt(d_q - alpha_q)|0> +
     sqrt(alpha_q)|1>) / sqrt(d_q); indices with no source mass keep an identity
-    block (they never occur in a valid input).
+    block (they never occur in a valid input).  The flag is the most
+    significant factor.  `qrs_round` never builds it.
     """
-    m = plan.m
-    size = 1 << m
-    dim = 2 * size
-    mat = np.zeros((dim, dim))
-    src = plan.source.probs
-    for q in range(size):
-        if src[q] <= 0:
-            cos_part, sin_part = 1.0, 0.0
-        else:
-            frac = min(plan.alpha[q] / src[q], 1.0)
-            sin_part = math.sqrt(frac)
-            cos_part = math.sqrt(max(1.0 - frac, 0.0))
-        # flag is the most significant factor: index = flag * size + q
-        mat[q, q] = cos_part
-        mat[size + q, q] = sin_part
-        mat[q, size + q] = -sin_part
-        mat[size + q, size + q] = cos_part
-    return UnitaryOperator(layout(("flag", 1), ("index", m)), mat)
+    sin = np.diag(np.sqrt(plan.flag_prob))
+    cos = np.diag(np.sqrt(np.maximum(1.0 - plan.flag_prob, 0.0)))
+    mat = np.block([[cos, -sin], [sin, cos]])
+    return UnitaryOperator(layout(("flag", 1), ("index", plan.m)), mat)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,15 +123,26 @@ class QrsRound:
 
 
 def qrs_round(state: StateVector, plan: QrsPlan, index_register: str) -> QrsRound:
-    """Adjoin a flag, rotate, and measure it; flag=1 is success."""
-    if state.layout.width(index_register) != plan.m:
+    """Rotate a flag by the index register and measure it; flag=1 is success.
+
+    The flag is never built: its flag=1 branch is the state scaled by
+    plan.flag_amplitude over the index register, the same products the dense
+    `qrs_rotation` path gives, renormalised as `core.condition_on` does.
+    """
+    lay = state.layout
+    if lay.width(index_register) != plan.m:
         raise ValueError(f"register {index_register!r} does not match the plan width")
-    if "flag" in state.layout.names:
+    if "flag" in lay.names:
         raise ValueError("state already carries a register named 'flag'")
-    work = core.adjoin_register(state, "flag", 1)
-    work = core.apply_on_registers(work, qrs_rotation(plan), ["flag", index_register])
-    p_succ, accepted = core.condition_on(work, {"flag": 1})
-    return QrsRound(success_prob=p_succ, accepted=accepted)
+    off = lay.offset(index_register)
+    rest = lay.total_qubits - off - plan.m
+    psi = state.amplitudes.reshape(1 << off, 1 << plan.m, 1 << rest)
+    scaled = psi * plan.flag_amplitude[:, None]
+    p_succ = float(np.sum(np.abs(scaled) ** 2))
+    if p_succ <= core.ATOL**2:
+        return QrsRound(success_prob=0.0, accepted=None)
+    # + 0.0 turns the -0.0 of a zero scale into the +0.0 the dense contraction sums to
+    return QrsRound(success_prob=p_succ, accepted=StateVector(lay, scaled / np.sqrt(p_succ) + 0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,18 +158,19 @@ class QrsRunResult:
 def qrs_run(prepare, plan: QrsPlan, index_register: str, max_rounds: int | None = None, seed: int = 0) -> QrsRunResult:
     """Repeat prepare, rotate, measure until the flag succeeds or budget runs out.
 
-    prepare is either a fixed StateVector or a zero-argument factory producing
-    a fresh copy per round; the seed drives the simulated flag outcomes.
-    Budget exhaustion returns an explicit failure with state=None.
+    prepare is either a fixed StateVector, whose round is computed once, or a
+    zero-argument factory producing a fresh copy per round; the seed drives
+    the simulated flag outcomes, one draw per round either way.  Budget
+    exhaustion returns an explicit failure with state=None.
     """
     budget = plan.round_budget if max_rounds is None else int(max_rounds)
     if budget < 1:
         raise ValueError("round budget must be >= 1")
-    make = prepare if callable(prepare) else (lambda: prepare)
+    fixed = None if callable(prepare) else qrs_round(prepare, plan, index_register)
     rng = np.random.default_rng(seed)
     step = None
     for used in range(1, budget + 1):
-        step = qrs_round(make(), plan, index_register)
+        step = fixed if fixed is not None else qrs_round(prepare(), plan, index_register)
         if rng.random() < step.success_prob:
             return QrsRunResult(True, step.accepted, used, step.success_prob)
     return QrsRunResult(False, None, budget, step.success_prob)

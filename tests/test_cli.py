@@ -202,6 +202,65 @@ PINNED_RECORDS = [
 ]
 
 
+PINNED_SMOOTH_RECORD = """{
+  "accept_prob": 0.9859999999999989,
+  "amplified_error": 0.028000000000000008,
+  "config_digest": "a54b3cc2506bc8f1",
+  "eps": 0.1,
+  "k": 3,
+  "m": 3,
+  "p0": 0.9719999999999999,
+  "p1": 0.999999999999998,
+  "protocol": "3",
+  "prover_kind": "honest",
+  "search_value": null,
+  "seed": 0,
+  "t": 3,
+  "upper_bound": null,
+  "x": 3
+}
+"""
+
+# Default-config output of the two QRS commands: the seeded flag outcomes and
+# every check of the qrs lemma suite.
+PINNED_QRS_OUTPUTS = [
+    (
+        ["qrs-demo"],
+        """{
+  "alpha": [
+    0.125,
+    0.125,
+    0.125,
+    0.125
+  ],
+  "beta": 2.0,
+  "config_digest": "e3b0c44298fc1c14",
+  "gamma": 4,
+  "gamma_prime": 4,
+  "m": 2,
+  "mean_rounds": 2.032,
+  "round_budget": 16,
+  "seed": 0,
+  "success_prob": 0.5,
+  "successes": 2000,
+  "trials": 2000
+}
+""",
+    ),
+    (
+        ["verify-lemmas", "qrs"],
+        """{
+  "config_digest": "e3b0c44298fc1c14",
+  "failed_checks": [],
+  "failures": 0,
+  "seed": 0,
+  "suite": "qrs",
+  "total": 10
+}
+""",
+    ),
+]
+
 class TestPinnedRecords:
     @pytest.mark.parametrize("config, record", PINNED_RECORDS, ids=["protocol2", "protocol1", "classical"])
     def test_record_bytes(self, config, record, tmp_path, capsys):
@@ -209,6 +268,20 @@ class TestPinnedRecords:
         assert cli.main(["run", "--config", _write(tmp_path, config), "--out", str(dest)]) == 0
         capsys.readouterr()
         assert dest.read_bytes() == record.encode()
+
+    def test_smooth_record_bytes(self, tmp_path, monkeypatch, capsys):
+        # protocol 3 resamples every query up to uniform and back down
+        probs = ["0.09375", "0.15625", "0.125", "0.09375", "0.15625", "0.125", "0.0625", "0.1875"]
+        (tmp_path / "dist.txt").write_text("".join(f"{q:03b} {d}\n" for q, d in enumerate(probs)))
+        monkeypatch.chdir(tmp_path)
+        config = "[run]\nprotocol = 3\nm = 3\ns = 110\nbit = 1\neps = 0.1\nt = 3\nx = 3\ndistribution = dist.txt\n"
+        assert cli.main(["run", "--config", _write(tmp_path, config), "--out", "rec.json"]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "rec.json").read_bytes() == PINNED_SMOOTH_RECORD.encode()
+
+    @pytest.mark.parametrize("argv, output", PINNED_QRS_OUTPUTS, ids=["qrs-demo", "verify-lemmas-qrs"])
+    def test_qrs_output_bytes(self, argv, output, capsys):
+        assert _run(argv, capsys) == (0, output)
 
 class TestSweep:
     def test_eps_range_tracks_completeness(self, tmp_path, capsys):

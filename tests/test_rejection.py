@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trapqip import core
+from trapqip import core, rejection
 from trapqip.rejection import (
     QrsPlan,
     copies_budget_from_uniform,
@@ -24,6 +24,24 @@ UNIFORM = DistributionTable.uniform(2)
 def _amplitude_state(table, name="idx"):
     lay = core.layout((name, table.m))
     return core.StateVector(lay, np.sqrt(table.probs))
+
+
+def _dense_round(state, plan, index_register):
+    """The reference round: adjoin the flag, apply the dense rotation, condition."""
+    work = core.adjoin_register(state, "flag", 1)
+    work = core.apply_on_registers(work, qrs_rotation(plan), ["flag", index_register])
+    return core.condition_on(work, {"flag": 1})
+
+
+def _dense_run(state, plan, index_register, max_rounds, seed):
+    """qrs_run's loop on a fixed state, with the dense round recomputed every round."""
+    budget = plan.round_budget if max_rounds is None else max_rounds
+    rng = np.random.default_rng(seed)
+    for used in range(1, budget + 1):
+        p_succ, accepted = _dense_round(state, plan, index_register)
+        if rng.random() < p_succ:
+            return True, accepted, used, p_succ
+    return False, None, budget, p_succ
 
 
 class TestPlan:
@@ -61,6 +79,16 @@ class TestPlan:
         assert copies_budget_to_uniform(EXAMPLE) == 4
         assert copies_budget_from_uniform(EXAMPLE) == 4
         assert copies_budget_to_uniform(UNIFORM) == 1
+
+    def test_plan_holds_flag_amplitudes(self):
+        plan = make_plan(EXAMPLE, UNIFORM)
+        np.testing.assert_array_equal(plan.flag_prob, [0.25, 0.5, 1.0, 1.0])
+        np.testing.assert_array_equal(plan.flag_amplitude, np.sqrt([0.25, 0.5, 1.0, 1.0]))
+        with pytest.raises(ValueError):
+            plan.flag_amplitude[0] = 1.0
+        # no source mass: the identity block, which never raises the flag
+        holes = make_plan(DistributionTable(1, (1.0, 0.0)), DistributionTable(1, (1.0, 0.0)))
+        np.testing.assert_array_equal(holes.flag_amplitude, [1.0, 0.0])
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -108,6 +136,43 @@ class TestRound:
             assert core.trace_distance(step.accepted, want) <= 1e-9
             assert step.accepted.layout.names == ("idx",)
 
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_round_equals_dense_path(self, data):
+        # the scaled round gives exactly the dense rotation's flag=1 branch,
+        # wherever the index register sits and with target holes
+        m = data.draw(st.integers(1, 3), label="m")
+        before = data.draw(st.integers(0, 3), label="before")
+        after = data.draw(st.integers(0, 3), label="after")
+        size = 1 << m
+        weights = st.lists(st.floats(0.05, 1.0), min_size=size, max_size=size)
+        src = np.array(data.draw(weights, label="source"))
+        tgt = np.array(data.draw(weights, label="target"))
+        holes = np.array(data.draw(st.lists(st.booleans(), min_size=size, max_size=size), label="holes"))
+        holes[data.draw(st.integers(0, size - 1), label="kept")] = False
+        tgt[holes] = 0.0
+        if data.draw(st.booleans(), label="source holes"):
+            src[holes] = 0.0
+        plan = make_plan(DistributionTable(m, src / src.sum()), DistributionTable(m, tgt / tgt.sum()))
+        regs = [("a", before)] if before else []
+        regs += [("idx", m)] + ([("b", after)] if after else [])
+        lay = core.layout(*regs)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        amps = rng.normal(size=lay.dim) + 1j * rng.normal(size=lay.dim)
+        state = core.StateVector(lay, amps / np.linalg.norm(amps))
+        step = qrs_round(state, plan, "idx")
+        p_succ, accepted = _dense_round(state, plan, "idx")
+        assert step.success_prob == p_succ
+        assert step.accepted.layout == accepted.layout
+        assert np.array_equal(step.accepted.amplitudes, accepted.amplitudes)
+
+    def test_vanishing_success_returns_no_state(self):
+        # the state lives where the target has a hole: the flag never reads 1
+        plan = make_plan(DistributionTable(1, (0.5, 0.5)), DistributionTable(1, (1.0, 0.0)))
+        step = qrs_round(core.basis_state(core.layout(("idx", 1)), 1), plan, "idx")
+        assert step.success_prob == 0.0
+        assert step.accepted is None
+
     def test_register_width_checked(self):
         plan = make_plan(EXAMPLE, UNIFORM)
         st = _amplitude_state(DistributionTable.uniform(3))
@@ -141,6 +206,43 @@ class TestRun:
         res = qrs_run(prepare, plan, "idx", seed=1)
         assert res.succeeded
         assert len(calls) == res.rounds_used
+
+    @pytest.mark.parametrize("direction", ["up", "down"])
+    def test_fixed_state_matches_dense_loop(self, direction):
+        src, tgt = (EXAMPLE, UNIFORM) if direction == "up" else (UNIFORM, EXAMPLE)
+        plan = make_plan(src, tgt)
+        # sum_q sqrt(d_q) |xi_q>|q> with random complex unit vectors xi_q
+        rng = np.random.default_rng(5)
+        xi = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        xi /= np.linalg.norm(xi, axis=0)
+        state = core.StateVector(core.layout(("aux", 2), ("index", 2)), (xi * np.sqrt(src.probs)).reshape(-1))
+        for seed in range(50):
+            for max_rounds in (None, 1):
+                res = qrs_run(state, plan, "index", max_rounds=max_rounds, seed=seed)
+                ok, accepted, used, p_succ = _dense_run(state, plan, "index", max_rounds, seed)
+                assert (res.succeeded, res.rounds_used, res.success_prob) == (ok, used, p_succ)
+                if ok:
+                    assert res.state.amplitudes.tobytes() == accepted.amplitudes.tobytes()
+                else:
+                    assert res.state is None
+
+    def test_fixed_state_round_computed_once(self, monkeypatch):
+        plan = make_plan(EXAMPLE, UNIFORM)
+        state = _amplitude_state(EXAMPLE)
+        calls = []
+        real_round = rejection.qrs_round
+
+        def counting_round(*args):
+            calls.append(None)
+            return real_round(*args)
+
+        monkeypatch.setattr(rejection, "qrs_round", counting_round)
+        res = qrs_run(state, plan, "idx", max_rounds=8, seed=45)
+        assert not res.succeeded and res.rounds_used == 8
+        assert len(calls) == 1
+        calls.clear()
+        res = qrs_run(lambda: state, plan, "idx", max_rounds=8, seed=45)
+        assert len(calls) == res.rounds_used == 8
 
     def test_budget_exhaustion_is_explicit_failure(self):
         plan = make_plan(EXAMPLE, UNIFORM)
