@@ -22,6 +22,7 @@ import math
 import statistics
 import sys
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -545,7 +546,9 @@ def cmd_separation_demo(args) -> int:
     return EXIT_OK
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parse_args keeps no state in it."""
     parser = argparse.ArgumentParser(prog="trapqip", description="Trap-protocol simulator batch harness.")
     sub = parser.add_subparsers(dest="command", required=True)
 

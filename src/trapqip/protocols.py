@@ -285,8 +285,9 @@ def run_protocol(r: Reduction, f: Permutation, x: int, prover: Prover, accept_ou
     """Trap protocol for any odd copy count; exact p0, p1 from the statevector.
 
     Several copies run over grouped per-copy registers with a majority
-    decider.  Honest provers are evaluated per copy and combined exactly;
-    entangling cheats run on the full grouped state, within the qubit cap.
+    decider.  Honest provers are evaluated once per distinct copy, combined
+    by the exact majority law; entangling cheats run on the full grouped
+    state, within the qubit cap.
     """
     if prover.kind == PROVER_CLASSICAL:
         raise ValueError("classical provers answer basis queries; use run_classical_query_protocol")
@@ -302,17 +303,21 @@ def run_protocol(r: Reduction, f: Permutation, x: int, prover: Prover, accept_ou
     }
     if prover.kind == PROVER_HONEST and r.copies > 1:
         # Honest runs stay in product form across copies, so per-copy exact
-        # simulation plus the majority law avoids the full-width state.
-        ones = []
-        trap_ok = 1.0
-        for i in range(r.copies):
-            single = _copy_slice(r, i)
-            comp = _apply_prover_stage(generate_query_state(single, x), single, f, prover)
-            ones.append(_computation_branch(comp, single, 1))
-            trap = _apply_prover_stage(trap_state(single.m), single, f, prover)
-            trap_ok *= _trap_branch(trap, single, f)
+        # simulation plus the majority law avoids the full-width state.  A
+        # copy's computation branch depends only on its prep (which hashes by
+        # identity), and the trap branch on m and f alone, so each distinct
+        # copy is simulated once; the per-copy lists keep the copy order.
+        one_by_prep: dict[UnitaryOperator, float] = {}
+        for i, prep in enumerate(r.preps):
+            if prep not in one_by_prep:
+                single = _copy_slice(r, i)
+                comp = _apply_prover_stage(generate_query_state(single, x), single, f, prover)
+                one_by_prep[prep] = _computation_branch(comp, single, 1)
+        ones = [one_by_prep[prep] for prep in r.preps]
+        single = _copy_slice(r, 0)
+        trap = _apply_prover_stage(trap_state(r.m), single, f, prover)
         p0 = _majority_accept(ones, r.copies, accept_output)
-        p1 = trap_ok
+        p1 = math.prod([_trap_branch(trap, single, f)] * r.copies)
         metadata["per_copy_one_probs"] = ones
     else:
         comp = _apply_prover_stage(generate_query_state(r, x), r, f, prover)
@@ -464,8 +469,10 @@ def run_classical_query_protocol(
     """Measure the queries to basis values and verify answers by recomputing f.
 
     Any answer a with f(a) != q rejects with certainty; honest answers are
-    decided by the reduction.  The single-phase acceptance is reported as both
-    p0 and p1, so accept_prob equals it.
+    decided by the reduction.  The pre-query state is built once per distinct
+    copy and conditioned on each copy's drawn query; the copies combine by the
+    exact majority law.  The single-phase acceptance is reported as both p0
+    and p1, so accept_prob equals it.
     """
     if prover.kind == PROVER_UNITARY:
         raise ValueError("unitary cheats act on quantum messages; use run_protocol")
@@ -478,14 +485,17 @@ def run_classical_query_protocol(
         raise ValueError(f"answer table has {len(prover.answers)} entries, need {size}")
 
     drawn, replies, checks, ones = [], [], [], []
-    for i in range(r.k):
+    pre_by_prep: dict[UnitaryOperator, StateVector] = {}
+    for i, prep in enumerate(r.preps):
         probs = r.distributions[i].probs
         q = int(queries[i]) if queries is not None else int(rng.choice(size, p=probs))
         if not 0 <= q < size:
             raise ValueError(f"query {q} does not fit {r.m} bits")
         if probs[q] <= 0:
             raise ValueError(f"query {q} is outside the distribution's support")
-        prob, state = core.condition_on(_pre_copy_state(r, x, i), {"query": q})
+        if prep not in pre_by_prep:
+            pre_by_prep[prep] = _pre_copy_state(r, x, i)
+        prob, state = core.condition_on(pre_by_prep[prep], {"query": q})
         if prob <= 0:
             raise InvariantError("conditioning on a supported query failed")
         a = f.inverse_of(q) if prover.kind == PROVER_HONEST else prover.answers[q]

@@ -3,7 +3,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -131,6 +135,52 @@ class TestRun:
         rec = json.loads(out)
         np.testing.assert_allclose(rec["accept_prob"], 1 - 7 / 27, atol=1e-9)
         assert rec["upper_bound"] is None
+
+
+class TestParserCache:
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_cached_parser_keeps_no_state(self, tmp_path, capsys):
+        # the classical engine draws its queries from the seed, so a seed left
+        # behind by an earlier call would change the record, not just its field
+        cfg = _write(tmp_path, "[run]\nprotocol = classical\nm = 2\neps = 0.1\nt = 3\nx = 1\nseed = 3\n")
+        cli.build_parser.cache_clear()
+        first = _run(["run", "--config", cfg], capsys)
+        code, out = _run(["run", "--config", cfg, "--seed", "5", "--format", "csv"], capsys)
+        assert code == 0
+        assert next(csv.DictReader(io.StringIO(out)))["seed"] == "5"
+        assert cli.main(["run", "--config", cfg, "--bogus"]) == 2
+        capsys.readouterr()
+        last = _run(["run", "--config", cfg], capsys)
+        assert last == first
+        assert json.loads(last[1])["seed"] == 3
+
+
+def _record_in_subprocess(config: str, blas_threads: int, tmp_path) -> bytes:
+    env = dict(os.environ)
+    for var in ("OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env.pop(var, None)
+    env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    dest = tmp_path / f"rec-{blas_threads}.json"
+    argv = [sys.executable, "-m", "trapqip.cli", "run", "--config", _write(tmp_path, config), "--out", str(dest)]
+    subprocess.run(argv, env=env, check=True, timeout=120)
+    return dest.read_bytes()
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            "[run]\nprotocol = 2\nm = 3\ns = 011\nbit = 2\neps = 0.1\nt = 5\nx = 5\n",
+            "[run]\nprotocol = classical\nm = 3\ns = 110\nbit = 0\neps = 0.25\nt = 3\nx = 2\nseed = 11\n",
+        ],
+        ids=["honest-trap-m3-t5", "classical-m3-t3"],
+    )
+    def test_record_bytes_independent_of_blas_threads(self, config, tmp_path):
+        assert _record_in_subprocess(config, 1, tmp_path) == _record_in_subprocess(config, 2, tmp_path)
 
 
 # Exact `trapqip run` output for fixed configs: any change to the arithmetic

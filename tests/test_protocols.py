@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trapqip import protocols
 from trapqip.core import CapacityError, InvariantError, LayoutError
 from trapqip.core import (
+    adjoin_register,
     apply_basis_permutation,
     apply_on_registers,
     basis_state,
+    condition_on,
     layout,
     measure_probability,
     overlap,
@@ -23,6 +26,12 @@ from trapqip.protocols import (
     ProtocolResult,
     Prover,
     _acceptance_entries,
+    _apply_prover_stage,
+    _computation_branch,
+    _copy_slice,
+    _majority_accept,
+    _pre_copy_state,
+    _trap_branch,
     branch_overlap_pair,
     cheat_upper_bound,
     prover_search,
@@ -38,6 +47,7 @@ from trapqip.reductions import (
     DistributionTable,
     add_noise,
     amplify,
+    apply_decider,
     build_known_smooth_reduction,
     build_smooth_xor_reduction,
     build_xor_reduction,
@@ -379,7 +389,115 @@ class TestMultiQuery:
             run_multiquery_protocol(r, f, 0, Prover.unitary_cheat(np.eye(1 << 12)))
 
 
+def _per_copy_reference(r, f, x, accept_output):
+    """The honest multi-copy trap engine simulating every copy in full, in order."""
+    honest = Prover.honest()
+    ones, trap_ok = [], 1.0
+    for i in range(r.copies):
+        single = _copy_slice(r, i)
+        comp = _apply_prover_stage(generate_query_state(single, x), single, f, honest)
+        ones.append(_computation_branch(comp, single, 1))
+        trap = _apply_prover_stage(trap_state(single.m), single, f, honest)
+        trap_ok *= _trap_branch(trap, single, f)
+    return _majority_accept(ones, r.copies, accept_output), trap_ok, ones
+
+
+def _counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that counts its calls; returns the count list."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _smooth_tables(m):
+    raw = [np.linspace(1.0, 1.0 + 0.3 * i, 1 << m) for i in range(3)]
+    return [DistributionTable(m, w / w.sum()) for w in raw]
+
+
+class TestHonestCopySharing:
+    """Honest multi-copy runs simulate each distinct copy once, with the old bytes."""
+
+    @pytest.mark.parametrize("m, t", [(1, 3), (1, 5), (1, 7), (2, 3), (2, 5), (2, 7), (3, 3), (3, 5)])
+    def test_trap_engine_matches_per_copy_loop(self, m, t):
+        s, bit = (1 << m) - 1, m - 1
+        f = xor_shift_permutation(m, s)
+        for eps in (0.0, 0.1, 0.25):
+            base = build_xor_reduction(m, s, bit)
+            r = amplify(add_noise(base, eps) if eps else base, t)
+            for x in range(1 << m):
+                for accept_output in (0, 1):
+                    res = run_protocol(r, f, x, Prover.honest(), accept_output=accept_output)
+                    p0, p1, ones = _per_copy_reference(r, f, x, accept_output)
+                    assert res.p0 == p0
+                    assert res.p1 == p1
+                    assert res.metadata["per_copy_one_probs"] == ones
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_distinct_copies_never_merged(self, m, monkeypatch):
+        f = xor_shift_permutation(m, 1)
+        distinct = build_known_smooth_reduction(m, 1, 0, _smooth_tables(m))
+        identical = amplify(build_xor_reduction(m, 1, 0), 5)
+        for r, want_generated in ((distinct, 3), (identical, 1)):
+            for x in range(1 << m):
+                p0, p1, ones = _per_copy_reference(r, f, x, 0)
+                generated = _counting(monkeypatch, protocols, "generate_query_state")
+                traps = _counting(monkeypatch, protocols, "_trap_branch")
+                res = run_protocol(r, f, x, Prover.honest())
+                monkeypatch.undo()
+                assert (res.p0, res.p1, res.metadata["per_copy_one_probs"]) == (p0, p1, ones)
+                assert len(generated) == want_generated
+                assert len(traps) == 1
+
+
+def _classical_reference(r, f, x, prover, seed):
+    """The classical-query engine building every copy's pre-query state afresh."""
+    rng = np.random.default_rng(seed)
+    size = 1 << r.m
+    drawn, replies, checks, ones = [], [], [], []
+    for i in range(r.k):
+        q = int(rng.choice(size, p=r.distributions[i].probs))
+        _, state = condition_on(_pre_copy_state(r, x, i), {"query": q})
+        a = f.inverse_of(q) if prover.kind == "honest" else prover.answers[q]
+        state = apply_basis_permutation(state, np.arange(size) ^ a, ["answer"])
+        state = adjoin_register(state, "out", 1)
+        state = apply_decider(state, r, "answer", "work", "out")
+        drawn.append(q)
+        replies.append(a)
+        checks.append(f(a) == q)
+        ones.append(measure_probability(state, {"out": 1}))
+    accept = _majority_accept(ones, r.copies, 0) if all(checks) else 0.0
+    return drawn, replies, checks, ones, accept
+
+
 class TestClassicalProtocol:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_matches_per_copy_loop(self, m, monkeypatch):
+        f = xor_shift_permutation(m, 1)
+        # lies on query 0 only, so some seeds catch it and some do not
+        liar = Prover.classical([f.inverse_of(q) ^ (q == 0) for q in range(1 << m)])
+        cases = [
+            (amplify(add_noise(build_xor_reduction(m, 1, 0), 0.1), 3), 1),
+            (build_known_smooth_reduction(m, 1, 0, _smooth_tables(m)), 3),
+        ]
+        for r, want_built in cases:
+            for prover in (Prover.honest(), liar):
+                for seed in range(20):
+                    x = seed % (1 << m)
+                    want = _classical_reference(r, f, x, prover, seed)
+                    built = _counting(monkeypatch, protocols, "_pre_copy_state")
+                    res = run_classical_query_protocol(r, f, x, prover, seed=seed)
+                    monkeypatch.undo()
+                    meta = res.metadata
+                    got = (meta["queries"], meta["answers"], meta["checks"], meta["per_copy_one_probs"], res.p0)
+                    assert got == want
+                    assert len(built) == want_built
+
     def test_honest_accepts_at_base_correctness(self):
         r = add_noise(build_xor_reduction(2, 1, 0), 1 / 3)
         f = xor_shift_permutation(2, 1)
