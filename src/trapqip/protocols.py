@@ -264,8 +264,9 @@ def footprint(entry: str, r: Reduction, cheat: int | None = None) -> int:
         # hold no ceiling; widening it waits for a deliberate re-pin of them.
         widths = [2 * (4 * m + 1), p + 4 * m]
     else:
-        # honest multi-copy trap and smooth runs go copy by copy; outs and vote
-        # (or a resampling flag) join the state; the trap verifier is dense on 3m
+        # honest multi-copy trap and smooth runs go once per distinct copy; outs
+        # and vote (or a resampling flag) join the state; the trap verifier is
+        # dense on 3m
         groups = 1 if cheat is None and entry != "overlap" else k
         state = p + 4 * m * groups
         widths = [state] if entry == "overlap" else [state + groups + (groups > 1), 6 * m]
@@ -346,6 +347,80 @@ def _geometric_rounds(rng, success_prob: float) -> int:
     return int(rng.geometric(success_prob))
 
 
+@dataclass(frozen=True, eq=False)
+class _SmoothBranch:
+    """The smooth protocol's computation branch, exact and free of draws."""
+
+    p0: float
+    up_probs: tuple[float, ...]
+    up_budgets: tuple[int, ...]
+    down_probs: tuple[float, ...]
+    down_budgets: tuple[int, ...]
+    down_impossible: bool
+
+
+def _smooth_branch(r: Reduction, f: Permutation, x: int, prover: Prover, gamma, gamma_prime, accept_output: int):
+    """Resample every query up to uniform, run the prover, resample back down, decide."""
+    uniform = DistributionTable.uniform(r.m)
+    xor = register_xor_table(r.m)
+    up_probs, up_budgets = [], []
+    parts = []
+    for i in range(r.k):
+        plan = rejection.make_plan(r.distributions[i], uniform)
+        state = _pre_copy_state(r, x, i)
+        step = rejection.qrs_round(state, plan, "query")
+        if abs(step.success_prob - plan.success_probability) > 1e-9:
+            raise InvariantError("pre-send resampling success deviates from 1/beta")
+        budget = rejection.copies_budget_to_uniform(r.distributions[i]) if gamma is None else gamma
+        up_probs.append(step.success_prob)
+        up_budgets.append(budget)
+        state = core.adjoin_register(step.accepted, "copy", r.m)
+        parts.append(core.apply_basis_permutation(state, xor, ["query", "copy"]))
+
+    comp = _apply_prover_stage(join_copies(parts), r, f, prover)
+    down_probs, down_budgets = [], []
+    down_impossible = False
+    for i, regs in enumerate(copy_register_names(r.k)):
+        comp = core.apply_basis_permutation(comp, xor, [regs["query"], regs["copy"]])
+        plan = rejection.make_plan(uniform, r.distributions[i])
+        step = rejection.qrs_round(comp, plan, regs["query"])
+        budget = rejection.copies_budget_from_uniform(r.distributions[i]) if gamma_prime is None else gamma_prime
+        down_probs.append(step.success_prob)
+        down_budgets.append(budget)
+        if step.accepted is None:
+            down_impossible = True
+            break
+        comp = step.accepted
+    p0 = 0.0 if down_impossible else _decide(comp, r, accept_output)
+    return _SmoothBranch(
+        p0, tuple(up_probs), tuple(up_budgets), tuple(down_probs), tuple(down_budgets), down_impossible
+    )
+
+
+def _smooth_rounds(rng, branch: _SmoothBranch) -> dict:
+    """Seeded round counts against the branch's budgets, as fresh metadata lists.
+
+    One draw per up step, then one per down step that can succeed; an
+    impossible down step charges its whole budget without a draw.
+    """
+    drawn = len(branch.down_probs) - branch.down_impossible
+    up_rounds = [_geometric_rounds(rng, p) for p in branch.up_probs]
+    down_rounds = [_geometric_rounds(rng, p) for p in branch.down_probs[:drawn]]
+    if branch.down_impossible:
+        down_rounds.append(branch.down_budgets[-1])
+    return dict(
+        up_rounds=up_rounds,
+        up_success_probs=list(branch.up_probs),
+        up_budgets=list(branch.up_budgets),
+        down_rounds=down_rounds,
+        down_success_probs=list(branch.down_probs),
+        down_budgets=list(branch.down_budgets),
+        down_impossible=branch.down_impossible,
+        budget_exceeded=any(u > b for u, b in zip(up_rounds, branch.up_budgets))
+        or any(d > b for d, b in zip(down_rounds, branch.down_budgets)),
+    )
+
+
 def run_smooth_protocol(
     r: Reduction,
     f: Permutation,
@@ -362,7 +437,9 @@ def run_smooth_protocol(
     and back down to the target distribution before deciding, so the prover
     only ever sees uniform queries.  Reported probabilities condition on all
     rejection-sampling flags succeeding; the seeded round counts drawn against
-    the copy budgets land in metadata, including any budget overrun.
+    the copy budgets land in metadata, including any budget overrun.  Honest
+    provers are simulated once per distinct copy, with each copy's rounds
+    drawn from its own seed, and combined by the exact majority law.
     """
     if not r.is_smooth:
         raise ValueError("query distribution carries no smoothness certificate")
@@ -370,87 +447,44 @@ def run_smooth_protocol(
         raise ValueError("classical provers answer basis queries; use run_classical_query_protocol")
     _check_instance(r, f, x, "smooth", prover.cheat_width)
     rng = np.random.default_rng(seed)
-    metadata: dict = {
-        "protocol": "smooth",
-        "prover_kind": prover.kind,
-        "m": r.m,
-        "copies": r.copies,
-        "accept_output": accept_output,
-        "seed": seed,
-    }
 
+    def header(copies: int, run_seed: int) -> dict:
+        return {
+            "protocol": "smooth",
+            "prover_kind": prover.kind,
+            "m": r.m,
+            "copies": copies,
+            "accept_output": accept_output,
+            "seed": run_seed,
+        }
+
+    metadata = header(r.copies, seed)
     if prover.kind == PROVER_HONEST and r.copies > 1:
-        ones = []
-        trap_ok = 1.0
-        parts = []
-        for i in range(r.copies):
-            part = run_smooth_protocol(
-                _copy_slice(r, i),
-                f,
-                x,
-                prover,
-                gamma=gamma,
-                gamma_prime=gamma_prime,
-                accept_output=accept_output,
-                seed=int(rng.integers(2**62)),
-            )
-            ones.append(part.p0 if accept_output == 1 else 1.0 - part.p0)
-            trap_ok *= part.p1
-            parts.append(part.metadata)
+        # A copy's branch depends only on its prep and table (both hash by
+        # identity), and the trap branch on m and f alone, so each distinct
+        # copy is simulated once; every copy still draws its own child seed,
+        # in copy order, and its rounds from that seed.
+        single = _copy_slice(r, 0)
+        trap = _trap_branch(_apply_prover_stage(trap_state(r.m), single, f, prover), single, f)
+        by_copy: dict[tuple, _SmoothBranch] = {}
+        ones, trap_ok, parts = [], 1.0, []
+        for i, key in enumerate(zip(r.preps, r.distributions)):
+            child = int(rng.integers(2**62))
+            if key not in by_copy:
+                by_copy[key] = _smooth_branch(_copy_slice(r, i), f, x, prover, gamma, gamma_prime, accept_output)
+            branch = by_copy[key]
+            ones.append(branch.p0 if accept_output == 1 else 1.0 - branch.p0)
+            trap_ok *= trap
+            parts.append({**header(1, child), **_smooth_rounds(np.random.default_rng(child), branch)})
         p0 = _majority_accept(ones, r.copies, accept_output)
         metadata["per_copy"] = parts
         metadata["budget_exceeded"] = any(p["budget_exceeded"] for p in parts)
         return ProtocolResult(p0=float(p0), p1=float(trap_ok), metadata=metadata)
 
-    uniform = DistributionTable.uniform(r.m)
-    xor = register_xor_table(r.m)
-    up_rounds, up_probs, up_budgets = [], [], []
-    parts = []
-    for i in range(r.k):
-        plan = rejection.make_plan(r.distributions[i], uniform)
-        state = _pre_copy_state(r, x, i)
-        step = rejection.qrs_round(state, plan, "query")
-        if abs(step.success_prob - plan.success_probability) > 1e-9:
-            raise InvariantError("pre-send resampling success deviates from 1/beta")
-        budget = rejection.copies_budget_to_uniform(r.distributions[i]) if gamma is None else gamma
-        up_rounds.append(_geometric_rounds(rng, step.success_prob))
-        up_probs.append(step.success_prob)
-        up_budgets.append(budget)
-        state = core.adjoin_register(step.accepted, "copy", r.m)
-        parts.append(core.apply_basis_permutation(state, xor, ["query", "copy"]))
-
-    comp = _apply_prover_stage(join_copies(parts), r, f, prover)
-    down_rounds, down_probs, down_budgets = [], [], []
-    down_impossible = False
-    for i, regs in enumerate(copy_register_names(r.k)):
-        comp = core.apply_basis_permutation(comp, xor, [regs["query"], regs["copy"]])
-        plan = rejection.make_plan(uniform, r.distributions[i])
-        step = rejection.qrs_round(comp, plan, regs["query"])
-        budget = rejection.copies_budget_from_uniform(r.distributions[i]) if gamma_prime is None else gamma_prime
-        down_probs.append(step.success_prob)
-        down_budgets.append(budget)
-        if step.accepted is None:
-            down_impossible = True
-            down_rounds.append(budget)
-            break
-        down_rounds.append(_geometric_rounds(rng, step.success_prob))
-        comp = step.accepted
-    p0 = 0.0 if down_impossible else _decide(comp, r, accept_output)
-    trap = _apply_prover_stage(trap_state(r.m, r.k), r, f, prover)
-    p1 = _trap_branch(trap, r, f)
-
-    metadata.update(
-        up_rounds=up_rounds,
-        up_success_probs=up_probs,
-        up_budgets=up_budgets,
-        down_rounds=down_rounds,
-        down_success_probs=down_probs,
-        down_budgets=down_budgets,
-        down_impossible=down_impossible,
-        budget_exceeded=any(u > b for u, b in zip(up_rounds, up_budgets))
-        or any(d > b for d, b in zip(down_rounds, down_budgets)),
-    )
-    return ProtocolResult(p0=float(p0), p1=float(p1), metadata=metadata)
+    branch = _smooth_branch(r, f, x, prover, gamma, gamma_prime, accept_output)
+    p1 = _trap_branch(_apply_prover_stage(trap_state(r.m, r.k), r, f, prover), r, f)
+    metadata.update(_smooth_rounds(rng, branch))
+    return ProtocolResult(p0=float(branch.p0), p1=float(p1), metadata=metadata)
 
 
 # ---------------------------------------------------------------------------

@@ -152,14 +152,16 @@ def simon_solve(oracle: GeneralizedSimonOracle, i: int, seed: int) -> SimonResul
 
     Each round prepares a uniform superposition, queries the oracle once, and
     measures after a second Hadamard layer; the outcome is always orthogonal
-    to the secret over GF(2).  Rounds stop once the collected rows reach rank
-    n-1 (at least one round always runs); the budget of 20n rounds failing is
+    to the secret over GF(2).  Every round sees the same start state, oracle
+    and Hadamards, so the outcome distribution is computed once per solve;
+    each round still counts one quantum query in the ledger and makes one
+    seeded draw.  Rounds stop once the collected rows reach rank n-1 (at
+    least one round always runs); the budget of 20n rounds failing is
     astronomically unlikely and raises rather than returning a wrong secret.
     """
     n = oracle.n
     size = 1 << n
     query = query_table(oracle.tables[i])
-    had = hadamard_power(n)
     rng = np.random.default_rng(seed)
     rows: list[int] = []
     measurements: list[int] = []
@@ -167,14 +169,13 @@ def simon_solve(oracle: GeneralizedSimonOracle, i: int, seed: int) -> SimonResul
     # |0,0> -> H on x, as the packed (x, y) amplitudes
     start = np.zeros(size * size, dtype=np.complex128)
     start[::size] = 1.0 / math.sqrt(size)
+    # y ^= f(x) is one gather (the query map is an involution), then H on x
+    final = hadamard_power(n) @ start[query].reshape(size, size)
+    marginal = (np.abs(final) ** 2).sum(axis=1)
+    dist = marginal / marginal.sum()
     for _ in range(budget):
-        # y ^= f(x) is one gather (the query map is an involution), then H on x
-        shuffled = start[query].reshape(size, size)
         oracle.count_quantum_query(i)
-        final = had @ shuffled
-        probs = np.abs(final) ** 2
-        marginal = probs.sum(axis=1)
-        w = int(rng.choice(size, p=marginal / marginal.sum()))
+        w = int(rng.choice(size, p=dist))
         measurements.append(w)
         rows.append(w)
         if gf2_rank(rows) >= n - 1:

@@ -311,6 +311,37 @@ PINNED_QRS_OUTPUTS = [
     ),
 ]
 
+# Default-config output of the two separation commands: the seeded Simon
+# solve with its query ledger, and every check of the separation lemma suite.
+PINNED_SEPARATION_OUTPUTS = [
+    (
+        ["separation-demo"],
+        """{
+  "classical_queries_median": 20,
+  "config_digest": "e3b0c44298fc1c14",
+  "instance": 0,
+  "n": 8,
+  "quantum_queries": 9,
+  "secret": "11011001",
+  "secret_recovered": true,
+  "seed": 0
+}
+""",
+    ),
+    (
+        ["verify-lemmas", "separation"],
+        """{
+  "config_digest": "e3b0c44298fc1c14",
+  "failed_checks": [],
+  "failures": 0,
+  "seed": 0,
+  "suite": "separation",
+  "total": 13
+}
+""",
+    ),
+]
+
 class TestPinnedRecords:
     @pytest.mark.parametrize("config, record", PINNED_RECORDS, ids=["protocol2", "protocol1", "classical"])
     def test_record_bytes(self, config, record, tmp_path, capsys):
@@ -331,6 +362,12 @@ class TestPinnedRecords:
 
     @pytest.mark.parametrize("argv, output", PINNED_QRS_OUTPUTS, ids=["qrs-demo", "verify-lemmas-qrs"])
     def test_qrs_output_bytes(self, argv, output, capsys):
+        assert _run(argv, capsys) == (0, output)
+
+    @pytest.mark.parametrize(
+        "argv, output", PINNED_SEPARATION_OUTPUTS, ids=["separation-demo", "verify-lemmas-separation"]
+    )
+    def test_separation_output_bytes(self, argv, output, capsys):
         assert _run(argv, capsys) == (0, output)
 
 class TestSweep:

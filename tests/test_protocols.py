@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trapqip import protocols
+from trapqip import protocols, rejection
 from trapqip.core import CapacityError, InvariantError, LayoutError
 from trapqip.core import (
     adjoin_register,
@@ -453,6 +453,113 @@ class TestHonestCopySharing:
                 assert (res.p0, res.p1, res.metadata["per_copy_one_probs"]) == (p0, p1, ones)
                 assert len(generated) == want_generated
                 assert len(traps) == 1
+
+
+def _smooth_per_copy_reference(r, f, x, gamma, accept_output, seed):
+    """The honest multi-copy smooth engine running the single-copy protocol per copy, in order."""
+    rng = np.random.default_rng(seed)
+    ones, trap_ok, parts = [], 1.0, []
+    for i in range(r.copies):
+        part = run_smooth_protocol(
+            _copy_slice(r, i),
+            f,
+            x,
+            Prover.honest(),
+            gamma=gamma,
+            gamma_prime=gamma,
+            accept_output=accept_output,
+            seed=int(rng.integers(2**62)),
+        )
+        ones.append(part.p0 if accept_output == 1 else 1.0 - part.p0)
+        trap_ok *= part.p1
+        parts.append(part.metadata)
+    metadata = {
+        "protocol": "smooth",
+        "prover_kind": "honest",
+        "m": r.m,
+        "copies": r.copies,
+        "accept_output": accept_output,
+        "seed": seed,
+        "per_copy": parts,
+        "budget_exceeded": any(p["budget_exceeded"] for p in parts),
+    }
+    return _majority_accept(ones, r.copies, accept_output), trap_ok, repr(metadata)
+
+
+def _smooth_matches_reference(r, f, x, gamma, accept_output, seed):
+    res = run_smooth_protocol(
+        r, f, x, Prover.honest(), gamma=gamma, gamma_prime=gamma, accept_output=accept_output, seed=seed
+    )
+    want = _smooth_per_copy_reference(r, f, x, gamma, accept_output, seed)
+    assert (res.p0, res.p1, repr(res.metadata)) == want
+    return res
+
+
+class TestSmoothCopySharing:
+    """Honest multi-copy smooth runs simulate each distinct copy once, with the old bytes."""
+
+    @pytest.mark.parametrize("m, t", [(1, 3), (1, 5), (2, 3), (2, 5), (3, 3)])
+    def test_matches_per_copy_recursion(self, m, t):
+        s, bit = (1 << m) - 1, m - 1
+        f = xor_shift_permutation(m, s)
+        exceeded = set()
+        for eps in (0.0, 0.1):
+            base = build_smooth_xor_reduction(m, s, bit, _smooth_tables(m)[2])
+            r = amplify(add_noise(base, eps) if eps else base, t)
+            for x in range(1 << m):
+                for accept_output in (0, 1):
+                    for seed in (0, 7):
+                        for gamma in (None, 1):
+                            res = _smooth_matches_reference(r, f, x, gamma, accept_output, seed)
+                            exceeded.add(res.metadata["budget_exceeded"])
+        assert exceeded == {False, True}
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_impossible_down_step(self, m, monkeypatch):
+        # fail the down step of the middle table only: that copy charges its
+        # budget without a draw, while the copies around it still draw theirs
+        tables = _smooth_tables(m)
+        r = build_known_smooth_reduction(m, 1, 0, tables)
+        f = xor_shift_permutation(m, 1)
+        original = rejection.qrs_round
+
+        def failing(state, plan, index_register):
+            if plan.source.is_uniform and plan.target is tables[1]:
+                return rejection.QrsRound(success_prob=0.0, accepted=None)
+            return original(state, plan, index_register)
+
+        monkeypatch.setattr(rejection, "qrs_round", failing)
+        for x in range(1 << m):
+            for accept_output in (0, 1):
+                res = _smooth_matches_reference(r, f, x, None, accept_output, seed=x)
+                impossible = [p["down_impossible"] for p in res.metadata["per_copy"]]
+                assert impossible == [False, True, False]
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_each_distinct_copy_simulated_once(self, m, monkeypatch):
+        f = xor_shift_permutation(m, 1)
+        distinct = build_known_smooth_reduction(m, 1, 0, _smooth_tables(m))
+        identical = amplify(build_smooth_xor_reduction(m, 1, 0, _smooth_tables(m)[1]), 3)
+        for r, want_built in ((distinct, 3), (identical, 1)):
+            for x in range(1 << m):
+                want = _smooth_per_copy_reference(r, f, x, None, 0, seed=x)
+                built = _counting(monkeypatch, protocols, "_pre_copy_state")
+                traps = _counting(monkeypatch, protocols, "_trap_branch")
+                res = run_smooth_protocol(r, f, x, Prover.honest(), seed=x)
+                monkeypatch.undo()
+                assert (res.p0, res.p1, repr(res.metadata)) == want
+                assert len(built) == want_built
+                assert len(traps) == 1
+
+    def test_copies_share_no_metadata_list(self):
+        r = amplify(build_smooth_xor_reduction(2, 1, 0, _smooth_tables(2)[1]), 3)
+        parts = run_smooth_protocol(r, xor_shift_permutation(2, 1), 0, Prover.honest(), seed=3).metadata["per_copy"]
+        lists = [key for key, value in parts[0].items() if isinstance(value, list)]
+        assert len(lists) == 6
+        before = [repr(p) for p in parts[1:]]
+        for key in lists:
+            parts[0][key].append(-1)
+        assert [repr(p) for p in parts[1:]] == before
 
 
 def _classical_reference(r, f, x, prover, seed):

@@ -1,10 +1,13 @@
 """Query separation: interference solver vs collision search, and the reduction demo."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from trapqip.core import CapacityError
+from trapqip.core import CapacityError, hadamard_power
+from trapqip.oracles import query_table
 from trapqip.separation import (
     GeneralizedSimonOracle,
     RsrLanguage,
@@ -20,6 +23,30 @@ from trapqip.separation import (
 
 def _parity(v):
     return bin(v).count("1") % 2
+
+
+def _simon_reference(oracle, i, seed):
+    """The interference solver rebuilding its outcome distribution every round."""
+    n = oracle.n
+    size = 1 << n
+    query = query_table(oracle.tables[i])
+    had = hadamard_power(n)
+    rng = np.random.default_rng(seed)
+    rows, measurements = [], []
+    start = np.zeros(size * size, dtype=np.complex128)
+    start[::size] = 1.0 / math.sqrt(size)
+    for _ in range(20 * n):
+        shuffled = start[query].reshape(size, size)
+        oracle.count_quantum_query(i)
+        marginal = (np.abs(had @ shuffled) ** 2).sum(axis=1)
+        w = int(rng.choice(size, p=marginal / marginal.sum()))
+        measurements.append(w)
+        rows.append(w)
+        if gf2_rank(rows) >= n - 1:
+            secret = gf2_null_vector(rows, n)
+            if secret is not None:
+                return secret, len(measurements), tuple(measurements)
+    raise AssertionError("reference exhausted its budget")
 
 
 class TestOracleConstruction:
@@ -120,6 +147,16 @@ class TestInterferenceSolver:
         secret, queries = simon_solve(orc, 0, seed=2)
         assert secret == orc.secrets[0]
         assert queries >= 1
+
+    @pytest.mark.parametrize("n", [3, 4, 6, 8])
+    def test_matches_per_round_reference(self, n):
+        orc = build_simon_oracle(n, 2, seed=40 + n)
+        ref = build_simon_oracle(n, 2, seed=40 + n)
+        for seed in range(10):
+            for i in range(2):
+                res = simon_solve(orc, i, seed=seed)
+                assert (res.secret, res.queries, res.measurements) == _simon_reference(ref, i, seed)
+                assert orc.quantum_counts.tolist() == ref.quantum_counts.tolist()
 
     def test_first_round_measurement_uniform_on_complement(self):
         # the interference round samples the orthogonal subspace evenly
