@@ -259,7 +259,7 @@ def _execute(rc: RunConfig, digest: str) -> dict:
     return {
         "protocol": rc.protocol,
         "m": r.m,
-        "k": r.k,
+        "k": r.copies,
         "t": r.copies,
         "eps": rc.eps,
         "x": rc.x,

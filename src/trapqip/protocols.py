@@ -165,7 +165,7 @@ def trap_verifier(f: Permutation) -> UnitaryOperator:
 
 def trap_answer_state(r: Reduction, f: Permutation) -> StateVector:
     """Trap state after the honest inverse oracle filled the answer registers."""
-    return answer_queries(trap_state(r.m, r.k), f, r.k)
+    return answer_queries(trap_state(r.m, r.copies), f, r.copies)
 
 
 # ---------------------------------------------------------------------------
@@ -176,17 +176,17 @@ def _apply_prover_stage(state: StateVector, r: Reduction, f: Permutation, prover
     width = prover.prover_qubits if prover.kind == PROVER_UNITARY else 0
     if width:
         state = core.tensor_product(basis_state(layout(("prover", width))), state)
-    state = answer_queries(state, f, r.k)
+    state = answer_queries(state, f, r.copies)
     if prover.kind == PROVER_UNITARY:
-        names = copy_register_names(r.k)
+        names = copy_register_names(r.copies)
         targets = ["prover"] if width else []
         targets += [regs["query"] for regs in names]
         targets += [regs["answer"] for regs in names]
-        needed = 1 << (width + 2 * r.m * r.k)
+        needed = 1 << (width + 2 * r.m * r.copies)
         if prover.unitary.dim != needed:
             raise LayoutError(
                 f"cheat unitary dim {prover.unitary.dim}, need {needed} for "
-                f"{width} private qubits and {r.k} message pairs"
+                f"{width} private qubits and {r.copies} message pairs"
             )
         state = core.apply_on_registers(state, prover.unitary, targets)
     return state
@@ -194,8 +194,8 @@ def _apply_prover_stage(state: StateVector, r: Reduction, f: Permutation, prover
 
 def _decide(state: StateVector, r: Reduction, accept_output: int) -> float:
     """Adjoin an out qubit per copy, run the decider, vote over several copies, measure."""
-    outs = ["out"] if r.k == 1 else [f"out{i}" for i in range(r.k)]
-    for regs, out in zip(copy_register_names(r.k), outs):
+    outs = ["out"] if r.copies == 1 else [f"out{i}" for i in range(r.copies)]
+    for regs, out in zip(copy_register_names(r.copies), outs):
         state = core.adjoin_register(state, out, 1)
         state = apply_decider(state, r, regs["answer"], regs["work"], out)
     final = outs[0]
@@ -208,13 +208,13 @@ def _decide(state: StateVector, r: Reduction, accept_output: int) -> float:
 
 def _computation_branch(state: StateVector, r: Reduction, accept_output: int) -> float:
     xor = register_xor_table(r.m)
-    for regs in copy_register_names(r.k):
+    for regs in copy_register_names(r.copies):
         state = core.apply_basis_permutation(state, xor, [regs["query"], regs["copy"]])
     return _decide(state, r, accept_output)
 
 
 def _trap_branch(state: StateVector, r: Reduction, f: Permutation) -> float:
-    names = copy_register_names(r.k)
+    names = copy_register_names(r.copies)
     verifier = trap_verifier(f)
     for regs in names:
         state = core.apply_on_registers(state, verifier, [regs["query"], regs["answer"], regs["copy"]])
@@ -235,14 +235,26 @@ def _majority_accept(one_probs, copies: int, accept_output: int) -> float:
 
 
 def _copy_slice(r: Reduction, i: int) -> Reduction:
-    return replace(
-        r,
-        k=1,
-        copies=1,
-        epsilon=r.base_epsilon,
-        distributions=(r.distributions[i],),
-        preps=(r.preps[i],),
-    )
+    return replace(r, distributions=(r.distributions[i],))
+
+
+def _per_distinct_copy(r: Reduction, simulate) -> list:
+    """simulate(one-copy slice) once per distinct copy; one result per copy, in copy order.
+
+    A copy is its table, which hashes by identity, so copies sharing a table
+    (as amplify's do) share one simulation.
+    """
+    by_table: dict[DistributionTable, object] = {}
+    for i, table in enumerate(r.distributions):
+        if table not in by_table:
+            by_table[table] = simulate(_copy_slice(r, i))
+    return [by_table[table] for table in r.distributions]
+
+
+def _copy_trap(r: Reduction, f: Permutation, prover: Prover) -> float:
+    """One copy's trap-branch acceptance, which depends on m and f alone."""
+    single = _copy_slice(r, 0)
+    return _trap_branch(_apply_prover_stage(trap_state(r.m), single, f, prover), single, f)
 
 
 def footprint(entry: str, r: Reduction, cheat: int | None = None) -> int:
@@ -286,9 +298,9 @@ def run_protocol(r: Reduction, f: Permutation, x: int, prover: Prover, accept_ou
     """Trap protocol for any odd copy count; exact p0, p1 from the statevector.
 
     Several copies run over grouped per-copy registers with a majority
-    decider.  Honest provers are evaluated once per distinct copy, combined
-    by the exact majority law; entangling cheats run on the full grouped
-    state, within the qubit cap.
+    decider.  Honest provers are evaluated once per distinct copy (one per
+    distinct table) plus one trap branch, combined by the exact majority law;
+    entangling cheats run on the full grouped state, within the qubit cap.
     """
     if prover.kind == PROVER_CLASSICAL:
         raise ValueError("classical provers answer basis queries; use run_classical_query_protocol")
@@ -304,26 +316,19 @@ def run_protocol(r: Reduction, f: Permutation, x: int, prover: Prover, accept_ou
     }
     if prover.kind == PROVER_HONEST and r.copies > 1:
         # Honest runs stay in product form across copies, so per-copy exact
-        # simulation plus the majority law avoids the full-width state.  A
-        # copy's computation branch depends only on its prep (which hashes by
-        # identity), and the trap branch on m and f alone, so each distinct
-        # copy is simulated once; the per-copy lists keep the copy order.
-        one_by_prep: dict[UnitaryOperator, float] = {}
-        for i, prep in enumerate(r.preps):
-            if prep not in one_by_prep:
-                single = _copy_slice(r, i)
-                comp = _apply_prover_stage(generate_query_state(single, x), single, f, prover)
-                one_by_prep[prep] = _computation_branch(comp, single, 1)
-        ones = [one_by_prep[prep] for prep in r.preps]
-        single = _copy_slice(r, 0)
-        trap = _apply_prover_stage(trap_state(r.m), single, f, prover)
+        # simulation plus the majority law avoids the full-width state.
+        def one_prob(single: Reduction) -> float:
+            comp = _apply_prover_stage(generate_query_state(single, x), single, f, prover)
+            return _computation_branch(comp, single, 1)
+
+        ones = _per_distinct_copy(r, one_prob)
         p0 = _majority_accept(ones, r.copies, accept_output)
-        p1 = math.prod([_trap_branch(trap, single, f)] * r.copies)
+        p1 = math.prod([_copy_trap(r, f, prover)] * r.copies)
         metadata["per_copy_one_probs"] = ones
     else:
         comp = _apply_prover_stage(generate_query_state(r, x), r, f, prover)
         p0 = _computation_branch(comp, r, accept_output)
-        trap = _apply_prover_stage(trap_state(r.m, r.k), r, f, prover)
+        trap = _apply_prover_stage(trap_state(r.m, r.copies), r, f, prover)
         p1 = _trap_branch(trap, r, f)
     return ProtocolResult(p0=float(p0), p1=float(p1), metadata=metadata)
 
@@ -365,7 +370,7 @@ def _smooth_branch(r: Reduction, f: Permutation, x: int, prover: Prover, gamma, 
     xor = register_xor_table(r.m)
     up_probs, up_budgets = [], []
     parts = []
-    for i in range(r.k):
+    for i in range(r.copies):
         plan = rejection.make_plan(r.distributions[i], uniform)
         state = _pre_copy_state(r, x, i)
         step = rejection.qrs_round(state, plan, "query")
@@ -380,7 +385,7 @@ def _smooth_branch(r: Reduction, f: Permutation, x: int, prover: Prover, gamma, 
     comp = _apply_prover_stage(join_copies(parts), r, f, prover)
     down_probs, down_budgets = [], []
     down_impossible = False
-    for i, regs in enumerate(copy_register_names(r.k)):
+    for i, regs in enumerate(copy_register_names(r.copies)):
         comp = core.apply_basis_permutation(comp, xor, [regs["query"], regs["copy"]])
         plan = rejection.make_plan(uniform, r.distributions[i])
         step = rejection.qrs_round(comp, plan, regs["query"])
@@ -438,8 +443,9 @@ def run_smooth_protocol(
     only ever sees uniform queries.  Reported probabilities condition on all
     rejection-sampling flags succeeding; the seeded round counts drawn against
     the copy budgets land in metadata, including any budget overrun.  Honest
-    provers are simulated once per distinct copy, with each copy's rounds
-    drawn from its own seed, and combined by the exact majority law.
+    provers are simulated once per distinct copy (one per distinct table),
+    with each copy's rounds drawn from its own seed, and combined by the
+    exact majority law.
     """
     if not r.is_smooth:
         raise ValueError("query distribution carries no smoothness certificate")
@@ -460,29 +466,22 @@ def run_smooth_protocol(
 
     metadata = header(r.copies, seed)
     if prover.kind == PROVER_HONEST and r.copies > 1:
-        # A copy's branch depends only on its prep and table (both hash by
-        # identity), and the trap branch on m and f alone, so each distinct
-        # copy is simulated once; every copy still draws its own child seed,
-        # in copy order, and its rounds from that seed.
-        single = _copy_slice(r, 0)
-        trap = _trap_branch(_apply_prover_stage(trap_state(r.m), single, f, prover), single, f)
-        by_copy: dict[tuple, _SmoothBranch] = {}
-        ones, trap_ok, parts = [], 1.0, []
-        for i, key in enumerate(zip(r.preps, r.distributions)):
-            child = int(rng.integers(2**62))
-            if key not in by_copy:
-                by_copy[key] = _smooth_branch(_copy_slice(r, i), f, x, prover, gamma, gamma_prime, accept_output)
-            branch = by_copy[key]
-            ones.append(branch.p0 if accept_output == 1 else 1.0 - branch.p0)
-            trap_ok *= trap
-            parts.append({**header(1, child), **_smooth_rounds(np.random.default_rng(child), branch)})
+        # Every copy draws its own child seed, in copy order, and its rounds
+        # from that seed; simulation draws nothing, so the seeds come first.
+        seeds = [int(rng.integers(2**62)) for _ in r.distributions]
+        branches = _per_distinct_copy(
+            r, lambda single: _smooth_branch(single, f, x, prover, gamma, gamma_prime, accept_output)
+        )
+        ones = [b.p0 if accept_output == 1 else 1.0 - b.p0 for b in branches]
+        parts = [{**header(1, c), **_smooth_rounds(np.random.default_rng(c), b)} for c, b in zip(seeds, branches)]
         p0 = _majority_accept(ones, r.copies, accept_output)
+        p1 = math.prod([_copy_trap(r, f, prover)] * r.copies)
         metadata["per_copy"] = parts
         metadata["budget_exceeded"] = any(p["budget_exceeded"] for p in parts)
-        return ProtocolResult(p0=float(p0), p1=float(trap_ok), metadata=metadata)
+        return ProtocolResult(p0=float(p0), p1=float(p1), metadata=metadata)
 
     branch = _smooth_branch(r, f, x, prover, gamma, gamma_prime, accept_output)
-    p1 = _trap_branch(_apply_prover_stage(trap_state(r.m, r.k), r, f, prover), r, f)
+    p1 = _trap_branch(_apply_prover_stage(trap_state(r.m, r.copies), r, f, prover), r, f)
     metadata.update(_smooth_rounds(rng, branch))
     return ProtocolResult(p0=float(branch.p0), p1=float(p1), metadata=metadata)
 
@@ -504,32 +503,30 @@ def run_classical_query_protocol(
 
     Any answer a with f(a) != q rejects with certainty; honest answers are
     decided by the reduction.  The pre-query state is built once per distinct
-    copy and conditioned on each copy's drawn query; the copies combine by the
-    exact majority law.  The single-phase acceptance is reported as both p0
-    and p1, so accept_prob equals it.
+    copy (one per distinct table) and conditioned on each copy's drawn query;
+    the copies combine by the exact majority law.  The single-phase
+    acceptance is reported as both p0 and p1, so accept_prob equals it.
     """
     if prover.kind == PROVER_UNITARY:
         raise ValueError("unitary cheats act on quantum messages; use run_protocol")
     _check_instance(r, f, x, "classical")
     rng = np.random.default_rng(seed)
     size = 1 << r.m
-    if queries is not None and len(queries) != r.k:
+    if queries is not None and len(queries) != r.copies:
         raise ValueError(f"need one forced query per copy, got {len(queries)}")
     if prover.kind == PROVER_CLASSICAL and len(prover.answers) != size:
         raise ValueError(f"answer table has {len(prover.answers)} entries, need {size}")
 
     drawn, replies, checks, ones = [], [], [], []
-    pre_by_prep: dict[UnitaryOperator, StateVector] = {}
-    for i, prep in enumerate(r.preps):
-        probs = r.distributions[i].probs
+    pre = _per_distinct_copy(r, lambda single: _pre_copy_state(single, x, 0))
+    for i, table in enumerate(r.distributions):
+        probs = table.probs
         q = int(queries[i]) if queries is not None else int(rng.choice(size, p=probs))
         if not 0 <= q < size:
             raise ValueError(f"query {q} does not fit {r.m} bits")
         if probs[q] <= 0:
             raise ValueError(f"query {q} is outside the distribution's support")
-        if prep not in pre_by_prep:
-            pre_by_prep[prep] = _pre_copy_state(r, x, i)
-        prob, state = core.condition_on(pre_by_prep[prep], {"query": q})
+        prob, state = core.condition_on(pre[i], {"query": q})
         if prob <= 0:
             raise InvariantError("conditioning on a supported query failed")
         a = f.inverse_of(q) if prover.kind == PROVER_HONEST else prover.answers[q]
@@ -643,7 +640,7 @@ def branch_overlap_pair(r: Reduction, f: Permutation, x: int, prover: Prover) ->
     honest_comp = honest_answer_state(r, f, x)
     honest_trap = trap_answer_state(r, f)
     out = []
-    for start, honest in ((generate_query_state(r, x), honest_comp), (trap_state(r.m, r.k), honest_trap)):
+    for start, honest in ((generate_query_state(r, x), honest_comp), (trap_state(r.m, r.copies), honest_trap)):
         amps = _apply_prover_stage(start, r, f, prover).amplitudes
         # <honest| on the message registers; the private register, if any,
         # is the most significant, so each row is one of its basis values

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +85,16 @@ class DistributionTable:
         size = 1 << self.m
         return bool(np.allclose(self.probs, 1.0 / size, atol=DIST_SUM_TOL))
 
+    @cached_property
+    def prep(self) -> UnitaryOperator:
+        """Real orthogonal unitary on `query` whose first column is sqrt(probs), built once per table."""
+        target = np.sqrt(self.probs)
+        v = target.copy()
+        v[0] -= 1.0
+        nv = v @ v
+        eye = np.eye(target.size)
+        return UnitaryOperator(layout(("query", self.m)), eye if nv < 1e-30 else eye - 2.0 * np.outer(v, v) / nv)
+
 
 def save_distribution(table: DistributionTable, path) -> None:
     """Text format: one 'q d_q' line per entry, q in binary."""
@@ -120,23 +130,6 @@ def load_distribution(path, c: float | None = None) -> DistributionTable:
 
 # ---------------------------------------------------------------------------
 # circuit pieces
-
-
-def _prep_unitary(probs: np.ndarray) -> np.ndarray:
-    """Real orthogonal matrix whose first column is sqrt(probs)."""
-    target = np.sqrt(np.asarray(probs, dtype=float))
-    dim = target.size
-    e0 = np.zeros(dim)
-    e0[0] = 1.0
-    v = target - e0
-    nv = v @ v
-    if nv < 1e-30:
-        return np.eye(dim)
-    return np.eye(dim) - 2.0 * np.outer(v, v) / nv
-
-
-def _prep_operator(table: DistributionTable) -> UnitaryOperator:
-    return UnitaryOperator(layout(("query", table.m)), _prep_unitary(table.probs))
 
 
 @lru_cache(maxsize=64)
@@ -190,34 +183,32 @@ def majority_vote_table(t: int) -> np.ndarray:
 class Reduction:
     """One worst-case-to-average-case reduction instance.
 
-    k is the total query count; copies is the majority-vote arity (equal to k
-    for this family, where every query group is one copy).  The per-query
-    generator is preps[i] on `query` followed by register_xor_table(m) on
-    (query, work), with work holding x beforehand; the per-copy decider is
-    decider_table(m, bit) followed by the rotation noise on `out`, if any
-    (apply_generator and apply_decider run them).  epsilon is the
-    closed-form error of the whole reduction on honest runs.
+    Each copy is one query and is its DistributionTable: the copy's generator
+    is table.prep on `query` followed by register_xor_table(m) on (query,
+    work), with work holding x beforehand; its decider is decider_table(m,
+    bit) followed by the rotation noise on `out`, if any (apply_generator and
+    apply_decider run them).  The copies recombine by a majority vote, and
+    epsilon is the closed-form error of the whole reduction on honest runs.
     """
 
-    family: str
     m: int
-    k: int
-    copies: int
-    epsilon: float
     base_epsilon: float
     s: int
     bit: int
     distributions: tuple[DistributionTable, ...]
-    preps: tuple[UnitaryOperator, ...]
     noise: UnitaryOperator | None = None
 
     def __post_init__(self) -> None:
-        if len(self.distributions) != self.k or len(self.preps) != self.k:
-            raise ValueError("need one distribution and one prep per query")
-        if self.copies != self.k:
-            raise ValueError("this family uses one query group per copy")
         if not 0 <= self.bit < self.m:
             raise ValueError(f"bit {self.bit} out of range for m={self.m}")
+
+    @property
+    def copies(self) -> int:
+        return len(self.distributions)
+
+    @property
+    def epsilon(self) -> float:
+        return majority_error(self.base_epsilon, self.copies)
 
     def language(self, x: int) -> int:
         if not 0 <= x < (1 << self.m):
@@ -229,71 +220,33 @@ class Reduction:
         return all(t.is_smooth for t in self.distributions)
 
 
-def build_xor_reduction(m: int, s: int, bit: int) -> Reduction:
-    """Exact reduction with uniform queries."""
-    core.require_cap(4 * m, "one copy")
-    table = DistributionTable.uniform(m)
-    return Reduction(
-        family="xor-shift",
-        m=m,
-        k=1,
-        copies=1,
-        epsilon=0.0,
-        base_epsilon=0.0,
-        s=s,
-        bit=bit,
-        distributions=(table,),
-        preps=(_prep_operator(table),),
-    )
-
-
-def build_smooth_xor_reduction(m: int, s: int, bit: int, table: DistributionTable) -> Reduction:
-    """Exact reduction querying from a smooth non-uniform distribution."""
-    core.require_cap(4 * m, "one copy")
-    if table.m != m:
-        raise ValueError("distribution width does not match m")
-    if not table.is_smooth:
-        raise ValueError("distribution is not smooth (zero entry or certificate violated)")
-    return Reduction(
-        family="xor-shift-smooth",
-        m=m,
-        k=1,
-        copies=1,
-        epsilon=0.0,
-        base_epsilon=0.0,
-        s=s,
-        bit=bit,
-        distributions=(table,),
-        preps=(_prep_operator(table),),
-    )
-
-
 def build_known_smooth_reduction(m: int, s: int, bit: int, tables) -> Reduction:
     """Multi-query reduction whose queries draw from per-query smooth tables.
 
     The tables may all differ; answers recombine through a majority vote, so
-    the table count must be odd.
+    the table count must be odd.  Every builder checks its instance here.
     """
+    core.require_cap(4 * m, "one copy")
     tables = tuple(tables)
-    if len(tables) % 2 == 0 or not tables:
+    if len(tables) % 2 == 0:
         raise ValueError("need an odd number of per-query tables")
     for t in tables:
         if t.m != m:
             raise ValueError("distribution width does not match m")
         if not t.is_smooth:
-            raise ValueError("every per-query distribution must be smooth")
-    return Reduction(
-        family="xor-shift-known-smooth",
-        m=m,
-        k=len(tables),
-        copies=len(tables),
-        epsilon=0.0,
-        base_epsilon=0.0,
-        s=s,
-        bit=bit,
-        distributions=tables,
-        preps=tuple(_prep_operator(t) for t in tables),
-    )
+            raise ValueError("distribution is not smooth (zero entry or certificate violated)")
+    return Reduction(m=m, base_epsilon=0.0, s=s, bit=bit, distributions=tables)
+
+
+def build_xor_reduction(m: int, s: int, bit: int) -> Reduction:
+    """Exact reduction with uniform queries."""
+    core.require_cap(4 * m, "one copy")  # before the 2^m-entry table exists
+    return build_known_smooth_reduction(m, s, bit, [DistributionTable.uniform(m)])
+
+
+def build_smooth_xor_reduction(m: int, s: int, bit: int, table: DistributionTable) -> Reduction:
+    """Exact reduction querying from a smooth non-uniform distribution."""
+    return build_known_smooth_reduction(m, s, bit, [table])
 
 
 def add_noise(r: Reduction, eps: float) -> Reduction:
@@ -312,12 +265,7 @@ def add_noise(r: Reduction, eps: float) -> Reduction:
     if r.noise is not None:
         rot = rot @ r.noise.matrix
     combined = float(math.sin(angle) ** 2)
-    return replace(
-        r,
-        epsilon=combined,
-        base_epsilon=combined,
-        noise=UnitaryOperator(layout(("out", 1)), rot),
-    )
+    return replace(r, base_epsilon=combined, noise=UnitaryOperator(layout(("out", 1)), rot))
 
 
 def amplify(r: Reduction, t: int) -> Reduction:
@@ -326,16 +274,7 @@ def amplify(r: Reduction, t: int) -> Reduction:
         raise ValueError(f"copy count must be odd and positive, got {t}")
     if r.copies != 1:
         raise ValueError("amplify an unamplified base (nested votes break the error formula)")
-    if t == 1:
-        return r
-    return replace(
-        r,
-        k=t,
-        copies=t,
-        epsilon=majority_error(r.epsilon, t),
-        distributions=r.distributions * t,
-        preps=r.preps * t,
-    )
+    return replace(r, distributions=r.distributions * t)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +297,7 @@ def _relabel(state: StateVector, mapping: dict[str, str]) -> StateVector:
 
 def apply_generator(state: StateVector, r: Reduction, which: int) -> StateVector:
     """Run the which-th query generator on (query, work); work must hold x."""
-    state = core.apply_on_registers(state, r.preps[which], ["query"])
+    state = core.apply_on_registers(state, r.distributions[which].prep, ["query"])
     return core.apply_basis_permutation(state, register_xor_table(r.m), ["query", "work"])
 
 
@@ -406,10 +345,10 @@ def generate_query_state(r: Reduction, x: int) -> StateVector:
     one copy per query, joined by join_copies."""
     if not 0 <= x < (1 << r.m):
         raise ValueError(f"input {x} does not fit {r.m} bits")
-    return join_copies([_single_query_state(r, x, i) for i in range(r.k)])
+    return join_copies([_single_query_state(r, x, i) for i in range(r.copies)])
 
 
 def honest_answer_state(r: Reduction, f: Permutation, x: int) -> StateVector:
     """Query state after an honest inverse oracle filled the answer registers."""
-    return answer_queries(generate_query_state(r, x), f, r.k)
+    return answer_queries(generate_query_state(r, x), f, r.copies)
 

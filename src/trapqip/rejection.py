@@ -155,22 +155,21 @@ class QrsRunResult:
     success_prob: float
 
 
-def qrs_run(prepare, plan: QrsPlan, index_register: str, max_rounds: int | None = None, seed: int = 0) -> QrsRunResult:
+def qrs_run(
+    state: StateVector, plan: QrsPlan, index_register: str, max_rounds: int | None = None, seed: int = 0
+) -> QrsRunResult:
     """Repeat prepare, rotate, measure until the flag succeeds or budget runs out.
 
-    prepare is either a fixed StateVector, whose round is computed once, or a
-    zero-argument factory producing a fresh copy per round; the seed drives
-    the simulated flag outcomes, one draw per round either way.  Budget
+    Every round starts from the same state, so its round is computed once; the
+    seed drives the simulated flag outcomes, one draw per round.  Budget
     exhaustion returns an explicit failure with state=None.
     """
     budget = plan.round_budget if max_rounds is None else int(max_rounds)
     if budget < 1:
         raise ValueError("round budget must be >= 1")
-    fixed = None if callable(prepare) else qrs_round(prepare, plan, index_register)
+    step = qrs_round(state, plan, index_register)
     rng = np.random.default_rng(seed)
-    step = None
     for used in range(1, budget + 1):
-        step = fixed if fixed is not None else qrs_round(prepare(), plan, index_register)
         if rng.random() < step.success_prob:
             return QrsRunResult(True, step.accepted, used, step.success_prob)
     return QrsRunResult(False, None, budget, step.success_prob)

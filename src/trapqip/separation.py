@@ -136,15 +136,11 @@ def gf2_null_vector(rows, n: int) -> int | None:
 
 @dataclass(frozen=True)
 class SimonResult:
-    """Recovered secret plus the query ledger; iterates as (secret, queries)."""
+    """Recovered secret plus the query ledger."""
 
     secret: int
     queries: int
     measurements: tuple[int, ...]
-
-    def __iter__(self):
-        yield self.secret
-        yield self.queries
 
 
 def simon_solve(oracle: GeneralizedSimonOracle, i: int, seed: int) -> SimonResult:
@@ -186,12 +182,8 @@ def simon_solve(oracle: GeneralizedSimonOracle, i: int, seed: int) -> SimonResul
     raise RuntimeError(f"round budget {budget} exhausted without pinning the secret")
 
 
-def classical_collision_count(
-    oracle: GeneralizedSimonOracle, i: int, strategy: str = "exhaustive-pair", seed: int = 0
-) -> tuple[int, int]:
+def classical_collision_count(oracle: GeneralizedSimonOracle, i: int, seed: int = 0) -> tuple[int, int]:
     """Birthday search over distinct inputs; returns (secret, queries used)."""
-    if strategy != "exhaustive-pair":
-        raise ValueError(f"unknown strategy {strategy!r}")
     n = oracle.n
     rng = np.random.default_rng(seed)
     seen: dict[int, int] = {}

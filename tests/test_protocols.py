@@ -443,7 +443,8 @@ class TestHonestCopySharing:
         f = xor_shift_permutation(m, 1)
         distinct = build_known_smooth_reduction(m, 1, 0, _smooth_tables(m))
         identical = amplify(build_xor_reduction(m, 1, 0), 5)
-        for r, want_generated in ((distinct, 3), (identical, 1)):
+        shared = build_known_smooth_reduction(m, 1, 0, [_smooth_tables(m)[1]] * 3)
+        for r, want_generated in ((distinct, 3), (identical, 1), (shared, 1)):
             for x in range(1 << m):
                 p0, p1, ones = _per_copy_reference(r, f, x, 0)
                 generated = _counting(monkeypatch, protocols, "generate_query_state")
@@ -540,7 +541,8 @@ class TestSmoothCopySharing:
         f = xor_shift_permutation(m, 1)
         distinct = build_known_smooth_reduction(m, 1, 0, _smooth_tables(m))
         identical = amplify(build_smooth_xor_reduction(m, 1, 0, _smooth_tables(m)[1]), 3)
-        for r, want_built in ((distinct, 3), (identical, 1)):
+        shared = build_known_smooth_reduction(m, 1, 0, [_smooth_tables(m)[1]] * 3)
+        for r, want_built in ((distinct, 3), (identical, 1), (shared, 1)):
             for x in range(1 << m):
                 want = _smooth_per_copy_reference(r, f, x, None, 0, seed=x)
                 built = _counting(monkeypatch, protocols, "_pre_copy_state")
@@ -567,7 +569,7 @@ def _classical_reference(r, f, x, prover, seed):
     rng = np.random.default_rng(seed)
     size = 1 << r.m
     drawn, replies, checks, ones = [], [], [], []
-    for i in range(r.k):
+    for i in range(r.copies):
         q = int(rng.choice(size, p=r.distributions[i].probs))
         _, state = condition_on(_pre_copy_state(r, x, i), {"query": q})
         a = f.inverse_of(q) if prover.kind == "honest" else prover.answers[q]

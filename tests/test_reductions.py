@@ -1,11 +1,14 @@
 """Query-state builders, noise, and majority amplification."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from trapqip.core import (
+    CapacityError,
     StateVector,
     UnitaryOperator,
     apply_basis_permutation,
@@ -18,6 +21,7 @@ from trapqip.core import (
 from trapqip.oracles import xor_shift_permutation
 from trapqip.reductions import (
     DistributionTable,
+    Reduction,
     add_noise,
     amplify,
     apply_decider,
@@ -89,6 +93,48 @@ class TestBuilders:
             build_known_smooth_reduction(2, 1, 0, [t, t])
 
 
+class TestCopyIsItsTable:
+    """A copy is its DistributionTable; everything else about it is derived."""
+
+    def test_fields(self):
+        names = [f.name for f in dataclasses.fields(Reduction)]
+        assert names == ["m", "base_epsilon", "s", "bit", "distributions", "noise"]
+
+    def test_epsilon_is_the_majority_tail(self):
+        for eps in (0.0, 0.1, 0.25, 1 / 3):
+            base = build_xor_reduction(2, 1, 0)
+            base = add_noise(base, eps) if eps else base
+            for t in (1, 3, 5, 7):
+                r = amplify(base, t)
+                assert r.copies == t
+                assert r.epsilon == majority_error(r.base_epsilon, r.copies)
+            assert base.epsilon == base.base_epsilon
+
+    def test_prep_built_once_with_sqrt_first_column(self):
+        t = DistributionTable(2, np.array([0.5, 0.25, 0.125, 0.125]))
+        assert t.prep is t.prep
+        np.testing.assert_allclose(t.prep.matrix[:, 0], np.sqrt(t.probs), atol=1e-15)
+
+    def test_amplify_repeats_one_table(self):
+        base = build_smooth_xor_reduction(2, 1, 0, DistributionTable(2, np.array([0.4, 0.3, 0.2, 0.1])))
+        r = amplify(base, 5)
+        assert all(t is base.distributions[0] for t in r.distributions)
+
+    def test_wide_uniform_refused_before_its_table(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                build_xor_reduction(20, 1, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_every_builder_checks_the_cap(self):
+        with pytest.raises(CapacityError):
+            build_known_smooth_reduction(5, 1, 0, [DistributionTable.uniform(5)])
+
+
 class TestQueryStates:
     def test_single_query_amplitudes(self):
         r = build_xor_reduction(2, 1, 0)
@@ -129,7 +175,6 @@ class TestQueryStates:
 
     def test_wide_builder_refused_before_allocation(self):
         # the m = 8 generator would need a gigabyte-scale kron otherwise
-        from trapqip.core import CapacityError
         with pytest.raises(CapacityError):
             build_xor_reduction(8, 1, 0)
 
@@ -170,7 +215,7 @@ class TestMajority:
         r = amplify(add_noise(build_xor_reduction(2, 1, 0), 1 / 3), 3)
         assert r.epsilon == pytest.approx(7 / 27)
         assert r.base_epsilon == pytest.approx(1 / 3)
-        assert r.copies == 3 and r.k == 3
+        assert r.copies == 3
 
     def test_vote_table_counts_majority(self):
         for t in (1, 3, 5, 7):

@@ -195,18 +195,6 @@ class TestRun:
         np.testing.assert_allclose(res.success_prob, 0.5, atol=1e-9)
         assert core.trace_distance(res.state, _amplitude_state(UNIFORM)) <= 1e-9
 
-    def test_factory_prepares_fresh_copies(self):
-        plan = make_plan(EXAMPLE, UNIFORM)
-        calls = []
-
-        def prepare():
-            calls.append(None)
-            return _amplitude_state(EXAMPLE)
-
-        res = qrs_run(prepare, plan, "idx", seed=1)
-        assert res.succeeded
-        assert len(calls) == res.rounds_used
-
     @pytest.mark.parametrize("direction", ["up", "down"])
     def test_fixed_state_matches_dense_loop(self, direction):
         src, tgt = (EXAMPLE, UNIFORM) if direction == "up" else (UNIFORM, EXAMPLE)
@@ -240,9 +228,6 @@ class TestRun:
         res = qrs_run(state, plan, "idx", max_rounds=8, seed=45)
         assert not res.succeeded and res.rounds_used == 8
         assert len(calls) == 1
-        calls.clear()
-        res = qrs_run(lambda: state, plan, "idx", max_rounds=8, seed=45)
-        assert len(calls) == res.rounds_used == 8
 
     def test_budget_exhaustion_is_explicit_failure(self):
         plan = make_plan(EXAMPLE, UNIFORM)
