@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,9 +31,6 @@ class LemmaReport:
     right: float
     tolerance: float
     passed: bool
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def _digest(*parts) -> str:
@@ -75,22 +72,18 @@ def _leading_targets(state: StateVector, width: int) -> list[str]:
     return names
 
 
-def purification_invariance(
-    channel: KrausChannel,
-    phi: StateVector,
-    psi: StateVector,
-    targets: tuple[str, ...] | None = None,
-) -> LemmaReport:
+def purification_invariance(channel: KrausChannel, phi: StateVector, psi: StateVector) -> LemmaReport:
     """Overlap with the input is purification-independent under a local channel.
 
-    Both states must reduce to the same operator on the channel's registers
-    (checked entrywise within 1e-9, else ValueError).  The report compares
+    The channel acts on the leading registers of each state that span its
+    width.  Both states must reduce to the same operator on them (checked
+    entrywise within 1e-9, else ValueError).  The report compares
     <phi| (channel (x) I)(|phi><phi|) |phi> against the same value built from
-    psi.  targets defaults to the leading registers spanning the channel.
+    psi.
     """
     width = channel.layout.total_qubits
-    phi_targets = list(targets) if targets is not None else _leading_targets(phi, width)
-    psi_targets = list(targets) if targets is not None else _leading_targets(psi, width)
+    phi_targets = _leading_targets(phi, width)
+    psi_targets = _leading_targets(psi, width)
     red_phi = core.partial_trace(phi, keep=phi_targets)
     red_psi = core.partial_trace(psi, keep=psi_targets)
     if not np.allclose(red_phi.matrix, red_psi.matrix, atol=PROJECTOR_TOL):

@@ -21,7 +21,7 @@ import json
 import math
 import statistics
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -134,23 +134,9 @@ class RunConfig:
     accept_output: int = 0
 
 
-_RUN_KEYS = {
-    "protocol",
-    "m",
-    "s",
-    "bit",
-    "eps",
-    "t",
-    "x",
-    "prover",
-    "p_qubits",
-    "iters",
-    "seed",
-    "distribution",
-    "gamma",
-    "gamma_prime",
-    "accept_output",
-}
+# [run] value parser per RunConfig field annotation; an empty optional string
+# is unset.  The shift s is read as an m-bit string instead.
+_PARSERS = {"str": str, "str | None": lambda raw: raw or None, "int": int, "int | None": int, "float": float}
 
 
 def _parse_bits(raw: str, m: int) -> int:
@@ -160,27 +146,12 @@ def _parse_bits(raw: str, m: int) -> int:
 
 
 def _run_config(cfg: configparser.ConfigParser, seed_override: int | None) -> RunConfig:
-    sect = _section(cfg, "run", _RUN_KEYS)
-    m = _typed(sect, "m", int, 2)
+    sect = _section(cfg, "run", {f.name for f in fields(RunConfig)})
+    values = {f.name: _typed(sect, f.name, _PARSERS[f.type], f.default) for f in fields(RunConfig) if f.name != "s"}
+    m = values["m"]
     if m < 1:
         raise ConfigError(f"m = {m} must be >= 1")
-    rc = RunConfig(
-        protocol=sect.get("protocol", "1").strip(),
-        m=m,
-        s=_parse_bits(sect["s"].strip(), m) if "s" in sect else 1,
-        bit=_typed(sect, "bit", int, 0),
-        eps=_typed(sect, "eps", float, 0.0),
-        t=_typed(sect, "t", int, 1),
-        x=_typed(sect, "x", int, 0),
-        prover=sect.get("prover", "honest").strip(),
-        p_qubits=_typed(sect, "p_qubits", int, 0),
-        iters=_typed(sect, "iters", int, 200),
-        seed=_typed(sect, "seed", int, 0),
-        distribution=sect.get("distribution", "").strip() or None,
-        gamma=_typed(sect, "gamma", int, None),
-        gamma_prime=_typed(sect, "gamma_prime", int, None),
-        accept_output=_typed(sect, "accept_output", int, 0),
-    )
+    rc = RunConfig(**values, s=_parse_bits(sect["s"].strip(), m) if "s" in sect else RunConfig.s)
     if seed_override is not None:
         rc = replace(rc, seed=seed_override)
     if rc.protocol not in ("1", "2", "3", "classical"):

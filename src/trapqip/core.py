@@ -7,6 +7,11 @@ most significant position of the first-declared register, so the basis index of
 a computational state is the concatenated register values read left to right.
 All container types are immutable after construction and every operation
 returns a fresh value.
+
+The protocols run on statevectors, so every kernel takes `StateVector`s,
+`partial_trace`, `fidelity` and `trace_distance` included.  Densities serve
+the purification lemma only: `apply_channel` takes a `DensityOperator`, and
+`overlap` scores one against a state.
 """
 
 from __future__ import annotations
@@ -146,10 +151,6 @@ class RegisterLayout:
         """New layout with one register appended at the least significant end."""
         return RegisterLayout(self.registers + ((name, width),))
 
-    def without(self, name: str) -> "RegisterLayout":
-        self.width(name)
-        return RegisterLayout(tuple(r for r in self.registers if r[0] != name))
-
     def subset(self, names: Sequence[str]) -> "RegisterLayout":
         """Layout of the named registers, kept in this layout's order."""
         keep = set(names)
@@ -181,9 +182,6 @@ class StateVector:
     @property
     def dim(self) -> int:
         return self.layout.dim
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
 
 
 def basis_state(lay: RegisterLayout, values: Mapping[str, int] | int = 0) -> StateVector:
@@ -293,20 +291,14 @@ def channel_from_environment(u: np.ndarray, sys_dim: int) -> KrausChannel:
 # operations
 
 
-def tensor_product(a, b):
-    """Kronecker product of two states, densities, or unitaries.
+def tensor_product(a: StateVector, b: StateVector) -> StateVector:
+    """Kronecker product of two states.
 
     The first argument's registers become the most significant block, matching
     the project-wide qubit ordering.
     """
     lay = RegisterLayout(a.layout.registers + b.layout.registers)
-    if isinstance(a, StateVector) and isinstance(b, StateVector):
-        return StateVector(lay, np.kron(a.amplitudes, b.amplitudes))
-    if isinstance(a, DensityOperator) and isinstance(b, DensityOperator):
-        return DensityOperator(lay, np.kron(a.matrix, b.matrix))
-    if isinstance(a, UnitaryOperator) and isinstance(b, UnitaryOperator):
-        return UnitaryOperator(lay, np.kron(a.matrix, b.matrix))
-    raise TypeError(f"cannot tensor {type(a).__name__} with {type(b).__name__}")
+    return StateVector(lay, np.kron(a.amplitudes, b.amplitudes))
 
 
 def _target_axes(lay: RegisterLayout, targets: Sequence[str]) -> list[int]:
@@ -377,62 +369,37 @@ def apply_channel(rho: DensityOperator, channel: KrausChannel, targets: Sequence
     return DensityOperator(rho.layout, acc)
 
 
-def partial_trace(rho: DensityOperator | StateVector, keep: Sequence[str]) -> DensityOperator:
+def partial_trace(state: StateVector, keep: Sequence[str]) -> DensityOperator:
     """Trace out every register not named in keep.
 
     The result's registers appear in the original layout order regardless of
     the order of keep.
     """
-    lay = rho.layout
+    lay = state.layout
     keep_axes = lay.positions(*keep)
     new_lay = lay.subset(keep)
     n = lay.total_qubits
     drop_axes = [a for a in range(n) if a not in set(keep_axes)]
-    # order kept axes as they appear in the layout
-    kept_sorted = sorted(keep_axes)
-    if isinstance(rho, StateVector):
-        psi = rho.amplitudes.reshape([2] * n)
-        out = np.tensordot(psi, psi.conj(), axes=(drop_axes, drop_axes))
-        # remaining axes are the kept ones in layout order, rows then columns
-        k = len(kept_sorted)
-        out = out.reshape(1 << k, 1 << k)
-        return DensityOperator(new_lay, out)
-    mat = rho.matrix.reshape([2] * (2 * n))
-    for row in sorted(drop_axes, reverse=True):
-        mat = np.trace(mat, axis1=row, axis2=row + mat.ndim // 2)
-    k = len(kept_sorted)
-    return DensityOperator(new_lay, mat.reshape(1 << k, 1 << k))
+    psi = state.amplitudes.reshape([2] * n)
+    out = np.tensordot(psi, psi.conj(), axes=(drop_axes, drop_axes))
+    # remaining axes are the kept ones in layout order, rows then columns
+    k = len(keep_axes)
+    return DensityOperator(new_lay, out.reshape(1 << k, 1 << k))
 
 
-def _sqrt_psd(mat: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(mat)
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
+def fidelity(a: StateVector, b: StateVector) -> float:
+    """Root fidelity of two pure states, |<a|b>|."""
+    return float(abs(np.vdot(a.amplitudes, b.amplitudes)))
 
 
-def fidelity(a, b) -> float:
-    """Root fidelity; for pure states this is |<a|b>|."""
-    if isinstance(a, StateVector) and isinstance(b, StateVector):
-        return float(abs(np.vdot(a.amplitudes, b.amplitudes)))
-    rho = density_from_state(a).matrix if isinstance(a, StateVector) else a.matrix
-    sigma = density_from_state(b).matrix if isinstance(b, StateVector) else b.matrix
-    root = _sqrt_psd(rho)
-    inner = root @ sigma @ root
-    vals = np.clip(np.linalg.eigvalsh((inner + inner.conj().T) / 2), 0.0, None)
-    return float(np.sqrt(vals).sum())
-
-
-def trace_distance(a, b) -> float:
-    rho = density_from_state(a).matrix if isinstance(a, StateVector) else a.matrix
-    sigma = density_from_state(b).matrix if isinstance(b, StateVector) else b.matrix
-    vals = np.linalg.eigvalsh(rho - sigma)
+def trace_distance(a: StateVector, b: StateVector) -> float:
+    """Half the trace norm of |a><a| - |b><b|, from the eigenvalues of the difference."""
+    vals = np.linalg.eigvalsh(density_from_state(a).matrix - density_from_state(b).matrix)
     return float(0.5 * np.abs(vals).sum())
 
 
-def overlap(rho: DensityOperator | StateVector, phi: StateVector) -> float:
+def overlap(rho: DensityOperator, phi: StateVector) -> float:
     """<phi| rho |phi>, checked to be real."""
-    if isinstance(rho, StateVector):
-        return float(abs(np.vdot(phi.amplitudes, rho.amplitudes)) ** 2)
     val = complex(phi.amplitudes.conj() @ (rho.matrix @ phi.amplitudes))
     if abs(val.imag) > ATOL:
         raise InvariantError(f"overlap has imaginary part {val.imag}")
@@ -459,33 +426,27 @@ def measure_probability(state: StateVector, assignments: Mapping[str, int]) -> f
     return float(np.sum(np.abs(sub) ** 2))
 
 
-def condition_on(state: StateVector, assignments: Mapping[str, int], drop: bool = True):
+def condition_on(state: StateVector, assignments: Mapping[str, int]):
     """Post-measurement state given the named registers read the given values.
 
-    Returns (probability, state); the state is None when the probability
-    vanishes.  With drop=True the measured registers are removed.
+    Returns (probability, state) with the measured registers removed; the
+    state is None when the probability vanishes.
     """
     lay = state.layout
     psi = state.amplitudes.reshape([2] * lay.total_qubits)
-    idx = _assignment_index(lay, assignments)
-    sub = np.asarray(psi[idx])
+    sub = np.asarray(psi[_assignment_index(lay, assignments)])
     prob = float(np.sum(np.abs(sub) ** 2))
     if prob <= ATOL**2:
         return 0.0, None
-    if drop:
-        new_lay = lay
-        for name in assignments:
-            new_lay = new_lay.without(name)
-        return prob, StateVector(new_lay, (sub / np.sqrt(prob)).reshape(-1))
-    full = np.zeros_like(psi)
-    full[idx] = sub / np.sqrt(prob)
-    return prob, StateVector(lay, full.reshape(-1))
+    # _assignment_index has checked every measured name
+    new_lay = RegisterLayout(tuple(reg for reg in lay.registers if reg[0] not in assignments))
+    return prob, StateVector(new_lay, (sub / np.sqrt(prob)).reshape(-1))
 
 
-def adjoin_register(state: StateVector, name: str, width: int, value: int = 0) -> StateVector:
-    """Tensor a fresh basis register onto the least significant end."""
+def adjoin_register(state: StateVector, name: str, width: int) -> StateVector:
+    """Tensor a fresh all-zero register onto the least significant end."""
     new_lay = state.layout.extended(name, width)
-    fresh = basis_state(layout((name, width)), value)
+    fresh = basis_state(layout((name, width)))
     return StateVector(new_lay, np.kron(state.amplitudes, fresh.amplitudes))
 
 

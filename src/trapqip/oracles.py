@@ -3,8 +3,7 @@
 Every oracle is an XOR query |x, y> -> |x, y XOR a(x)>, kept as an index
 table (query_table); the inversion oracle answers with a = f^{-1}.  A
 corrupted oracle disagrees with the honest inverse on a declared corruption
-set, modelling almost-correct answer functions whose error weight is
-measured against a query distribution.
+set, modelling almost-correct answer functions.
 """
 
 from __future__ import annotations
@@ -64,15 +63,6 @@ class CorruptionSet:
         if any(not 0 <= q < (1 << self.m) for q in mem):
             raise ValueError("corruption set member out of range")
         object.__setattr__(self, "members", mem)
-
-    def weight(self, probs=None) -> float:
-        """Total query-distribution mass on the set; uniform when probs is None."""
-        if probs is None:
-            return len(self.members) / (1 << self.m)
-        arr = np.asarray(probs, dtype=float).reshape(-1)
-        if arr.size != (1 << self.m):
-            raise ValueError(f"need {1 << self.m} probabilities, got {arr.size}")
-        return float(sum(arr[q] for q in self.members))
 
 
 def query_table(answers) -> np.ndarray:

@@ -78,22 +78,15 @@ class Prover:
         if self.kind == PROVER_CLASSICAL and self.answers is None:
             raise ValueError("classical prover needs an answer table")
 
-    @property
-    def cheat_width(self) -> int | None:
-        return self.prover_qubits if self.kind == PROVER_UNITARY else None
-
     @staticmethod
     def honest() -> "Prover":
         return Prover(kind=PROVER_HONEST)
 
     @staticmethod
     def unitary_cheat(matrix, prover_qubits: int = 0) -> "Prover":
-        if isinstance(matrix, UnitaryOperator):
-            op = matrix
-        else:
-            mat = np.asarray(matrix)
-            n = int(round(math.log2(mat.shape[0])))
-            op = UnitaryOperator(layout(("cheat", n)), mat)
+        mat = np.asarray(matrix)
+        n = int(round(math.log2(mat.shape[0])))
+        op = UnitaryOperator(layout(("cheat", n)), mat)
         return Prover(kind=PROVER_UNITARY, unitary=op, prover_qubits=prover_qubits)
 
     @staticmethod
@@ -224,13 +217,10 @@ def _trap_branch(state: StateVector, r: Reduction, f: Permutation) -> float:
 
 def _majority_accept(one_probs, copies: int, accept_output: int) -> float:
     """Exact majority-vote acceptance from independent per-copy P(out=1)."""
-    if copies == 1:
-        p_one = one_probs[0]
-    else:
-        poly = np.array([1.0])
-        for e in one_probs:
-            poly = np.convolve(poly, [1.0 - e, e])
-        p_one = float(poly[copies // 2 + 1 :].sum())
+    poly = np.array([1.0])
+    for e in one_probs:
+        poly = np.convolve(poly, [1.0 - e, e])
+    p_one = float(poly[copies // 2 + 1 :].sum())
     return p_one if accept_output == 1 else 1.0 - p_one
 
 
@@ -251,10 +241,18 @@ def _per_distinct_copy(r: Reduction, simulate) -> list:
     return [by_table[table] for table in r.distributions]
 
 
-def _copy_trap(r: Reduction, f: Permutation, prover: Prover) -> float:
-    """One copy's trap-branch acceptance, which depends on m and f alone."""
-    single = _copy_slice(r, 0)
-    return _trap_branch(_apply_prover_stage(trap_state(r.m), single, f, prover), single, f)
+def _trap_accept(r: Reduction, f: Permutation, prover: Prover) -> float:
+    """Trap-branch acceptance over all of r's copies at once; it depends on m,
+    f and the prover alone, so a one-copy slice gives every honest copy's."""
+    return _trap_branch(_apply_prover_stage(trap_state(r.m, r.copies), r, f, prover), r, f)
+
+
+def _header(protocol: str, prover: Prover, m: int, copies: int, accept_output: int, seed: int | None = None) -> dict:
+    """The metadata every engine's result starts with; seeded engines add their seed."""
+    head = {"protocol": protocol, "prover_kind": prover.kind, "m": m, "copies": copies, "accept_output": accept_output}
+    if seed is not None:
+        head["seed"] = seed
+    return head
 
 
 def footprint(entry: str, r: Reduction, cheat: int | None = None) -> int:
@@ -287,10 +285,43 @@ def footprint(entry: str, r: Reduction, cheat: int | None = None) -> int:
     return max(widths)
 
 
-def _check_instance(r: Reduction, f: Permutation, x: int, entry: str, cheat: int | None = None) -> None:
+def _check_instance(
+    entry: str,
+    r: Reduction,
+    f: Permutation,
+    x: int,
+    accept_output: int = 0,
+    prover: Prover | None = None,
+    cheat: int | None = None,
+) -> None:
+    """The one argument gate of the six entry points, passed before any state is built.
+
+    It checks the permutation width, x, accept_output, the prover kind, the
+    copy count, uniformity and smoothness, in that order, then the footprint.
+    cheat is the private width of the search's unitaries, or else of the
+    prover's unitary, None when it has none.
+    """
     if f.m != r.m:
         raise LayoutError(f"permutation width {f.m} does not match query width {r.m}")
     r.language(x)
+    if accept_output not in (0, 1):
+        raise ValueError(f"accept_output must be 0 or 1, got {accept_output!r}")
+    if prover is not None:
+        if prover.kind == PROVER_CLASSICAL and entry != "classical":
+            raise ValueError("classical provers answer basis queries; use run_classical_query_protocol")
+        if prover.kind == PROVER_UNITARY and entry == "classical":
+            raise ValueError("unitary cheats act on quantum messages; use run_protocol")
+        if prover.kind == PROVER_CLASSICAL and len(prover.answers) != 1 << r.m:
+            raise ValueError(f"answer table has {len(prover.answers)} entries, need {1 << r.m}")
+        cheat = prover.prover_qubits if prover.kind == PROVER_UNITARY else None
+    if cheat is not None and cheat < 0:
+        raise ValueError("private register width must be >= 0")
+    if entry in ("ceiling", "search") and r.copies != 1:
+        raise ValueError(f"the {entry} is defined per copy; slice the reduction first")
+    if entry == "search" and not r.distributions[0].is_uniform:
+        raise ValueError("ceiling holds for uniform queries; search the resampled interface")
+    if entry == "smooth" and not r.is_smooth:
+        raise ValueError("query distribution carries no smoothness certificate")
     core.require_cap(footprint(entry, r, cheat), f"the {entry} run")
 
 
@@ -302,18 +333,8 @@ def run_protocol(r: Reduction, f: Permutation, x: int, prover: Prover, accept_ou
     distinct table) plus one trap branch, combined by the exact majority law;
     entangling cheats run on the full grouped state, within the qubit cap.
     """
-    if prover.kind == PROVER_CLASSICAL:
-        raise ValueError("classical provers answer basis queries; use run_classical_query_protocol")
-    if accept_output not in (0, 1):
-        raise ValueError("accept_output must be 0 or 1")
-    _check_instance(r, f, x, "trap", prover.cheat_width)
-    metadata: dict = {
-        "protocol": "trap",
-        "prover_kind": prover.kind,
-        "m": r.m,
-        "copies": r.copies,
-        "accept_output": accept_output,
-    }
+    _check_instance("trap", r, f, x, accept_output, prover)
+    metadata = _header("trap", prover, r.m, r.copies, accept_output)
     if prover.kind == PROVER_HONEST and r.copies > 1:
         # Honest runs stay in product form across copies, so per-copy exact
         # simulation plus the majority law avoids the full-width state.
@@ -323,13 +344,12 @@ def run_protocol(r: Reduction, f: Permutation, x: int, prover: Prover, accept_ou
 
         ones = _per_distinct_copy(r, one_prob)
         p0 = _majority_accept(ones, r.copies, accept_output)
-        p1 = math.prod([_copy_trap(r, f, prover)] * r.copies)
+        p1 = math.prod([_trap_accept(_copy_slice(r, 0), f, prover)] * r.copies)
         metadata["per_copy_one_probs"] = ones
     else:
         comp = _apply_prover_stage(generate_query_state(r, x), r, f, prover)
         p0 = _computation_branch(comp, r, accept_output)
-        trap = _apply_prover_stage(trap_state(r.m, r.copies), r, f, prover)
-        p1 = _trap_branch(trap, r, f)
+        p1 = _trap_accept(r, f, prover)
     return ProtocolResult(p0=float(p0), p1=float(p1), metadata=metadata)
 
 
@@ -447,24 +467,9 @@ def run_smooth_protocol(
     with each copy's rounds drawn from its own seed, and combined by the
     exact majority law.
     """
-    if not r.is_smooth:
-        raise ValueError("query distribution carries no smoothness certificate")
-    if prover.kind == PROVER_CLASSICAL:
-        raise ValueError("classical provers answer basis queries; use run_classical_query_protocol")
-    _check_instance(r, f, x, "smooth", prover.cheat_width)
+    _check_instance("smooth", r, f, x, accept_output, prover)
     rng = np.random.default_rng(seed)
-
-    def header(copies: int, run_seed: int) -> dict:
-        return {
-            "protocol": "smooth",
-            "prover_kind": prover.kind,
-            "m": r.m,
-            "copies": copies,
-            "accept_output": accept_output,
-            "seed": run_seed,
-        }
-
-    metadata = header(r.copies, seed)
+    metadata = _header("smooth", prover, r.m, r.copies, accept_output, seed)
     if prover.kind == PROVER_HONEST and r.copies > 1:
         # Every copy draws its own child seed, in copy order, and its rounds
         # from that seed; simulation draws nothing, so the seeds come first.
@@ -473,15 +478,18 @@ def run_smooth_protocol(
             r, lambda single: _smooth_branch(single, f, x, prover, gamma, gamma_prime, accept_output)
         )
         ones = [b.p0 if accept_output == 1 else 1.0 - b.p0 for b in branches]
-        parts = [{**header(1, c), **_smooth_rounds(np.random.default_rng(c), b)} for c, b in zip(seeds, branches)]
+        parts = [
+            {**_header("smooth", prover, r.m, 1, accept_output, c), **_smooth_rounds(np.random.default_rng(c), b)}
+            for c, b in zip(seeds, branches)
+        ]
         p0 = _majority_accept(ones, r.copies, accept_output)
-        p1 = math.prod([_copy_trap(r, f, prover)] * r.copies)
+        p1 = math.prod([_trap_accept(_copy_slice(r, 0), f, prover)] * r.copies)
         metadata["per_copy"] = parts
         metadata["budget_exceeded"] = any(p["budget_exceeded"] for p in parts)
         return ProtocolResult(p0=float(p0), p1=float(p1), metadata=metadata)
 
     branch = _smooth_branch(r, f, x, prover, gamma, gamma_prime, accept_output)
-    p1 = _trap_branch(_apply_prover_stage(trap_state(r.m, r.copies), r, f, prover), r, f)
+    p1 = _trap_accept(r, f, prover)
     metadata.update(_smooth_rounds(rng, branch))
     return ProtocolResult(p0=float(branch.p0), p1=float(p1), metadata=metadata)
 
@@ -507,16 +515,12 @@ def run_classical_query_protocol(
     the copies combine by the exact majority law.  The single-phase
     acceptance is reported as both p0 and p1, so accept_prob equals it.
     """
-    if prover.kind == PROVER_UNITARY:
-        raise ValueError("unitary cheats act on quantum messages; use run_protocol")
-    _check_instance(r, f, x, "classical")
-    rng = np.random.default_rng(seed)
-    size = 1 << r.m
+    _check_instance("classical", r, f, x, accept_output, prover)
     if queries is not None and len(queries) != r.copies:
         raise ValueError(f"need one forced query per copy, got {len(queries)}")
-    if prover.kind == PROVER_CLASSICAL and len(prover.answers) != size:
-        raise ValueError(f"answer table has {len(prover.answers)} entries, need {size}")
-
+    rng = np.random.default_rng(seed)
+    size = 1 << r.m
+    one_copy = _copy_slice(r, 0)
     drawn, replies, checks, ones = [], [], [], []
     pre = _per_distinct_copy(r, lambda single: _pre_copy_state(single, x, 0))
     for i, table in enumerate(r.distributions):
@@ -531,21 +535,14 @@ def run_classical_query_protocol(
             raise InvariantError("conditioning on a supported query failed")
         a = f.inverse_of(q) if prover.kind == PROVER_HONEST else prover.answers[q]
         state = core.apply_basis_permutation(state, np.arange(size) ^ a, ["answer"])
-        state = core.adjoin_register(state, "out", 1)
-        state = apply_decider(state, r, "answer", "work", "out")
         drawn.append(q)
         replies.append(a)
         checks.append(f(a) == q)
-        ones.append(core.measure_probability(state, {"out": 1}))
+        ones.append(_decide(state, one_copy, 1))
 
     accept = _majority_accept(ones, r.copies, accept_output) if all(checks) else 0.0
     metadata = {
-        "protocol": "classical",
-        "prover_kind": prover.kind,
-        "m": r.m,
-        "copies": r.copies,
-        "accept_output": accept_output,
-        "seed": seed,
+        **_header("classical", prover, r.m, r.copies, accept_output, seed),
         "queries": drawn,
         "answers": replies,
         "checks": checks,
@@ -566,9 +563,6 @@ class CheatBound:
     eigen_bound: float
     sin_theta: float
     sin_sq: float
-
-    def __float__(self) -> float:
-        return self.bound
 
 
 def _acceptance_entries(r: Reduction, accept_output: int) -> tuple[np.ndarray, np.ndarray]:
@@ -604,9 +598,7 @@ def cheat_upper_bound(r: Reduction, f: Permutation, x: int, accept_output: int =
     values must agree within 1e-9 or the call fails.  Meaningful as a
     soundness ceiling on inputs the verifier should reject.
     """
-    if r.copies != 1:
-        raise ValueError("cheating ceiling is defined per copy; slice the reduction first")
-    _check_instance(r, f, x, "ceiling")
+    _check_instance("ceiling", r, f, x, accept_output)
     diag, off = _acceptance_entries(r, accept_output)
     honest = honest_answer_state(r, f, x)
     phi = np.kron(honest.amplitudes, np.array([1.0, 0.0]))
@@ -636,7 +628,7 @@ def branch_overlap_pair(r: Reduction, f: Permutation, x: int, prover: Prover) ->
     The two values agree for uniform-query reductions whatever the cheat does;
     their common deficit is what the trap branch charges the prover.
     """
-    _check_instance(r, f, x, "overlap", prover.cheat_width)
+    _check_instance("overlap", r, f, x, prover=prover)
     honest_comp = honest_answer_state(r, f, x)
     honest_trap = trap_answer_state(r, f)
     out = []
@@ -707,13 +699,7 @@ def prover_search(
     a fixed seed the best value is non-decreasing in the iteration count.
     The result is checked against the closed-form ceiling.
     """
-    if r.copies != 1:
-        raise ValueError("search runs per copy; slice the reduction first")
-    if p_qubits < 0:
-        raise ValueError("private register width must be >= 0")
-    if not r.distributions[0].is_uniform:
-        raise ValueError("ceiling holds for uniform queries; search the resampled interface")
-    _check_instance(r, f, x, "search", p_qubits)
+    _check_instance("search", r, f, x, accept_output, cheat=p_qubits)
     a0, a1, row_terms = _search_context(r, f, x, p_qubits, accept_output)
     dim = 1 << (p_qubits + 2 * r.m)
     rng = np.random.default_rng(seed)

@@ -102,7 +102,7 @@ def save_distribution(table: DistributionTable, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_distribution(path, c: float | None = None) -> DistributionTable:
+def load_distribution(path) -> DistributionTable:
     lines = [ln.strip() for ln in Path(path).read_text().splitlines() if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty distribution file")
@@ -125,7 +125,7 @@ def load_distribution(path, c: float | None = None) -> DistributionTable:
             raise ValueError(f"{path}: line {i}: duplicate entry for q={parts[0]}")
         seen.add(q)
         probs[q] = d
-    return DistributionTable(m, probs, c=c)
+    return DistributionTable(m, probs)
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,9 @@ def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
-    """Mixed state of the given rank (full rank by default)."""
-    rank = dim if rank is None else rank
-    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Full-rank mixed state."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
 

@@ -15,12 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CapacityError, hadamard_power
+from .core import CapacityError, hadamard_power, require_cap
 from .oracles import query_table
 
-MAX_WIDTH = 8
-MAX_INSTANCES = 64
 ROUND_BUDGET_PER_BIT = 20
+DEMO_PAIRS = 3
 
 
 def _parity(v: int) -> int:
@@ -76,11 +75,18 @@ class GeneralizedSimonOracle:
 
 
 def build_simon_oracle(n: int, instance_count: int, seed: int) -> GeneralizedSimonOracle:
-    """Random nonzero secrets and 2-to-1 tables, deterministic in the seed."""
-    if not 1 <= n <= MAX_WIDTH:
-        raise CapacityError(f"width {n} outside 1..{MAX_WIDTH}")
-    if not 1 <= instance_count <= MAX_INSTANCES:
-        raise CapacityError(f"instance count {instance_count} outside 1..{MAX_INSTANCES}")
+    """Random nonzero secrets and 2-to-1 tables, deterministic in the seed.
+
+    The budget rule counts 2n for the 4^n-entry gather, Hadamard matrix and
+    amplitudes simon_solve builds, and n + log2(instance_count) for the
+    tables of 2^n entries; both are checked before anything is drawn.
+    """
+    if n < 1:
+        raise CapacityError(f"width {n} must be >= 1")
+    if instance_count < 1:
+        raise CapacityError(f"instance count {instance_count} must be >= 1")
+    qubits = max(2 * n, n + (instance_count - 1).bit_length())
+    require_cap(qubits, f"a width-{n} oracle with {instance_count} instances")
     rng = np.random.default_rng(seed)
     size = 1 << n
     secrets = []
@@ -251,64 +257,54 @@ def quantum_reduction_demo(
     oracle: GeneralizedSimonOracle,
     x: int,
     seed: int,
-    pairs: int = 3,
     classical_budget: int | None = None,
 ) -> ReductionDemoResult:
     """Decide membership via random shifts and freshly solved oracle secrets.
 
-    Pair j sends (x XOR r_j) and (r_j) to the solver, each attached to its own
-    oracle instance whose secret was just recovered; XOR of the two answers
-    equals L(x) by linearity, and the majority over pairs decides.  With
-    classical_budget set, the secret-recovery step degrades to budgeted
-    guessing without any quantum queries; every solver refusal is recorded and
-    an instance with no accepted guess aborts the decision.
+    Pair j of DEMO_PAIRS sends (x XOR r_j) and (r_j) to the solver, each
+    attached to its own oracle instance whose secret was just recovered; XOR
+    of the two answers equals L(x) by linearity, and the majority over pairs
+    decides.  With classical_budget set, the secret-recovery step degrades to
+    that many guesses without any quantum queries.  Every solver refusal is
+    recorded, and an instance with no accepted claim aborts the decision.
     """
-    if 2 * pairs > oracle.instance_count:
-        raise ValueError(f"need {2 * pairs} oracle instances, have {oracle.instance_count}")
-    if pairs % 2 == 0:
-        raise ValueError("pair count must be odd for a majority")
+    if 2 * DEMO_PAIRS > oracle.instance_count:
+        raise ValueError(f"need {2 * DEMO_PAIRS} oracle instances, have {oracle.instance_count}")
     rng = np.random.default_rng(seed)
     size = 1 << lang.n
+    attempts = 1 if classical_budget is None else classical_budget
     pair_bits = []
     calls = 0
     rejections = 0
     aborted = False
-    for j in range(pairs):
+    for j in range(DEMO_PAIRS):
         r = int(rng.integers(size))
         queries = (lang.shift_query(x, r), r)
         answers = []
         for half, query in enumerate(queries):
             i = 2 * j + half
-            if classical_budget is None:
-                solved = simon_solve(oracle, i, seed=int(rng.integers(2**62)))
-                claim = solved.secret
+            answer = None
+            for _ in range(attempts):
+                if classical_budget is None:
+                    claim = simon_solve(oracle, i, seed=int(rng.integers(2**62))).secret
+                else:
+                    claim = int(rng.integers(1, size))
                 answer = _solver_answer(lang, oracle, i, claim, query)
                 calls += 1
                 if answer is None:
                     rejections += 1
-                    aborted = True
+                else:
                     break
-                answers.append(answer)
-            else:
-                answer = None
-                for _ in range(classical_budget):
-                    claim = int(rng.integers(1, size))
-                    answer = _solver_answer(lang, oracle, i, claim, query)
-                    calls += 1
-                    if answer is None:
-                        rejections += 1
-                    else:
-                        break
-                if answer is None:
-                    aborted = True
-                    break
-                answers.append(answer)
+            if answer is None:
+                aborted = True
+                break
+            answers.append(answer)
         if aborted:
             break
         pair_bits.append(answers[0] ^ answers[1])
     decision = None
     if not aborted:
-        decision = int(sum(pair_bits) > pairs // 2)
+        decision = int(sum(pair_bits) > DEMO_PAIRS // 2)
     return ReductionDemoResult(
         decision=decision,
         expected=lang.member(x),

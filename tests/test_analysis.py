@@ -45,15 +45,6 @@ class TestPurificationInvariance:
         with pytest.raises(ValueError):
             purification_invariance(ch, phi, psi)
 
-    def test_report_serializes(self):
-        rng = np.random.default_rng(10)
-        rho = random_density(2, rng)
-        phi, psi = purification_pair(rho, 1, rng)
-        rep = purification_invariance(random_channel(1, 1, rng), phi, psi)
-        d = rep.as_dict()
-        assert set(d) == {"check_id", "inputs_digest", "left", "right", "tolerance", "passed"}
-        assert isinstance(d["inputs_digest"], str) and d["inputs_digest"]
-
 
 class TestBisectionBound:
     def test_closed_form_matches_eigen_oracle(self):

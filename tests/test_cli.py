@@ -1,6 +1,7 @@
 """Batch harness: configs in, deterministic records out, meaningful exit codes."""
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -135,6 +136,32 @@ class TestRun:
         rec = json.loads(out)
         np.testing.assert_allclose(rec["accept_prob"], 1 - 7 / 27, atol=1e-9)
         assert rec["upper_bound"] is None
+
+
+class TestRunConfig:
+    def test_every_run_key_parsed(self, tmp_path):
+        # every [run] key set to a value other than its default
+        raw = {
+            "protocol": "3", "m": "3", "s": "101", "bit": "2", "eps": "0.25", "t": "5", "x": "6",
+            "prover": "identity", "p_qubits": "1", "iters": "7", "seed": "11", "distribution": "dist.txt",
+            "gamma": "9", "gamma_prime": "10", "accept_output": "1",
+        }
+        want = cli.RunConfig(
+            protocol="3", m=3, s=0b101, bit=2, eps=0.25, t=5, x=6, prover="identity", p_qubits=1, iters=7,
+            seed=11, distribution="dist.txt", gamma=9, gamma_prime=10, accept_output=1,
+        )
+        cfg, _ = cli._load_config(_write(tmp_path, "[run]\n" + "".join(f"{k} = {v}\n" for k, v in raw.items())))
+        rc = cli._run_config(cfg, None)
+        fields = dataclasses.fields(cli.RunConfig)
+        assert set(raw) == {f.name for f in fields}
+        for f in fields:
+            got, expected = getattr(rc, f.name), getattr(want, f.name)
+            assert expected != f.default, f.name
+            assert got == expected and type(got) is type(expected), f.name
+
+    def test_empty_distribution_is_unset(self, tmp_path):
+        cfg, _ = cli._load_config(_write(tmp_path, "[run]\ndistribution =\n"))
+        assert cli._run_config(cfg, None) == cli.RunConfig()
 
 
 class TestParserCache:
@@ -406,7 +433,7 @@ class TestSweep:
 
 
 class TestVerify:
-    @pytest.mark.parametrize("suite", ["epr", "claim1"])
+    @pytest.mark.parametrize("suite", ["epr", "claim1", "lemmas"])
     def test_fast_suites_pass(self, suite, capsys):
         code, out = _run(["verify-lemmas", suite], capsys)
         assert code == 0

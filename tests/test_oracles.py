@@ -125,11 +125,6 @@ class TestCorruption:
         dense = _dense_query([f.inverse_of(q) ^ (q in bad.members) for q in range(4)])
         np.testing.assert_array_equal(np.eye(16)[:, inversion_table(f, lying=bad)], dense)
 
-    def test_weight_uniform_and_weighted(self):
-        bad = CorruptionSet(2, frozenset({0, 1}))
-        assert bad.weight() == pytest.approx(0.5)
-        assert bad.weight([0.7, 0.1, 0.1, 0.1]) == pytest.approx(0.8)
-
     def test_member_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             CorruptionSet(2, frozenset({4}))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from trapqip import protocols, rejection
 from trapqip.core import CapacityError, InvariantError, LayoutError
 from trapqip.core import (
+    StateVector,
     adjoin_register,
     apply_basis_permutation,
     apply_on_registers,
@@ -707,7 +708,40 @@ class TestSmoothProtocol:
             build_smooth_xor_reduction(2, 1, 0, bad)
 
 
+def _no_state(self):
+    raise AssertionError("a state was built before the argument gate")
+
+
+def _accept_output_call(entry):
+    f = xor_shift_permutation(2, 1)
+    if entry == "smooth":
+        r = build_smooth_xor_reduction(2, 1, 0, DistributionTable(2, (0.3, 0.2, 0.25, 0.25)))
+        return lambda: run_smooth_protocol(r, f, 0, Prover.honest(), accept_output=2)
+    r = add_noise(build_xor_reduction(2, 1, 0), 0.1)
+    return {
+        "trap": lambda: run_protocol(r, f, 0, Prover.honest(), accept_output=2),
+        "classical": lambda: run_classical_query_protocol(r, f, 0, Prover.honest(), accept_output=2),
+        "ceiling": lambda: cheat_upper_bound(r, f, 0, accept_output=2),
+        "search": lambda: prover_search(r, f, 0, 0, 5, seed=0, accept_output=2),
+    }[entry]
+
+
 class TestValidation:
+    # branch_overlap_pair takes no accept_output; every other entry point does
+    @pytest.mark.parametrize("entry", ["trap", "smooth", "classical", "ceiling", "search"])
+    def test_accept_output_refused(self, entry, monkeypatch):
+        call = _accept_output_call(entry)
+        monkeypatch.setattr(StateVector, "__post_init__", _no_state)
+        with pytest.raises(ValueError, match="accept_output"):
+            call()
+
+    def test_classical_prover_refused_by_overlap(self, monkeypatch):
+        r = build_xor_reduction(2, 1, 0)
+        f = xor_shift_permutation(2, 1)
+        monkeypatch.setattr(StateVector, "__post_init__", _no_state)
+        with pytest.raises(ValueError, match="classical provers"):
+            branch_overlap_pair(r, f, 0, Prover.classical([0, 0, 0, 0]))
+
     def test_unknown_prover_kind(self):
         with pytest.raises(ValueError):
             Prover("bogus")

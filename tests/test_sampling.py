@@ -23,10 +23,6 @@ class TestRandomDensity:
             np.testing.assert_allclose(rho, rho.conj().T, atol=1e-12)
             assert np.linalg.eigvalsh(rho).min() > -1e-12
 
-    def test_rank_one_is_pure(self):
-        rho = random_density(4, np.random.default_rng(7), rank=1)
-        np.testing.assert_allclose(np.trace(rho @ rho).real, 1.0, atol=1e-12)
-
 
 class TestPurificationPair:
     def test_both_reduce_to_rho(self):
