@@ -5,22 +5,18 @@ from .core import (
     CapacityError,
     DensityOperator,
     InvariantError,
-    KrausChannel,
     LayoutError,
     RegisterLayout,
     StateVector,
     UnitaryOperator,
     adjoin_register,
     apply_basis_permutation,
-    apply_channel,
     apply_on_registers,
     basis_state,
     condition_on,
-    density_from_state,
     fidelity,
     layout,
     measure_probability,
-    overlap,
     partial_trace,
     qubit_cap,
     reorder_registers,
@@ -47,7 +43,6 @@ from .reductions import (
     honest_answer_state,
     load_distribution,
     majority_error,
-    save_distribution,
 )
 from .protocols import (
     CheatBound,

@@ -14,11 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .core import InvariantError, KrausChannel, StateVector, layout
+from .core import InvariantError, StateVector, UnitaryOperator, layout
 from .oracles import Permutation, inversion_table, query_table
 from .reductions import register_xor_table
 
 PROJECTOR_TOL = 1e-9
+# fresh environment of a channel dilation; purification pairs already use sys and env
+DILATION_ENV = "dilation"
 
 
 @dataclass(frozen=True)
@@ -72,16 +74,19 @@ def _leading_targets(state: StateVector, width: int) -> list[str]:
     return names
 
 
-def purification_invariance(channel: KrausChannel, phi: StateVector, psi: StateVector) -> LemmaReport:
+def purification_invariance(channel: UnitaryOperator, phi: StateVector, psi: StateVector) -> LemmaReport:
     """Overlap with the input is purification-independent under a local channel.
 
-    The channel acts on the leading registers of each state that span its
-    width.  Both states must reduce to the same operator on them (checked
-    entrywise within 1e-9, else ValueError).  The report compares
-    <phi| (channel (x) I)(|phi><phi|) |phi> against the same value built from
-    psi.
+    The channel is a Stinespring dilation on registers (sys, env), as
+    `sampling.random_channel` draws it.  Its system acts on the leading
+    registers of each state that span the `sys` width.  Both states must
+    reduce to the same operator on them (checked entrywise within 1e-9, else
+    ValueError).  The report compares <phi| (channel (x) I)(|phi><phi|) |phi>
+    against the same value built from psi, each computed on statevectors as
+    sum_l |<state, l| U |state, 0>|^2 over a fresh environment register.
     """
-    width = channel.layout.total_qubits
+    width = channel.layout.width("sys")
+    env_width = channel.layout.width("env")
     phi_targets = _leading_targets(phi, width)
     psi_targets = _leading_targets(psi, width)
     red_phi = core.partial_trace(phi, keep=phi_targets)
@@ -90,11 +95,14 @@ def purification_invariance(channel: KrausChannel, phi: StateVector, psi: StateV
         raise ValueError("states are not purifications of the same reduced operator")
     sides = []
     for state, names in ((phi, phi_targets), (psi, psi_targets)):
-        rho = core.apply_channel(core.density_from_state(state), channel, names)
-        sides.append(core.overlap(rho, state))
+        dilated = core.adjoin_register(state, DILATION_ENV, env_width)
+        dilated = core.apply_on_registers(dilated, channel, [*names, DILATION_ENV])
+        # rows: the state's basis index; columns: the fresh register's value l
+        amps = dilated.amplitudes.reshape(state.dim, 1 << env_width)
+        sides.append(float(np.linalg.norm(state.amplitudes.conj() @ amps) ** 2))
     return _report(
         "purification-invariance",
-        _digest(phi.amplitudes, psi.amplitudes, *channel.elements),
+        _digest(phi.amplitudes, psi.amplitudes, channel.matrix),
         sides[0],
         sides[1],
         PROJECTOR_TOL,
@@ -106,8 +114,6 @@ def purification_invariance(channel: KrausChannel, phi: StateVector, psi: StateV
 
 
 def _as_vector(phi) -> np.ndarray:
-    if isinstance(phi, StateVector):
-        return phi.amplitudes
     vec = np.asarray(phi, dtype=np.complex128).reshape(-1)
     norm = np.linalg.norm(vec)
     if abs(norm - 1.0) > core.ATOL:
@@ -176,10 +182,7 @@ def maxproj_optimizer_state(pi_s, phi):
     v0 = proj / sin_theta
     vk = (vec - sin_theta * v0) / cos_theta
     theta0 = 0.5 * (math.pi / 2.0 - math.asin(sin_theta))
-    out = math.cos(theta0) * v0 + math.sin(theta0) * vk
-    if isinstance(phi, StateVector):
-        return StateVector(phi.layout, out)
-    return out
+    return math.cos(theta0) * v0 + math.sin(theta0) * vk
 
 
 def maxproj_objective(pi_s, phi, psi) -> float:

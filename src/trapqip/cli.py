@@ -168,6 +168,8 @@ def _run_config(cfg: configparser.ConfigParser, seed_override: int | None) -> Ru
 
 
 def _build_reduction(rc: RunConfig):
+    if not 0 <= rc.eps < 1:  # NaN fails both comparisons
+        raise ConfigError(f"eps = {rc.eps} outside [0, 1)")
     f = xor_shift_permutation(rc.m, rc.s)
     if rc.protocol == "3":
         table = DistributionTable.uniform(rc.m) if rc.distribution is None else load_distribution(rc.distribution)
@@ -460,6 +462,8 @@ def cmd_qrs_demo(args) -> int:
     if 1 << m != probs.size:
         raise ConfigError(f"need a power-of-two probability list, got {probs.size} entries")
     trials = _typed(sect, "trials", int, 2000)
+    if trials < 0:
+        raise ConfigError(f"trials = {trials} must be >= 0")
     seed = args.seed if args.seed is not None else _typed(sect, "seed", int, 0)
     table = DistributionTable(m, probs)
     plan = rejection.make_plan(table, DistributionTable.uniform(m))
@@ -495,7 +499,7 @@ def cmd_separation_demo(args) -> int:
     instances = _typed(sect, "instances", int, max(1, instance + 1))
     classical_seeds = _typed(sect, "classical_seeds", int, 25)
     seed = args.seed if args.seed is not None else _typed(sect, "seed", int, 0)
-    if instance >= instances:
+    if not 0 <= instance < instances:
         raise ConfigError(f"instance {instance} outside the {instances} built")
     oracle = separation.build_simon_oracle(n, instances, seed)
     solved = separation.simon_solve(oracle, instance, seed=seed + 1)

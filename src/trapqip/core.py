@@ -1,6 +1,6 @@
 """Dense linear algebra for small multi-register qubit systems.
 
-Everything here works on explicit statevectors and density matrices, sized for
+Everything here works on explicit statevectors and dense operators, sized for
 desk-scale experiments (one qubit budget, default 18, guards against
 accidental blowups).  Register bookkeeping uses named registers; qubit 0 is the
 most significant position of the first-declared register, so the basis index of
@@ -9,9 +9,10 @@ All container types are immutable after construction and every operation
 returns a fresh value.
 
 The protocols run on statevectors, so every kernel takes `StateVector`s,
-`partial_trace`, `fidelity` and `trace_distance` included.  Densities serve
-the purification lemma only: `apply_channel` takes a `DensityOperator`, and
-`overlap` scores one against a state.
+`partial_trace`, `fidelity` and `trace_distance` included.  A
+`DensityOperator` is only ever the result of `partial_trace`.  A channel is
+its Stinespring dilation: a `UnitaryOperator` on (system, environment) with
+the environment starting at |0>, applied with `apply_on_registers`.
 """
 
 from __future__ import annotations
@@ -137,16 +138,6 @@ class RegisterLayout:
             idx |= value << (self.total_qubits - self.offset(name) - width)
         return idx
 
-    def unpack(self, index: int) -> dict[str, int]:
-        """Register values of a basis index."""
-        if not 0 <= index < self.dim:
-            raise LayoutError(f"basis index {index} out of range")
-        out = {}
-        for name, width in self.registers:
-            shift = self.total_qubits - self.offset(name) - width
-            out[name] = (index >> shift) & ((1 << width) - 1)
-        return out
-
     def extended(self, name: str, width: int) -> "RegisterLayout":
         """New layout with one register appended at the least significant end."""
         return RegisterLayout(self.registers + ((name, width),))
@@ -219,11 +210,6 @@ class DensityOperator:
         return self.layout.dim
 
 
-def density_from_state(state: StateVector) -> DensityOperator:
-    require_cap(2 * state.layout.total_qubits, "density matrix")
-    return DensityOperator(state.layout, np.outer(state.amplitudes, state.amplitudes.conj()))
-
-
 @dataclass(frozen=True, eq=False)
 class UnitaryOperator:
     """Unitary matrix together with the sub-layout it acts on."""
@@ -247,44 +233,6 @@ class UnitaryOperator:
 
     def dagger(self) -> "UnitaryOperator":
         return UnitaryOperator(self.layout, self.matrix.conj().T)
-
-
-@dataclass(frozen=True, eq=False)
-class KrausChannel:
-    """Completely positive trace-preserving map given by Kraus elements."""
-
-    layout: RegisterLayout
-    elements: tuple[np.ndarray, ...]
-
-    def __post_init__(self) -> None:
-        require_cap(2 * self.layout.total_qubits, "Kraus element")
-        dim = self.layout.dim
-        elems = tuple(_readonly(np.asarray(e)) for e in self.elements)
-        if not elems:
-            raise LayoutError("channel needs at least one Kraus element")
-        for e in elems:
-            if e.shape != (dim, dim):
-                raise LayoutError(f"Kraus element shape {e.shape} for dim {dim}")
-        total = sum(e.conj().T @ e for e in elems)
-        if not np.allclose(total, np.eye(dim), atol=ATOL):
-            raise InvariantError("Kraus elements do not sum to identity (not trace preserving)")
-        object.__setattr__(self, "elements", elems)
-
-
-def channel_from_environment(u: np.ndarray, sys_dim: int) -> KrausChannel:
-    """Stinespring dilation: unitary on system (x) environment, environment starts at |0>.
-
-    u has shape (sys_dim*env_dim, sys_dim*env_dim) with the system as the most
-    significant factor.  Kraus elements are E_l = (I (x) <l|) u (I (x) |0>).
-    """
-    total = u.shape[0]
-    if total % sys_dim:
-        raise LayoutError("environment dimension is not an integer")
-    env_dim = total // sys_dim
-    blocks = u.reshape(sys_dim, env_dim, sys_dim, env_dim)
-    elems = tuple(np.ascontiguousarray(blocks[:, l, :, 0]) for l in range(env_dim))
-    n = int(round(np.log2(sys_dim)))
-    return KrausChannel(layout(("sys", n)), elems)
 
 
 # ---------------------------------------------------------------------------
@@ -348,27 +296,6 @@ def apply_basis_permutation(state: StateVector, table: np.ndarray, targets: Sequ
     return StateVector(state.layout, np.ascontiguousarray(out).reshape(-1))
 
 
-def apply_channel(rho: DensityOperator, channel: KrausChannel, targets: Sequence[str]) -> DensityOperator:
-    """Apply a Kraus channel to the named registers of a density operator."""
-    axes = _target_axes(rho.layout, targets)
-    k = len(axes)
-    dim = 1 << k
-    if channel.layout.dim != dim:
-        raise LayoutError(f"channel dim {channel.layout.dim} does not cover {k} target qubits")
-    n = rho.layout.total_qubits
-    acc = np.zeros((rho.dim, rho.dim), dtype=np.complex128)
-    mat = rho.matrix.reshape([2] * (2 * n))
-    col_axes = [n + a for a in axes]
-    for e in channel.elements:
-        op = e.reshape([2] * (2 * k))
-        out = np.tensordot(op, mat, axes=(list(range(k, 2 * k)), axes))
-        out = np.moveaxis(out, list(range(k)), axes)
-        out = np.tensordot(out, op.conj(), axes=(col_axes, list(range(k, 2 * k))))
-        out = np.moveaxis(out, list(range(2 * n - k, 2 * n)), col_axes)
-        acc += out.reshape(rho.dim, rho.dim)
-    return DensityOperator(rho.layout, acc)
-
-
 def partial_trace(state: StateVector, keep: Sequence[str]) -> DensityOperator:
     """Trace out every register not named in keep.
 
@@ -394,16 +321,10 @@ def fidelity(a: StateVector, b: StateVector) -> float:
 
 def trace_distance(a: StateVector, b: StateVector) -> float:
     """Half the trace norm of |a><a| - |b><b|, from the eigenvalues of the difference."""
-    vals = np.linalg.eigvalsh(density_from_state(a).matrix - density_from_state(b).matrix)
+    require_cap(2 * max(a.layout.total_qubits, b.layout.total_qubits), "trace distance")
+    va, vb = a.amplitudes, b.amplitudes
+    vals = np.linalg.eigvalsh(np.outer(va, va.conj()) - np.outer(vb, vb.conj()))
     return float(0.5 * np.abs(vals).sum())
-
-
-def overlap(rho: DensityOperator, phi: StateVector) -> float:
-    """<phi| rho |phi>, checked to be real."""
-    val = complex(phi.amplitudes.conj() @ (rho.matrix @ phi.amplitudes))
-    if abs(val.imag) > ATOL:
-        raise InvariantError(f"overlap has imaginary part {val.imag}")
-    return float(val.real)
 
 
 def _assignment_index(lay: RegisterLayout, assignments: Mapping[str, int]) -> tuple:

@@ -96,13 +96,8 @@ class DistributionTable:
         return UnitaryOperator(layout(("query", self.m)), eye if nv < 1e-30 else eye - 2.0 * np.outer(v, v) / nv)
 
 
-def save_distribution(table: DistributionTable, path) -> None:
-    """Text format: one 'q d_q' line per entry, q in binary."""
-    lines = [f"{q:0{table.m}b} {float(table.probs[q])!r}" for q in range(1 << table.m)]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def load_distribution(path) -> DistributionTable:
+    """Text format: one 'q d_q' line per entry, q in binary."""
     lines = [ln.strip() for ln in Path(path).read_text().splitlines() if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty distribution file")

@@ -1,10 +1,10 @@
-"""Seeded random instances: Haar unitaries, densities, projectors, channels."""
+"""Seeded random instances: Haar unitaries, densities, projectors, channel dilations."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import KrausChannel, StateVector, channel_from_environment, layout
+from .core import StateVector, UnitaryOperator, layout, require_cap
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -63,7 +63,12 @@ def purification_pair(rho: np.ndarray, env_qubits: int, rng: np.random.Generator
     return states[0], states[1]
 
 
-def random_channel(sys_qubits: int, env_qubits: int, rng: np.random.Generator) -> KrausChannel:
-    """CPTP map from a Haar-random dilation unitary."""
-    dim = 1 << (sys_qubits + env_qubits)
-    return channel_from_environment(haar_unitary(dim, rng), 1 << sys_qubits)
+def random_channel(sys_qubits: int, env_qubits: int, rng: np.random.Generator) -> UnitaryOperator:
+    """CPTP map as its Haar-random Stinespring dilation on registers (sys, env).
+
+    The environment starts at |0>; the Kraus elements are
+    E_l = (I (x) <l|) U (I (x) |0>) with the system the most significant factor.
+    """
+    lay = layout(("sys", sys_qubits), ("env", env_qubits))
+    require_cap(2 * lay.total_qubits, "channel dilation")  # before the Haar draw allocates
+    return UnitaryOperator(lay, haar_unitary(lay.dim, rng))

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from trapqip import core
 from trapqip.analysis import (
     epr_trivialization,
     maxproj_closed_form,
@@ -24,6 +25,21 @@ def _projector_and_vector(dim, rank, rng):
     return pi, phi / np.linalg.norm(phi)
 
 
+def _kraus_overlap(dilation, state):
+    """<state| (Phi (x) I)(|state><state|) |state> from the explicit Kraus sum
+    E_l = (I (x) <l|) U (I (x) |0>), with Phi acting on the leading `sys` qubits."""
+    dim, env = 1 << dilation.layout.width("sys"), 1 << dilation.layout.width("env")
+    blocks = dilation.matrix.reshape(dim, env, dim, env)
+    rest = np.eye(state.dim // dim)
+    vec = state.amplitudes
+    rho = np.outer(vec, vec.conj())
+    out = np.zeros_like(rho)
+    for l in range(env):
+        e = np.kron(blocks[:, l, :, 0], rest)
+        out += e @ rho @ e.conj().T
+    return float(np.vdot(vec, out @ vec).real)
+
+
 class TestPurificationInvariance:
     def test_equal_for_purification_pairs(self):
         rng = np.random.default_rng(8)
@@ -36,6 +52,16 @@ class TestPurificationInvariance:
             assert rep.passed
             assert abs(rep.left - rep.right) <= 1e-9
             assert rep.check_id == "purification-invariance"
+
+    @settings(max_examples=40, deadline=None)
+    @given(sys_q=st.integers(1, 2), env_q=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
+    def test_each_side_matches_kraus_sum(self, sys_q, env_q, seed):
+        rng = np.random.default_rng(seed)
+        phi, psi = purification_pair(random_density(1 << sys_q, rng), sys_q, rng)
+        ch = random_channel(sys_q, env_q, rng)
+        rep = purification_invariance(ch, phi, psi)
+        assert abs(rep.left - _kraus_overlap(ch, phi)) <= 1e-12
+        assert abs(rep.right - _kraus_overlap(ch, psi)) <= 1e-12
 
     def test_rejects_unrelated_states(self):
         rng = np.random.default_rng(9)
@@ -73,12 +99,6 @@ class TestBisectionBound:
         rep = maxproj_report(pi, phi)
         assert rep.check_id == "bisection-bound"
         assert rep.passed
-
-    def test_state_vector_input(self):
-        st = core.StateVector(core.layout(("a", 2)), np.full(4, 0.5))
-        pi = np.diag([1.0, 0.0, 0.0, 0.0])
-        np.testing.assert_allclose(maxproj_closed_form(pi, st), 1.5, atol=1e-12)
-        np.testing.assert_allclose(maxproj_eigen_oracle(pi, st), 1.5, atol=1e-12)
 
     def test_degenerate_angles_have_no_bisecting_state(self):
         rng = np.random.default_rng(23)

@@ -8,11 +8,10 @@ import pytest
 from trapqip.core import (
     CapacityError,
     DensityOperator,
-    KrausChannel,
     basis_state,
-    density_from_state,
     layout,
     qubit_cap,
+    trace_distance,
 )
 from trapqip.oracles import xor_shift_permutation
 from trapqip.protocols import (
@@ -34,6 +33,7 @@ from trapqip.reductions import (
     build_smooth_xor_reduction,
     build_xor_reduction,
 )
+from trapqip.sampling import random_channel
 
 ENTRIES = ("trap", "smooth", "classical", "overlap", "ceiling", "search")
 
@@ -136,10 +136,12 @@ def test_default_cap_limits():
     assert fits("search", 2, cheat=5) and not fits("search", 2, cheat=6)
 
 
-@pytest.mark.parametrize("build", ["density", "density_from_state", "channel"])
+@pytest.mark.parametrize("build", ["density", "trace_distance", "random_channel"])
 def test_over_cap_density_and_channel_refused_before_allocation(build):
-    """A density or Kraus element on n qubits counts 2n: one qubit past half
-    the cap is refused before its matrix is copied or checked."""
+    """A density on n qubits, the difference of two in trace_distance, or a
+    channel's dilation unitary on n system and environment qubits counts 2n:
+    one qubit past half the cap is refused before its matrix is drawn,
+    copied, built or checked."""
     lay = layout(("sys", qubit_cap() // 2 + 1))
     # a zero-stride view: no memory behind it, a full copy would be 16 MB
     hollow = np.broadcast_to(np.complex128(0), (lay.dim, lay.dim))
@@ -149,10 +151,10 @@ def test_over_cap_density_and_channel_refused_before_allocation(build):
         with pytest.raises(CapacityError):
             if build == "density":
                 DensityOperator(lay, hollow)
-            elif build == "density_from_state":
-                density_from_state(state)
+            elif build == "trace_distance":
+                trace_distance(state, state)
             else:
-                KrausChannel(lay, (hollow,))
+                random_channel(lay.total_qubits - 1, 1, np.random.default_rng(0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

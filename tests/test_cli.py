@@ -138,6 +138,29 @@ class TestRun:
         assert rec["upper_bound"] is None
 
 
+class TestRefusedConfigs:
+    """A config that would run something other than what it asks for exits 2."""
+
+    @pytest.mark.parametrize(
+        "command, text, key",
+        [
+            ("run", "[run]\neps = -0.25\n", "eps"),
+            ("run", "[run]\neps = nan\n", "eps"),
+            ("sweep", "[run]\nm = 2\n[sweep]\neps = 0, -0.25\n", "eps"),
+            ("sweep", "[run]\nm = 2\n[sweep]\neps = 0.1, nan\n", "eps"),
+            ("separation-demo", "[separation]\nn = 6\ninstance = -1\n", "instance"),
+            ("qrs-demo", "[qrs]\ntrials = -3\n", "trials"),
+        ],
+        ids=["run-eps-negative", "run-eps-nan", "sweep-eps-negative", "sweep-eps-nan", "negative-instance", "negative-trials"],
+    )
+    def test_usage_exit_without_output(self, command, text, key, tmp_path, capsys):
+        dest = tmp_path / "never.out"
+        code = cli.main([command, "--config", _write(tmp_path, text), "--out", str(dest)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {key}")
+        assert not dest.exists()
+
+
 class TestRunConfig:
     def test_every_run_key_parsed(self, tmp_path):
         # every [run] key set to a value other than its default

@@ -18,7 +18,6 @@ from trapqip.core import (
     condition_on,
     layout,
     measure_probability,
-    overlap,
     partial_trace,
     tensor_product,
 )
@@ -150,7 +149,8 @@ class TestBranchBalance:
                 state = apply_basis_permutation(state, inversion_table(f), ["query", "answer"])
                 targets = (["prover"] if p else []) + ["query", "answer"]
                 state = apply_on_registers(state, prover.unitary, targets)
-                want = overlap(partial_trace(state, keep=honest.layout.names), honest)
+                rho = partial_trace(state, keep=honest.layout.names).matrix
+                want = np.vdot(honest.amplitudes, rho @ honest.amplitudes).real
                 assert abs(value - want) <= 1e-12
 
 

@@ -47,9 +47,12 @@ class TestRandomChannel:
         rng = np.random.default_rng(4)
         for sys_q, env_q in ((1, 1), (1, 2), (2, 1)):
             ch = random_channel(sys_q, env_q, rng)
-            dim = 1 << sys_q
+            assert ch.layout.registers == (("sys", sys_q), ("env", env_q))
+            dim, env = 1 << sys_q, 1 << env_q
+            # Kraus elements E_l = (I (x) <l|) U (I (x) |0>)
+            blocks = ch.matrix.reshape(dim, env, dim, env)
             acc = np.zeros((dim, dim), dtype=complex)
-            for k in ch.elements:
+            for l in range(env):
+                k = blocks[:, l, :, 0]
                 acc += k.conj().T @ k
             np.testing.assert_allclose(acc, np.eye(dim), atol=1e-9)
-            assert len(ch.elements) == 1 << env_q
