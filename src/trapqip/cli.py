@@ -129,14 +129,12 @@ class RunConfig:
     iters: int = 200
     seed: int = 0
     distribution: str | None = None
-    gamma: int | None = None
-    gamma_prime: int | None = None
     accept_output: int = 0
 
 
 # [run] value parser per RunConfig field annotation; an empty optional string
 # is unset.  The shift s is read as an m-bit string instead.
-_PARSERS = {"str": str, "str | None": lambda raw: raw or None, "int": int, "int | None": int, "float": float}
+_PARSERS = {"str": str, "str | None": lambda raw: raw or None, "int": int, "float": float}
 
 
 def _parse_bits(raw: str, m: int) -> int:
@@ -164,12 +162,16 @@ def _run_config(cfg: configparser.ConfigParser, seed_override: int | None) -> Ru
         raise ConfigError("accept_output must be 0 or 1")
     if rc.s == 0:
         raise ConfigError("the shift s must be nonzero")
+    if rc.distribution is not None and rc.protocol != "3":
+        raise ConfigError(f"distribution = {rc.distribution} needs protocol 3, not {rc.protocol}")
     return rc
 
 
 def _build_reduction(rc: RunConfig):
     if not 0 <= rc.eps < 1:  # NaN fails both comparisons
         raise ConfigError(f"eps = {rc.eps} outside [0, 1)")
+    if rc.iters < 0:
+        raise ConfigError(f"iters = {rc.iters} must be >= 0")
     f = xor_shift_permutation(rc.m, rc.s)
     if rc.protocol == "3":
         table = DistributionTable.uniform(rc.m) if rc.distribution is None else load_distribution(rc.distribution)
@@ -219,11 +221,7 @@ def _execute(rc: RunConfig, digest: str) -> dict:
     if rc.protocol == "classical":
         result = run_classical_query_protocol(r, f, rc.x, prover, seed=rc.seed, accept_output=rc.accept_output)
     elif rc.protocol == "3":
-        result = run_smooth_protocol(
-            r, f, rc.x, prover,
-            gamma=rc.gamma, gamma_prime=rc.gamma_prime,
-            accept_output=rc.accept_output, seed=rc.seed,
-        )
+        result = run_smooth_protocol(r, f, rc.x, prover, accept_output=rc.accept_output, seed=rc.seed)
     else:
         result = run_protocol(r, f, rc.x, prover, accept_output=rc.accept_output)
     upper = None
@@ -501,6 +499,8 @@ def cmd_separation_demo(args) -> int:
     seed = args.seed if args.seed is not None else _typed(sect, "seed", int, 0)
     if not 0 <= instance < instances:
         raise ConfigError(f"instance {instance} outside the {instances} built")
+    if classical_seeds < 1:
+        raise ConfigError(f"classical_seeds = {classical_seeds} must be >= 1")
     oracle = separation.build_simon_oracle(n, instances, seed)
     solved = separation.simon_solve(oracle, instance, seed=seed + 1)
     counts = [
@@ -531,10 +531,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="flat key = value config file")
         p.add_argument("--seed", type=int, default=None, help="overrides any seed in the config")
         p.add_argument("--out", default=None, help="output path; stdout when absent")
-        p.add_argument("--format", choices=("json", "csv"), default=None)
 
-    common(sub.add_parser("run", help="execute one protocol instance"))
-    common(sub.add_parser("sweep", help="cross-product of [sweep] ranges, one row per point"))
+    run = sub.add_parser("run", help="execute one protocol instance")
+    sweep = sub.add_parser("sweep", help="cross-product of [sweep] ranges, one row per point")
+    for record in (run, sweep):  # the record writers; every other command prints JSON
+        common(record)
+        record.add_argument("--format", choices=("json", "csv"), default=None)
     verify = sub.add_parser("verify-lemmas", help="run a fixed-seed property suite")
     verify.add_argument("suite", choices=sorted(_SUITES))
     common(verify)

@@ -138,10 +138,6 @@ class RegisterLayout:
             idx |= value << (self.total_qubits - self.offset(name) - width)
         return idx
 
-    def extended(self, name: str, width: int) -> "RegisterLayout":
-        """New layout with one register appended at the least significant end."""
-        return RegisterLayout(self.registers + ((name, width),))
-
     def subset(self, names: Sequence[str]) -> "RegisterLayout":
         """Layout of the named registers, kept in this layout's order."""
         keep = set(names)
@@ -366,9 +362,7 @@ def condition_on(state: StateVector, assignments: Mapping[str, int]):
 
 def adjoin_register(state: StateVector, name: str, width: int) -> StateVector:
     """Tensor a fresh all-zero register onto the least significant end."""
-    new_lay = state.layout.extended(name, width)
-    fresh = basis_state(layout((name, width)))
-    return StateVector(new_lay, np.kron(state.amplitudes, fresh.amplitudes))
+    return tensor_product(state, basis_state(layout((name, width))))
 
 
 def reorder_registers(state: StateVector, order: Sequence[str]) -> StateVector:

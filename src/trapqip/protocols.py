@@ -384,7 +384,7 @@ class _SmoothBranch:
     down_impossible: bool
 
 
-def _smooth_branch(r: Reduction, f: Permutation, x: int, prover: Prover, gamma, gamma_prime, accept_output: int):
+def _smooth_branch(r: Reduction, f: Permutation, x: int, prover: Prover, accept_output: int):
     """Resample every query up to uniform, run the prover, resample back down, decide."""
     uniform = DistributionTable.uniform(r.m)
     xor = register_xor_table(r.m)
@@ -396,9 +396,8 @@ def _smooth_branch(r: Reduction, f: Permutation, x: int, prover: Prover, gamma, 
         step = rejection.qrs_round(state, plan, "query")
         if abs(step.success_prob - plan.success_probability) > 1e-9:
             raise InvariantError("pre-send resampling success deviates from 1/beta")
-        budget = rejection.copies_budget_to_uniform(r.distributions[i]) if gamma is None else gamma
         up_probs.append(step.success_prob)
-        up_budgets.append(budget)
+        up_budgets.append(rejection.copies_budget_to_uniform(r.distributions[i]))
         state = core.adjoin_register(step.accepted, "copy", r.m)
         parts.append(core.apply_basis_permutation(state, xor, ["query", "copy"]))
 
@@ -409,9 +408,8 @@ def _smooth_branch(r: Reduction, f: Permutation, x: int, prover: Prover, gamma, 
         comp = core.apply_basis_permutation(comp, xor, [regs["query"], regs["copy"]])
         plan = rejection.make_plan(uniform, r.distributions[i])
         step = rejection.qrs_round(comp, plan, regs["query"])
-        budget = rejection.copies_budget_from_uniform(r.distributions[i]) if gamma_prime is None else gamma_prime
         down_probs.append(step.success_prob)
-        down_budgets.append(budget)
+        down_budgets.append(rejection.copies_budget_from_uniform(r.distributions[i]))
         if step.accepted is None:
             down_impossible = True
             break
@@ -451,8 +449,6 @@ def run_smooth_protocol(
     f: Permutation,
     x: int,
     prover: Prover,
-    gamma: int | None = None,
-    gamma_prime: int | None = None,
     accept_output: int = 0,
     seed: int = 0,
 ) -> ProtocolResult:
@@ -462,10 +458,11 @@ def run_smooth_protocol(
     and back down to the target distribution before deciding, so the prover
     only ever sees uniform queries.  Reported probabilities condition on all
     rejection-sampling flags succeeding; the seeded round counts drawn against
-    the copy budgets land in metadata, including any budget overrun.  Honest
-    provers are simulated once per distinct copy (one per distinct table),
-    with each copy's rounds drawn from its own seed, and combined by the
-    exact majority law.
+    each copy's budgets (rejection.copies_budget_to_uniform and
+    copies_budget_from_uniform of its table) land in metadata, including any
+    budget overrun.  Honest provers are simulated once per distinct copy (one
+    per distinct table), with each copy's rounds drawn from its own seed, and
+    combined by the exact majority law.
     """
     _check_instance("smooth", r, f, x, accept_output, prover)
     rng = np.random.default_rng(seed)
@@ -474,9 +471,7 @@ def run_smooth_protocol(
         # Every copy draws its own child seed, in copy order, and its rounds
         # from that seed; simulation draws nothing, so the seeds come first.
         seeds = [int(rng.integers(2**62)) for _ in r.distributions]
-        branches = _per_distinct_copy(
-            r, lambda single: _smooth_branch(single, f, x, prover, gamma, gamma_prime, accept_output)
-        )
+        branches = _per_distinct_copy(r, lambda single: _smooth_branch(single, f, x, prover, accept_output))
         ones = [b.p0 if accept_output == 1 else 1.0 - b.p0 for b in branches]
         parts = [
             {**_header("smooth", prover, r.m, 1, accept_output, c), **_smooth_rounds(np.random.default_rng(c), b)}
@@ -488,7 +483,7 @@ def run_smooth_protocol(
         metadata["budget_exceeded"] = any(p["budget_exceeded"] for p in parts)
         return ProtocolResult(p0=float(p0), p1=float(p1), metadata=metadata)
 
-    branch = _smooth_branch(r, f, x, prover, gamma, gamma_prime, accept_output)
+    branch = _smooth_branch(r, f, x, prover, accept_output)
     p1 = _trap_accept(r, f, prover)
     metadata.update(_smooth_rounds(rng, branch))
     return ProtocolResult(p0=float(branch.p0), p1=float(p1), metadata=metadata)
@@ -643,6 +638,9 @@ def branch_overlap_pair(r: Reduction, f: Permutation, x: int, prover: Prover) ->
 # ---------------------------------------------------------------------------
 # numerical prover search
 
+# prover_search swaps its current unitary for a fresh Haar draw every this many iterations
+RESTART_EVERY = 250
+
 
 def _search_context(r: Reduction, f: Permutation, x: int, p_qubits: int, accept_output: int):
     """Row-separable form of the search objective for cheat unitaries u.
@@ -686,18 +684,18 @@ def prover_search(
     iters: int,
     seed: int,
     accept_output: int = 0,
-    restart_every: int = 250,
 ) -> tuple[Prover, float]:
     """Hill-climb over cheat unitaries; returns the best prover and its value.
 
     Proposals compose small random two-coordinate rotations onto the current
-    unitary, with periodic fresh Haar restarts.  A rotation touches two rows
-    of the unitary, so a proposal updates those rows of u @ a0 and u @ a1 and
-    their score terms, never the full product.  Scores are recomputed from
-    scratch at the start, at each restart and for the returned unitary.  The
-    identity start makes the zero-iteration result the honest value, and for
-    a fixed seed the best value is non-decreasing in the iteration count.
-    The result is checked against the closed-form ceiling.
+    unitary, and every RESTART_EVERY-th iteration is a fresh Haar restart
+    instead.  A rotation touches two rows of the unitary, so a proposal
+    updates those rows of u @ a0 and u @ a1 and their score terms, never the
+    full product.  Scores are recomputed from scratch at the start, at each
+    restart and for the returned unitary.  The identity start makes the
+    zero-iteration result the honest value, and for a fixed seed the best
+    value is non-decreasing in the iteration count.  The result is checked
+    against the closed-form ceiling.
     """
     _check_instance("search", r, f, x, accept_output, cheat=p_qubits)
     a0, a1, row_terms = _search_context(r, f, x, p_qubits, accept_output)
@@ -717,7 +715,7 @@ def prover_search(
     b0, b1, t0, s1, current_score = from_scratch(current)
     best, best_score = current.copy(), current_score
     for i in range(1, iters + 1):
-        if restart_every and i % restart_every == 0:
+        if i % RESTART_EVERY == 0:
             # unconditional restart; escapes local maxima, best is kept aside
             current = haar_unitary(dim, rng)
             b0, b1, t0, s1, current_score = from_scratch(current)

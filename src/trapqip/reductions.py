@@ -32,16 +32,15 @@ DIST_SUM_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class DistributionTable:
-    """Query distribution d_q over m-bit strings with a smoothness certificate.
+    """Query distribution d_q over m-bit strings.
 
-    The certificate constant c bounds 2^m * d_q into [1/c, c].  When not given
-    it defaults to the tightest value the table admits; a table with an empty
-    slot (d_q = 0) has no finite certificate and is not smooth.
+    Its smoothness certificate c is the tightest constant bounding 2^m * d_q
+    into [1/c, c]; a table with an empty slot (d_q = 0) has no finite
+    certificate and is not smooth.
     """
 
     m: int
     probs: np.ndarray
-    c: float | None = None
 
     def __post_init__(self) -> None:
         arr = np.array(np.asarray(self.probs, dtype=float).reshape(-1), copy=True)
@@ -54,16 +53,11 @@ class DistributionTable:
             raise ValueError(f"probabilities sum to {total}, not 1 within {DIST_SUM_TOL}")
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
-        if self.c is None:
-            scaled_min = (1 << self.m) * self.d_min
-            scaled_max = (1 << self.m) * self.d_max
-            cert = math.inf if scaled_min <= 0 else max(scaled_max, 1.0 / scaled_min)
-            object.__setattr__(self, "c", float(cert))
 
     @classmethod
     def uniform(cls, m: int) -> "DistributionTable":
         size = 1 << m
-        return cls(m, np.full(size, 1.0 / size), c=1.0)
+        return cls(m, np.full(size, 1.0 / size))
 
     @property
     def d_min(self) -> float:
@@ -74,11 +68,14 @@ class DistributionTable:
         return float(self.probs.max())
 
     @property
+    def c(self) -> float:
+        scaled_min = (1 << self.m) * self.d_min
+        return math.inf if scaled_min <= 0 else max((1 << self.m) * self.d_max, 1.0 / scaled_min)
+
+    @property
     def is_smooth(self) -> bool:
-        size = 1 << self.m
-        if self.d_min <= 0 or not math.isfinite(self.c):
-            return False
-        return size * self.d_min >= 1.0 / self.c - DIST_SUM_TOL and size * self.d_max <= self.c + DIST_SUM_TOL
+        # the tightest certificate satisfies its own bounds whenever it is finite
+        return math.isfinite(self.c)
 
     @property
     def is_uniform(self) -> bool:

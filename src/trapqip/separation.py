@@ -37,8 +37,8 @@ class GeneralizedSimonOracle:
     n: int
     secrets: tuple[int, ...]
     tables: tuple[tuple[int, ...], ...]
-    quantum_counts: np.ndarray = field(default=None)
-    classical_counts: np.ndarray = field(default=None)
+    quantum_counts: np.ndarray = field(init=False)
+    classical_counts: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         size = 1 << self.n

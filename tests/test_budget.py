@@ -1,9 +1,13 @@
 """The one qubit-budget rule: footprints against what the engines build."""
 
+import os
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trapqip.core import (
     CapacityError,
@@ -72,52 +76,72 @@ def _call(entry, r, prover, cheat):
     return prover_search(r, f, 1, cheat, iters=3, seed=4)
 
 
-@pytest.mark.parametrize("entry", ENTRIES)
-def test_footprint_matches_what_engines_build(entry, monkeypatch):
-    """Each config runs under a cap of exactly its footprint, or is refused
-    at entry before anything is allocated."""
-    cap = qubit_cap()
-    ran = refused = 0
-    for m, t, cheat in _cases(entry):
-        r = _reduction(entry, m, t)
-        need = footprint(entry, r, cheat)
-        label = f"{entry} m={m} t={t} cheat={cheat}: footprint {need}"
-        if need > cap:
-            # a cheat this wide cannot even be built; the entry must refuse
-            # without touching it
-            prover = Prover.honest() if cheat is None else Prover(PROVER_UNITARY, object(), cheat)
-            tracemalloc.start()
-            try:
-                with pytest.raises(CapacityError):
-                    _call(entry, r, prover, cheat)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 1 << 20, f"{label}: refused after {peak} bytes"
-            refused += 1
-            continue
-        # a cap of exactly the footprint: any wider layout or dense operator
-        # raises CapacityError; cached builders are rebuilt under it.  Raw
-        # arrays (projector entries, search products) are bounded through the peak.
-        monkeypatch.setenv("TRAPQIP_MAX_QUBITS", str(need))
+def _check_footprint(entry, m, t, cheat, cap) -> bool:
+    """Run one call under a cap of `cap` qubits; True when it ran.
+
+    Under a cap of at least its footprint the call runs: any wider layout or
+    dense operator raises CapacityError, cached builders are rebuilt under
+    the cap, and raw arrays (projector entries, search products) are bounded
+    through the peak.  Under a smaller cap the entry refuses the call before
+    anything is allocated; a cheat that wide stands in as a placeholder the
+    entry must refuse without touching.
+    """
+    r = _reduction(entry, m, t)
+    need = footprint(entry, r, cheat)
+    label = f"{entry} m={m} t={t} cheat={cheat} cap={cap}: footprint {need}"
+    refused = None
+    with mock.patch.dict(os.environ, {"TRAPQIP_MAX_QUBITS": str(cap)}):
         trap_verifier.cache_clear()
         tracemalloc.start()
         try:
             prover = Prover.honest()
             if cheat is not None and entry != "search":
-                prover = Prover.unitary_cheat(np.eye(1 << (cheat + 2 * m * t)), cheat)
+                if need > cap:
+                    prover = Prover(PROVER_UNITARY, object(), cheat)
+                else:
+                    prover = Prover.unitary_cheat(np.eye(1 << (cheat + 2 * m * t)), cheat)
             _call(entry, r, prover, cheat)
-            peak = tracemalloc.get_traced_memory()[1]
         except CapacityError as exc:
-            pytest.fail(f"{label}: refused late: {exc}")
+            refused = exc
         finally:
+            peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
-            monkeypatch.delenv("TRAPQIP_MAX_QUBITS")
             trap_verifier.cache_clear()
-        # sixteen complex128 copies of the widest object, plus bookkeeping
-        assert peak <= (256 << need) + (1 << 20), f"{label}: peak {peak} bytes"
-        ran += 1
+    if need > cap:
+        assert refused is not None, f"{label}: ran over the cap"
+        assert peak < 1 << 20, f"{label}: refused after {peak} bytes"
+        return False
+    assert refused is None, f"{label}: refused late: {refused}"
+    # sixteen complex128 copies of the widest object, plus bookkeeping
+    assert peak <= (256 << need) + (1 << 20), f"{label}: peak {peak} bytes"
+    return True
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_footprint_matches_what_engines_build(entry):
+    """Each config runs under a cap of exactly its footprint, or is refused
+    at entry under the default cap before anything is allocated."""
+    ran = refused = 0
+    for m, t, cheat in _cases(entry):
+        need = footprint(entry, _reduction(entry, m, t), cheat)
+        if _check_footprint(entry, m, t, cheat, min(need, qubit_cap())):
+            ran += 1
+        else:
+            refused += 1
     assert ran and (refused or entry == "classical")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_footprint_holds_for_caps_near_it(data):
+    """The grid's claim at drawn instances and caps within two qubits of the
+    footprint.  An instance over the default cap cannot be built, so its cap
+    is drawn below the footprint only."""
+    entry = data.draw(st.sampled_from(ENTRIES), label="entry")
+    m, t, cheat = data.draw(st.sampled_from(list(_cases(entry))), label="m, t, cheat")
+    need = footprint(entry, _reduction(entry, m, t), cheat)
+    top = need + 2 if need <= qubit_cap() else need - 1
+    _check_footprint(entry, m, t, cheat, data.draw(st.integers(max(1, need - 2), top), label="cap"))
 
 
 def test_default_cap_limits():

@@ -150,8 +150,18 @@ class TestRefusedConfigs:
             ("sweep", "[run]\nm = 2\n[sweep]\neps = 0.1, nan\n", "eps"),
             ("separation-demo", "[separation]\nn = 6\ninstance = -1\n", "instance"),
             ("qrs-demo", "[qrs]\ntrials = -3\n", "trials"),
+            ("run", "[run]\nprover = search\niters = -5\n", "iters"),
+            ("sweep", "[run]\nm = 2\nprover = search\n[sweep]\niters = 10, -1\n", "iters"),
+            ("separation-demo", "[separation]\nn = 6\nclassical_seeds = 0\n", "classical_seeds"),
+            ("separation-demo", "[separation]\nn = 6\nclassical_seeds = -3\n", "classical_seeds"),
+            ("run", "[run]\nprotocol = 1\ndistribution = nope.txt\n", "distribution"),
+            ("sweep", "[run]\nprotocol = classical\ndistribution = nope.txt\n", "distribution"),
         ],
-        ids=["run-eps-negative", "run-eps-nan", "sweep-eps-negative", "sweep-eps-nan", "negative-instance", "negative-trials"],
+        ids=[
+            "run-eps-negative", "run-eps-nan", "sweep-eps-negative", "sweep-eps-nan", "negative-instance",
+            "negative-trials", "run-iters-negative", "sweep-iters-negative", "zero-classical-seeds",
+            "negative-classical-seeds", "run-distribution-protocol-1", "sweep-distribution-classical",
+        ],
     )
     def test_usage_exit_without_output(self, command, text, key, tmp_path, capsys):
         dest = tmp_path / "never.out"
@@ -161,17 +171,36 @@ class TestRefusedConfigs:
         assert not dest.exists()
 
 
+class TestRemovedOptions:
+    """Keys and flags that changed no output are refused as usage errors."""
+
+    @pytest.mark.parametrize("key", ["gamma", "gamma_prime"])
+    def test_budget_keys_are_unknown(self, key, tmp_path, capsys):
+        cfg = _write(tmp_path, f"[run]\nprotocol = 3\n{key} = 3\n")
+        assert cli.main(["run", "--config", cfg]) == 2
+        assert capsys.readouterr().err == f"error: unknown keys in [run]: {key}\n"
+
+    @pytest.mark.parametrize(
+        "argv", [["verify-lemmas", "epr"], ["qrs-demo"], ["separation-demo"]], ids=lambda argv: argv[0]
+    )
+    def test_format_only_on_record_commands(self, argv, capsys):
+        assert cli.main([*argv, "--format", "csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --format csv" in captured.err
+
+
 class TestRunConfig:
     def test_every_run_key_parsed(self, tmp_path):
         # every [run] key set to a value other than its default
         raw = {
             "protocol": "3", "m": "3", "s": "101", "bit": "2", "eps": "0.25", "t": "5", "x": "6",
             "prover": "identity", "p_qubits": "1", "iters": "7", "seed": "11", "distribution": "dist.txt",
-            "gamma": "9", "gamma_prime": "10", "accept_output": "1",
+            "accept_output": "1",
         }
         want = cli.RunConfig(
             protocol="3", m=3, s=0b101, bit=2, eps=0.25, t=5, x=6, prover="identity", p_qubits=1, iters=7,
-            seed=11, distribution="dist.txt", gamma=9, gamma_prime=10, accept_output=1,
+            seed=11, distribution="dist.txt", accept_output=1,
         )
         cfg, _ = cli._load_config(_write(tmp_path, "[run]\n" + "".join(f"{k} = {v}\n" for k, v in raw.items())))
         rc = cli._run_config(cfg, None)

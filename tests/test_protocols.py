@@ -1,6 +1,7 @@
 """Protocol engine tests: completeness, trap checks, cheating ceilings."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -307,15 +308,16 @@ class TestProverSearch:
         np.testing.assert_allclose(a[0].unitary.matrix, b[0].unitary.matrix)
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_matches_dense_reference_loop(self, seed):
-        # small restart_every so that Haar restarts are covered
+    def test_matches_dense_reference_loop(self, seed, monkeypatch):
+        # restarts every 35 iterations, so that Haar restarts are covered
         m, p = 2 - seed // 3, seed % 3
         base = build_xor_reduction(m, 1, 0)
         r = add_noise(base, 0.25) if seed % 2 else base
         f = random_permutation(m, seed=seed)
         x, accept_output = seed % (1 << m), seed % 2
         want_u, want = _reference_search(r, f, x, p, 90, seed, accept_output, restart_every=35)
-        prover, value = prover_search(r, f, x, p, 90, seed=seed, accept_output=accept_output, restart_every=35)
+        monkeypatch.setattr(protocols, "RESTART_EVERY", 35)
+        prover, value = prover_search(r, f, x, p, 90, seed=seed, accept_output=accept_output)
         assert abs(value - want) <= 1e-12
         assert np.abs(prover.unitary.matrix - want_u).max() <= 1e-12
 
@@ -330,14 +332,13 @@ class TestProverSearch:
         x = data.draw(st.integers(0, (1 << m) - 1))
         accept_output = data.draw(st.integers(0, 1))
         iters = data.draw(st.integers(0, 200))
-        restart_every = data.draw(st.sampled_from((0, 40, 250)))
+        restart_every = data.draw(st.sampled_from((40, protocols.RESTART_EVERY)))
         seed = data.draw(st.integers(0, 2**32 - 1))
         base = build_xor_reduction(m, 1, 0)
         r = add_noise(base, eps) if eps else base
         f = random_permutation(m, seed=3)
-        prover, value = prover_search(
-            r, f, x, p, iters, seed=seed, accept_output=accept_output, restart_every=restart_every
-        )
+        with mock.patch.object(protocols, "RESTART_EVERY", restart_every):
+            prover, value = prover_search(r, f, x, p, iters, seed=seed, accept_output=accept_output)
         engine = run_protocol(r, f, x, prover, accept_output=accept_output)
         assert abs(value - engine.accept_prob) <= 1e-12
 
@@ -457,7 +458,7 @@ class TestHonestCopySharing:
                 assert len(traps) == 1
 
 
-def _smooth_per_copy_reference(r, f, x, gamma, accept_output, seed):
+def _smooth_per_copy_reference(r, f, x, accept_output, seed):
     """The honest multi-copy smooth engine running the single-copy protocol per copy, in order."""
     rng = np.random.default_rng(seed)
     ones, trap_ok, parts = [], 1.0, []
@@ -467,8 +468,6 @@ def _smooth_per_copy_reference(r, f, x, gamma, accept_output, seed):
             f,
             x,
             Prover.honest(),
-            gamma=gamma,
-            gamma_prime=gamma,
             accept_output=accept_output,
             seed=int(rng.integers(2**62)),
         )
@@ -488,11 +487,9 @@ def _smooth_per_copy_reference(r, f, x, gamma, accept_output, seed):
     return _majority_accept(ones, r.copies, accept_output), trap_ok, repr(metadata)
 
 
-def _smooth_matches_reference(r, f, x, gamma, accept_output, seed):
-    res = run_smooth_protocol(
-        r, f, x, Prover.honest(), gamma=gamma, gamma_prime=gamma, accept_output=accept_output, seed=seed
-    )
-    want = _smooth_per_copy_reference(r, f, x, gamma, accept_output, seed)
+def _smooth_matches_reference(r, f, x, accept_output, seed):
+    res = run_smooth_protocol(r, f, x, Prover.honest(), accept_output=accept_output, seed=seed)
+    want = _smooth_per_copy_reference(r, f, x, accept_output, seed)
     assert (res.p0, res.p1, repr(res.metadata)) == want
     return res
 
@@ -501,18 +498,22 @@ class TestSmoothCopySharing:
     """Honest multi-copy smooth runs simulate each distinct copy once, with the old bytes."""
 
     @pytest.mark.parametrize("m, t", [(1, 3), (1, 5), (2, 3), (2, 5), (3, 3)])
-    def test_matches_per_copy_recursion(self, m, t):
+    def test_matches_per_copy_recursion(self, m, t, monkeypatch):
         s, bit = (1 << m) - 1, m - 1
         f = xor_shift_permutation(m, s)
         exceeded = set()
-        for eps in (0.0, 0.1):
-            base = build_smooth_xor_reduction(m, s, bit, _smooth_tables(m)[2])
-            r = amplify(add_noise(base, eps) if eps else base, t)
-            for x in range(1 << m):
-                for accept_output in (0, 1):
-                    for seed in (0, 7):
-                        for gamma in (None, 1):
-                            res = _smooth_matches_reference(r, f, x, gamma, accept_output, seed)
+        # a second pass with one-round budgets, which some draws overrun
+        for one_round in (False, True):
+            if one_round:
+                monkeypatch.setattr(rejection, "copies_budget_to_uniform", lambda table: 1)
+                monkeypatch.setattr(rejection, "copies_budget_from_uniform", lambda table: 1)
+            for eps in (0.0, 0.1):
+                base = build_smooth_xor_reduction(m, s, bit, _smooth_tables(m)[2])
+                r = amplify(add_noise(base, eps) if eps else base, t)
+                for x in range(1 << m):
+                    for accept_output in (0, 1):
+                        for seed in (0, 7):
+                            res = _smooth_matches_reference(r, f, x, accept_output, seed)
                             exceeded.add(res.metadata["budget_exceeded"])
         assert exceeded == {False, True}
 
@@ -533,7 +534,7 @@ class TestSmoothCopySharing:
         monkeypatch.setattr(rejection, "qrs_round", failing)
         for x in range(1 << m):
             for accept_output in (0, 1):
-                res = _smooth_matches_reference(r, f, x, None, accept_output, seed=x)
+                res = _smooth_matches_reference(r, f, x, accept_output, seed=x)
                 impossible = [p["down_impossible"] for p in res.metadata["per_copy"]]
                 assert impossible == [False, True, False]
 
@@ -545,7 +546,7 @@ class TestSmoothCopySharing:
         shared = build_known_smooth_reduction(m, 1, 0, [_smooth_tables(m)[1]] * 3)
         for r, want_built in ((distinct, 3), (identical, 1), (shared, 1)):
             for x in range(1 << m):
-                want = _smooth_per_copy_reference(r, f, x, None, 0, seed=x)
+                want = _smooth_per_copy_reference(r, f, x, 0, seed=x)
                 built = _counting(monkeypatch, protocols, "_pre_copy_state")
                 traps = _counting(monkeypatch, protocols, "_trap_branch")
                 res = run_smooth_protocol(r, f, x, Prover.honest(), seed=x)
@@ -702,7 +703,7 @@ class TestSmoothProtocol:
             run_smooth_protocol(uni, f, 0, Prover.classical((1, 0, 3, 2)))
 
     def test_non_smooth_table_rejected_at_build(self):
-        bad = DistributionTable(2, (0.9, 0.05, 0.03, 0.02), c=2.0)
+        bad = DistributionTable(2, (0.9, 0.05, 0.05, 0.0))
         assert not bad.is_smooth
         with pytest.raises(ValueError):
             build_smooth_xor_reduction(2, 1, 0, bad)

@@ -60,6 +60,11 @@ class TestDistributionTable:
         t = DistributionTable(2, np.array([0.5, 0.25, 0.125, 0.125]))
         assert t.c == pytest.approx(2.0)
 
+    def test_certificate_is_derived_not_declared(self):
+        with pytest.raises(TypeError):
+            DistributionTable(2, np.array([0.5, 0.25, 0.125, 0.125]), c=4.0)
+        assert DistributionTable(2, np.array([0.4, 0.3, 0.3, 0.0])).c == math.inf
+
     def test_save_load_round_trip(self, tmp_path):
         path = tmp_path / "dist.txt"
         path.write_text("00 0.5\n01 0.25\n10 0.125\n11 0.125\n")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from trapqip import cli
 from trapqip.core import CapacityError, hadamard_power
 from trapqip.oracles import query_table
 from trapqip.separation import (
@@ -87,6 +88,20 @@ class TestOracleConstruction:
             build_simon_oracle(10, 1, seed=0)
         with pytest.raises(CapacityError):
             build_simon_oracle(4, (1 << 14) + 1, seed=0)
+
+    @pytest.mark.parametrize("n, count", [(0, 1), (-1, 1), (4, 0)])
+    def test_empty_width_or_count_is_a_cap_refusal(self, n, count, tmp_path, capsys):
+        with pytest.raises(CapacityError):
+            build_simon_oracle(n, count, seed=0)
+        if count:
+            cfg = tmp_path / "sep.cfg"
+            cfg.write_text(f"[separation]\nn = {n}\n")
+            assert cli.main(["separation-demo", "--config", str(cfg)]) == cli.EXIT_CAP
+            assert capsys.readouterr().err == f"resource cap: width {n} must be >= 1\n"
+
+    def test_counters_are_not_init_arguments(self):
+        with pytest.raises(TypeError):
+            GeneralizedSimonOracle(2, (3,), ((0, 1, 1, 0),), np.ones(1, dtype=np.int64))
 
     def test_query_counters(self):
         orc = build_simon_oracle(3, 2, seed=1)
