@@ -25,14 +25,17 @@ DILATION_ENV = "dilation"
 
 @dataclass(frozen=True)
 class LemmaReport:
-    """One verified identity: two independently computed sides and a verdict."""
+    """One verified identity: two independently computed sides, their tolerance, and the derived verdict."""
 
     check_id: str
     inputs_digest: str
     left: float
     right: float
     tolerance: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return abs(self.left - self.right) <= self.tolerance
 
 
 def _digest(*parts) -> str:
@@ -44,17 +47,6 @@ def _digest(*parts) -> str:
             h.update(np.ascontiguousarray(np.asarray(part)).tobytes())
         h.update(b"|")
     return h.hexdigest()[:12]
-
-
-def _report(check_id: str, digest: str, left: float, right: float, tolerance: float) -> LemmaReport:
-    return LemmaReport(
-        check_id=check_id,
-        inputs_digest=digest,
-        left=float(left),
-        right=float(right),
-        tolerance=float(tolerance),
-        passed=bool(abs(left - right) <= tolerance),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +92,7 @@ def purification_invariance(channel: UnitaryOperator, phi: StateVector, psi: Sta
         # rows: the state's basis index; columns: the fresh register's value l
         amps = dilated.amplitudes.reshape(state.dim, 1 << env_width)
         sides.append(float(np.linalg.norm(state.amplitudes.conj() @ amps) ** 2))
-    return _report(
+    return LemmaReport(
         "purification-invariance",
         _digest(phi.amplitudes, psi.amplitudes, channel.matrix),
         sides[0],
@@ -154,7 +146,7 @@ def maxproj_closed_form(pi_s, phi) -> float:
 
 def maxproj_report(pi_s, phi) -> LemmaReport:
     """Closed form against the eigenvalue oracle, as a report."""
-    return _report(
+    return LemmaReport(
         "bisection-bound",
         _digest(pi_s, _as_vector(phi)),
         maxproj_closed_form(pi_s, phi),
@@ -227,4 +219,4 @@ def epr_trivialization(f: Permutation) -> LemmaReport:
     oracle_free = StateVector(lay, swapped.amplitudes)
 
     fid = core.fidelity(with_oracle, oracle_free)
-    return _report("oracle-free-epr", _digest(np.array(f.table)), fid, 1.0, PROJECTOR_TOL)
+    return LemmaReport("oracle-free-epr", _digest(np.array(f.table)), fid, 1.0, PROJECTOR_TOL)

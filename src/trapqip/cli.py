@@ -131,6 +131,11 @@ class RunConfig:
     distribution: str | None = None
     accept_output: int = 0
 
+    @property
+    def cheat_width(self) -> int | None:
+        """Private width of the cheat the prover kind makes; None for the honest and classical: provers."""
+        return None if self.prover == "honest" or self.prover.startswith("classical:") else self.p_qubits
+
 
 # [run] value parser per RunConfig field annotation; an empty optional string
 # is unset.  The shift s is read as an m-bit string instead.
@@ -164,6 +169,10 @@ def _run_config(cfg: configparser.ConfigParser, seed_override: int | None) -> Ru
         raise ConfigError("the shift s must be nonzero")
     if rc.distribution is not None and rc.protocol != "3":
         raise ConfigError(f"distribution = {rc.distribution} needs protocol 3, not {rc.protocol}")
+    if rc.p_qubits != 0 and rc.cheat_width is None:
+        raise ConfigError(f"p_qubits = {rc.p_qubits} needs a prover with a private register, not {rc.prover}")
+    if rc.prover != "search" and ("iters" in sect or cfg.has_option("sweep", "iters")):
+        raise ConfigError(f"iters needs prover = search, not {rc.prover}")
     return rc
 
 
@@ -172,18 +181,14 @@ def _build_reduction(rc: RunConfig):
         raise ConfigError(f"eps = {rc.eps} outside [0, 1)")
     if rc.iters < 0:
         raise ConfigError(f"iters = {rc.iters} must be >= 0")
-    f = xor_shift_permutation(rc.m, rc.s)
-    if rc.protocol == "3":
-        table = DistributionTable.uniform(rc.m) if rc.distribution is None else load_distribution(rc.distribution)
-        base = build_smooth_xor_reduction(rc.m, rc.s, rc.bit, table)
-    else:
+    if rc.t != 1 and rc.protocol == "1":
+        raise ConfigError("t > 1 needs protocol 2, 3, or classical")
+    if rc.distribution is None:
         base = build_xor_reduction(rc.m, rc.s, rc.bit)
+    else:
+        base = build_smooth_xor_reduction(rc.m, rc.s, rc.bit, load_distribution(rc.distribution))
     r = add_noise(base, rc.eps) if rc.eps > 0 else base
-    if rc.t != 1:
-        if rc.protocol == "1":
-            raise ConfigError("t > 1 needs protocol 2, 3, or classical")
-        r = amplify(r, rc.t)
-    return r, f
+    return amplify(r, rc.t), xor_shift_permutation(rc.m, rc.s)
 
 
 def _build_prover(rc: RunConfig, r, f: Permutation):
@@ -213,10 +218,8 @@ def _build_prover(rc: RunConfig, r, f: Permutation):
 
 def _execute(rc: RunConfig, digest: str) -> dict:
     r, f = _build_reduction(rc)
-    # private width of the cheat _build_prover makes; None when it makes none
-    cheat = None if rc.prover == "honest" or rc.prover.startswith("classical:") else rc.p_qubits
     entry = {"3": "smooth", "classical": "classical"}.get(rc.protocol, "trap")
-    require_cap(footprint(entry, r, cheat), "this run")
+    require_cap(footprint(entry, r, rc.cheat_width), "this run")
     prover, achieved = _build_prover(rc, r, f)
     if rc.protocol == "classical":
         result = run_classical_query_protocol(r, f, rc.x, prover, seed=rc.seed, accept_output=rc.accept_output)
@@ -297,7 +300,7 @@ def cmd_sweep(args) -> int:
         iters_range = _parse_range(sect.get("iters"), int, [rc.iters])
         raw_x = sect.get("x")
         if raw_x is not None and raw_x.strip() == "all":
-            x_range = list(range(1 << rc.m))
+            x_range = range(1 << rc.m)
         else:
             x_range = _parse_range(raw_x, int, [rc.x])
     except ValueError:
@@ -486,7 +489,7 @@ def cmd_qrs_demo(args) -> int:
     return EXIT_OK
 
 
-_SEPARATION_KEYS = {"n", "instance", "instances", "classical_seeds", "seed"}
+_SEPARATION_KEYS = {"n", "instance", "classical_seeds", "seed"}
 
 
 def cmd_separation_demo(args) -> int:
@@ -494,14 +497,13 @@ def cmd_separation_demo(args) -> int:
     sect = _section(cfg, "separation", _SEPARATION_KEYS)
     n = _typed(sect, "n", int, 8)
     instance = _typed(sect, "instance", int, 0)
-    instances = _typed(sect, "instances", int, max(1, instance + 1))
     classical_seeds = _typed(sect, "classical_seeds", int, 25)
     seed = args.seed if args.seed is not None else _typed(sect, "seed", int, 0)
-    if not 0 <= instance < instances:
-        raise ConfigError(f"instance {instance} outside the {instances} built")
+    if instance < 0:
+        raise ConfigError(f"instance = {instance} must be >= 0")
     if classical_seeds < 1:
         raise ConfigError(f"classical_seeds = {classical_seeds} must be >= 1")
-    oracle = separation.build_simon_oracle(n, instances, seed)
+    oracle = separation.build_simon_oracle(n, instance + 1, seed)
     solved = separation.simon_solve(oracle, instance, seed=seed + 1)
     counts = [
         separation.classical_collision_count(oracle, instance, seed=seed + 100 + j)[1]

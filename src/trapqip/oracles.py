@@ -3,7 +3,8 @@
 Every oracle is an XOR query |x, y> -> |x, y XOR a(x)>, kept as an index
 table (query_table); the inversion oracle answers with a = f^{-1}.  A
 corrupted oracle disagrees with the honest inverse on a declared corruption
-set, modelling almost-correct answer functions.
+set, modelling almost-correct answer functions.  A 2^m-entry table counts m
+qubits under the one budget rule, `core.within_cap`, checked before it is built.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .core import require_cap
 
 
 @dataclass(frozen=True)
@@ -42,11 +45,13 @@ def xor_shift_permutation(m: int, s: int) -> Permutation:
     """f(x) = x XOR s; self-inverse."""
     if not 0 <= s < (1 << m):
         raise ValueError(f"shift {s} does not fit {m} bits")
+    require_cap(m, "a permutation table")
     return Permutation(m, tuple(x ^ s for x in range(1 << m)))
 
 
 def random_permutation(m: int, seed: int) -> Permutation:
     """Uniformly random permutation, deterministic in the seed."""
+    require_cap(m, "a permutation table")
     rng = np.random.default_rng(seed)
     return Permutation(m, tuple(int(v) for v in rng.permutation(1 << m)))
 

@@ -56,6 +56,7 @@ class DistributionTable:
 
     @classmethod
     def uniform(cls, m: int) -> "DistributionTable":
+        core.require_cap(m, "a distribution table")
         size = 1 << m
         return cls(m, np.full(size, 1.0 / size))
 

@@ -28,40 +28,42 @@ BUDGET_CONSTANT = 4
 
 @dataclass(frozen=True, eq=False)
 class QrsPlan:
-    """Rotation amplitudes for resampling source -> target.
+    """Rotation amplitudes for resampling source -> target, derived from the two tables.
 
+    1/beta = min_q source_q / target_q over the target's support, and
     alpha_q = target_q / beta is the amplitude mass the flag rotation carves
-    out of each source amplitude; alpha_q <= source_q always holds.  Derived
-    once, read-only: flag_prob[q] = min(alpha_q / d_q, 1), the chance the flag
-    reads 1 at index q, and flag_amplitude = sqrt(flag_prob); both are 0 where
-    d_q = 0.
+    out of each source amplitude, so alpha_q <= source_q.  flag_prob[q] =
+    min(alpha_q / d_q, 1) is the chance the flag reads 1 at index q, and
+    flag_amplitude = sqrt(flag_prob); both are 0 where d_q = 0.  All four are
+    read-only.
     """
 
     source: DistributionTable
     target: DistributionTable
-    beta: float
-    alpha: np.ndarray
+    beta: float = field(init=False)
+    alpha: np.ndarray = field(init=False, repr=False)
     flag_prob: np.ndarray = field(init=False, repr=False)
     flag_amplitude: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        arr = np.array(np.asarray(self.alpha, dtype=float), copy=True)
-        arr.setflags(write=False)
-        object.__setattr__(self, "alpha", arr)
-        inv_beta = 1.0 / self.beta
-        if not 0.0 < inv_beta <= 1.0 + 1e-12:
-            raise ValueError(f"per-round success 1/beta = {inv_beta} outside (0, 1]")
+        if self.source.m != self.target.m:
+            raise ValueError("source and target have different widths")
         src = self.source.probs
-        if np.any(arr > src + 1e-12):
-            raise ValueError("alpha exceeds the source mass somewhere; plan is invalid")
+        tgt = self.target.probs
+        live = tgt > 0
+        if np.any(live & (src <= 0)):
+            raise ValueError("target puts mass where the source has none; no finite beta")
+        # a table sums to 1, so the target's support is never empty
+        beta = 1.0 / float(np.min(src[live] / tgt[live]))
+        alpha = tgt / beta
         live = src > 0
         prob = np.zeros(src.shape)
-        prob[live] = np.minimum(arr[live] / src[live], 1.0)
+        prob[live] = np.minimum(alpha[live] / src[live], 1.0)
         amp = np.sqrt(prob)
-        prob.setflags(write=False)
-        amp.setflags(write=False)
-        object.__setattr__(self, "flag_prob", prob)
-        object.__setattr__(self, "flag_amplitude", amp)
+        object.__setattr__(self, "beta", beta)
+        for name, arr in (("alpha", alpha), ("flag_prob", prob), ("flag_amplitude", amp)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def m(self) -> int:
@@ -76,18 +78,8 @@ class QrsPlan:
         return math.ceil(BUDGET_CONSTANT * self.beta**2)
 
 
-def make_plan(source: DistributionTable, target: DistributionTable) -> QrsPlan:
-    if source.m != target.m:
-        raise ValueError("source and target have different widths")
-    src = source.probs
-    tgt = target.probs
-    live = tgt > 0
-    if np.any(live & (src <= 0)):
-        raise ValueError("target puts mass where the source has none; no finite beta")
-    ratios = src[live] / tgt[live]
-    inv_beta = float(ratios.min()) if ratios.size else 1.0
-    beta = 1.0 / inv_beta
-    return QrsPlan(source=source, target=target, beta=beta, alpha=tgt / beta)
+# the same plan under the name resampling callers import: make_plan(source, target)
+make_plan = QrsPlan
 
 
 def copies_budget_to_uniform(table: DistributionTable) -> int:

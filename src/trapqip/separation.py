@@ -75,7 +75,7 @@ class GeneralizedSimonOracle:
 
 
 def build_simon_oracle(n: int, instance_count: int, seed: int) -> GeneralizedSimonOracle:
-    """Random nonzero secrets and 2-to-1 tables, deterministic in the seed.
+    """Random nonzero secrets and 2-to-1 tables, drawn in instance order from the seed.
 
     The budget rule counts 2n for the 4^n-entry gather, Hadamard matrix and
     amplitudes simon_solve builds, and n + log2(instance_count) for the

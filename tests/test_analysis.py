@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trapqip.analysis import (
+    LemmaReport,
     epr_trivialization,
     maxproj_closed_form,
     maxproj_eigen_oracle,
@@ -99,6 +100,10 @@ class TestBisectionBound:
         rep = maxproj_report(pi, phi)
         assert rep.check_id == "bisection-bound"
         assert rep.passed
+        # the verdict is derived from the two sides and the tolerance, never declared
+        assert not LemmaReport("x", "d", 1.0, 1.0 + 2 * rep.tolerance, rep.tolerance).passed
+        with pytest.raises(TypeError):
+            LemmaReport("x", "d", 1.0, 1.0, rep.tolerance, True)
 
     def test_degenerate_angles_have_no_bisecting_state(self):
         rng = np.random.default_rng(23)

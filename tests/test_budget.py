@@ -17,7 +17,7 @@ from trapqip.core import (
     qubit_cap,
     trace_distance,
 )
-from trapqip.oracles import xor_shift_permutation
+from trapqip.oracles import random_permutation, xor_shift_permutation
 from trapqip.protocols import (
     PROVER_UNITARY,
     Prover,
@@ -179,6 +179,26 @@ def test_over_cap_density_and_channel_refused_before_allocation(build):
                 trace_distance(state, state)
             else:
                 random_channel(lay.total_qubits - 1, 1, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"refused after {peak} bytes"
+
+
+@pytest.mark.parametrize("build", ["xor_shift", "random", "uniform"])
+def test_over_cap_table_refused_before_allocation(build):
+    """A 2^m-entry permutation or distribution table counts m qubits, so
+    m = 22 is refused before a 4M-entry table is drawn or built."""
+    m = qubit_cap() + 4
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            if build == "xor_shift":
+                xor_shift_permutation(m, 1)
+            elif build == "random":
+                random_permutation(m, 0)
+            else:
+                DistributionTable.uniform(m)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

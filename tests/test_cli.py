@@ -111,6 +111,30 @@ class TestRun:
         assert code == 3
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("run", "protocol = 1\n"),
+            ("run", "protocol = 3\n"),
+            ("run", "protocol = classical\n"),
+            ("sweep", "protocol = 2\n[sweep]\nx = all\n"),
+        ],
+        ids=["run-protocol-1", "run-protocol-3", "run-classical", "sweep-x-all"],
+    )
+    def test_wide_instance_refused_before_its_tables(self, command, text, tmp_path, capsys):
+        # at m = 22 the permutation, the uniform table and the x range would
+        # each hold 4M entries; the reduction builder's budget check comes first
+        cfg = _write(tmp_path, f"[run]\nm = 22\ns = {1:022b}\n{text}")
+        tracemalloc.start()
+        try:
+            code = cli.main([command, "--config", cfg])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "resource cap" in capsys.readouterr().err
+        assert code == 3
+        assert peak < 1 << 20
+
     @pytest.mark.parametrize("prover", ["identity", "corrupt:1;2"])
     def test_private_qubit_leaves_product_cheats_unchanged(self, prover, tmp_path, capsys):
         # identity and corrupt: act as the identity on the private register
@@ -156,11 +180,18 @@ class TestRefusedConfigs:
             ("separation-demo", "[separation]\nn = 6\nclassical_seeds = -3\n", "classical_seeds"),
             ("run", "[run]\nprotocol = 1\ndistribution = nope.txt\n", "distribution"),
             ("sweep", "[run]\nprotocol = classical\ndistribution = nope.txt\n", "distribution"),
+            ("run", "[run]\nprover = honest\np_qubits = 2\n", "p_qubits"),
+            ("sweep", "[run]\nprotocol = classical\nprover = classical:0,1\np_qubits = 1\n", "p_qubits"),
+            ("run", "[run]\niters = 5\n", "iters"),
+            ("run", "[run]\nprover = identity\niters = 5\n", "iters"),
+            ("sweep", "[run]\nm = 2\n[sweep]\niters = 10, 20\n", "iters"),
         ],
         ids=[
             "run-eps-negative", "run-eps-nan", "sweep-eps-negative", "sweep-eps-nan", "negative-instance",
             "negative-trials", "run-iters-negative", "sweep-iters-negative", "zero-classical-seeds",
             "negative-classical-seeds", "run-distribution-protocol-1", "sweep-distribution-classical",
+            "run-p-qubits-honest", "sweep-p-qubits-classical", "run-iters-honest", "run-iters-identity",
+            "sweep-iters-honest",
         ],
     )
     def test_usage_exit_without_output(self, command, text, key, tmp_path, capsys):
@@ -180,6 +211,12 @@ class TestRemovedOptions:
         assert cli.main(["run", "--config", cfg]) == 2
         assert capsys.readouterr().err == f"error: unknown keys in [run]: {key}\n"
 
+    def test_separation_instances_is_unknown(self, tmp_path, capsys):
+        # instance i is drawn i-th whatever the count, so the count changed nothing
+        cfg = _write(tmp_path, "[separation]\nn = 6\ninstances = 2\n")
+        assert cli.main(["separation-demo", "--config", cfg]) == 2
+        assert capsys.readouterr().err == "error: unknown keys in [separation]: instances\n"
+
     @pytest.mark.parametrize(
         "argv", [["verify-lemmas", "epr"], ["qrs-demo"], ["separation-demo"]], ids=lambda argv: argv[0]
     )
@@ -195,11 +232,11 @@ class TestRunConfig:
         # every [run] key set to a value other than its default
         raw = {
             "protocol": "3", "m": "3", "s": "101", "bit": "2", "eps": "0.25", "t": "5", "x": "6",
-            "prover": "identity", "p_qubits": "1", "iters": "7", "seed": "11", "distribution": "dist.txt",
+            "prover": "search", "p_qubits": "1", "iters": "7", "seed": "11", "distribution": "dist.txt",
             "accept_output": "1",
         }
         want = cli.RunConfig(
-            protocol="3", m=3, s=0b101, bit=2, eps=0.25, t=5, x=6, prover="identity", p_qubits=1, iters=7,
+            protocol="3", m=3, s=0b101, bit=2, eps=0.25, t=5, x=6, prover="search", p_qubits=1, iters=7,
             seed=11, distribution="dist.txt", accept_output=1,
         )
         cfg, _ = cli._load_config(_write(tmp_path, "[run]\n" + "".join(f"{k} = {v}\n" for k, v in raw.items())))

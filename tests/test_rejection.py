@@ -71,9 +71,15 @@ class TestPlan:
         with pytest.raises(ValueError):
             make_plan(holes, DistributionTable.uniform(1))
 
-    def test_alpha_capped_by_source(self):
-        with pytest.raises(ValueError):
+    def test_plan_takes_only_its_tables(self):
+        assert make_plan is QrsPlan
+        with pytest.raises(TypeError):
             QrsPlan(EXAMPLE, UNIFORM, beta=1.1, alpha=np.full(4, 1 / 1.1 / 4))
+        plan = QrsPlan(EXAMPLE, UNIFORM)
+        with pytest.raises(AttributeError):
+            plan.beta = 3.0
+        with pytest.raises(ValueError):
+            plan.alpha[0] = 1.0
 
     def test_copy_budgets(self):
         assert copies_budget_to_uniform(EXAMPLE) == 4
