@@ -46,6 +46,8 @@ class DistributionTable:
         arr = np.array(np.asarray(self.probs, dtype=float).reshape(-1), copy=True)
         if arr.size != (1 << self.m):
             raise ValueError(f"need {1 << self.m} probabilities, got {arr.size}")
+        if not np.isfinite(arr).all():
+            raise ValueError("probability entries must be finite")
         if arr.min() < -DIST_SUM_TOL:
             raise ValueError("negative probability entry")
         total = float(arr.sum())

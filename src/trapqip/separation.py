@@ -1,22 +1,20 @@
 """Hidden-shift oracle family where quantum and classical query costs split.
 
 Each oracle instance is a random 2-to-1 function whose collisions encode a
-nonzero XOR secret.  A quantum solver recovers the secret in O(n) rounds of
-the standard interference pattern; classically a birthday search over distinct
-inputs is the sensible strategy and its query count grows like 2^(n/2).  The
-demo reduction consumes recovered secrets to answer random-self-reduced
+nonzero XOR secret.  A quantum solver recovers it in O(n) interference rounds
+drawn from the Walsh-Hadamard transform of the table's collision counts; a
+classical birthday search over distinct inputs needs about 2^(n/2) queries.
+The demo reduction consumes recovered secrets to answer random-self-reduced
 membership queries for a linear toy language.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CapacityError, hadamard_power, require_cap
-from .oracles import query_table
+from .core import CapacityError, require_cap
 
 ROUND_BUDGET_PER_BIT = 20
 DEMO_PAIRS = 3
@@ -49,10 +47,10 @@ class GeneralizedSimonOracle:
                 raise ValueError(f"secret {s} must be a nonzero {self.n}-bit value")
             if len(table) != size:
                 raise ValueError("table width does not match n")
-            for x in range(size):
-                if table[x] != table[x ^ s]:
-                    raise ValueError("table does not collide along its secret")
-            if len(set(table)) != size // 2:
+            values = np.asarray(table)
+            if np.any(values != values[np.arange(size) ^ s]):
+                raise ValueError("table does not collide along its secret")
+            if np.unique(values).size != size // 2:
                 raise ValueError("table is not 2-to-1")
         count = len(self.secrets)
         object.__setattr__(self, "quantum_counts", np.zeros(count, dtype=np.int64))
@@ -77,32 +75,27 @@ class GeneralizedSimonOracle:
 def build_simon_oracle(n: int, instance_count: int, seed: int) -> GeneralizedSimonOracle:
     """Random nonzero secrets and 2-to-1 tables, drawn in instance order from the seed.
 
-    The budget rule counts 2n for the 4^n-entry gather, Hadamard matrix and
-    amplitudes simon_solve builds, and n + log2(instance_count) for the
-    tables of 2^n entries; both are checked before anything is drawn.
+    The pair {x, x XOR s} takes the label whose rank is the position of its
+    smaller member among all such representatives.  The budget rule counts
+    n + ceil(log2 instance_count) for the tables of 2^n entries (a solve
+    holds no more than 2^n), checked before anything is drawn.
     """
     if n < 1:
         raise CapacityError(f"width {n} must be >= 1")
     if instance_count < 1:
         raise CapacityError(f"instance count {instance_count} must be >= 1")
-    qubits = max(2 * n, n + (instance_count - 1).bit_length())
-    require_cap(qubits, f"a width-{n} oracle with {instance_count} instances")
+    require_cap(n + (instance_count - 1).bit_length(), f"a width-{n} oracle with {instance_count} instances")
     rng = np.random.default_rng(seed)
     size = 1 << n
+    x = np.arange(size)
     secrets = []
     tables = []
     for _ in range(instance_count):
         s = int(rng.integers(1, size))
         labels = rng.permutation(size // 2)
-        table = [0] * size
-        rank: dict[int, int] = {}
-        for x in range(size):
-            rep = min(x, x ^ s)
-            if rep not in rank:
-                rank[rep] = len(rank)
-            table[x] = int(labels[rank[rep]])
+        rank = np.cumsum(x < x ^ s) - 1
         secrets.append(s)
-        tables.append(tuple(table))
+        tables.append(tuple(labels[rank[np.minimum(x, x ^ s)]].tolist()))
     return GeneralizedSimonOracle(n=n, secrets=tuple(secrets), tables=tuple(tables))
 
 
@@ -129,11 +122,15 @@ def gf2_rank(rows) -> int:
 
 def gf2_null_vector(rows, n: int) -> int | None:
     """The unique nonzero vector orthogonal to all rows, if the rank is n-1."""
-    basis = list(gf2_reduce(rows).values())
-    candidates = [v for v in range(1, 1 << n) if all(_parity(row & v) == 0 for row in basis)]
-    if len(candidates) != 1:
+    basis = gf2_reduce(rows)
+    if len(basis) != n - 1:
         return None
-    return candidates[0]
+    # set the free column; each pivot, lowest first, cancels its row's lower bits
+    (free,) = set(range(n)) - set(basis)
+    v = 1 << free
+    for pivot in sorted(basis):
+        v |= _parity(basis[pivot] & v) << pivot
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -152,38 +149,37 @@ class SimonResult:
 def simon_solve(oracle: GeneralizedSimonOracle, i: int, seed: int) -> SimonResult:
     """Interference rounds until the orthogonal complement pins the secret.
 
-    Each round prepares a uniform superposition, queries the oracle once, and
-    measures after a second Hadamard layer; the outcome is always orthogonal
-    to the secret over GF(2).  Every round sees the same start state, oracle
-    and Hadamards, so the outcome distribution is computed once per solve;
-    each round still counts one quantum query in the ledger and makes one
-    seeded draw.  Rounds stop once the collected rows reach rank n-1 (at
-    least one round always runs); the budget of 20n rounds failing is
-    astronomically unlikely and raises rather than returning a wrong secret.
+    Each round prepares a uniform superposition, queries the oracle once and
+    measures after a second Hadamard layer, so the outcome w is orthogonal
+    to the secret with P(w) = sum_d C(d) (-1)^{w.d} / N^2, where C(d) counts
+    the x with f(x) = f(x XOR d): C(0) = N, and each colliding pair, adjacent
+    in a stable sort of the table, adds 2 at its XOR.  One in-place integer
+    Walsh-Hadamard transform gives the law once per solve in O(N) entries;
+    each round still counts one quantum query and makes one seeded draw.
+    Rounds stop once the rows pin a unique null vector; the budget of 20n
+    rounds failing is astronomically unlikely and raises.
     """
     n = oracle.n
     size = 1 << n
-    query = query_table(oracle.tables[i])
     rng = np.random.default_rng(seed)
-    rows: list[int] = []
     measurements: list[int] = []
     budget = ROUND_BUDGET_PER_BIT * n
-    # |0,0> -> H on x, as the packed (x, y) amplitudes
-    start = np.zeros(size * size, dtype=np.complex128)
-    start[::size] = 1.0 / math.sqrt(size)
-    # y ^= f(x) is one gather (the query map is an involution), then H on x
-    final = hadamard_power(n) @ start[query].reshape(size, size)
-    marginal = (np.abs(final) ** 2).sum(axis=1)
-    dist = marginal / marginal.sum()
+    pairs = np.argsort(oracle.tables[i], kind="stable").reshape(-1, 2)
+    law = 2 * np.bincount(pairs[:, 0] ^ pairs[:, 1], minlength=size)
+    law[0] = size
+    half = 1
+    while half < size:
+        low, high = law.reshape(-1, 2, half).transpose(1, 0, 2)
+        low += high
+        high *= -2
+        high += low
+        half *= 2
+    dist = law / float(size * size)
     for _ in range(budget):
         oracle.count_quantum_query(i)
-        w = int(rng.choice(size, p=dist))
-        measurements.append(w)
-        rows.append(w)
-        if gf2_rank(rows) >= n - 1:
-            secret = gf2_null_vector(rows, n)
-            if secret is None:
-                continue
+        measurements.append(int(rng.choice(size, p=dist)))
+        secret = gf2_null_vector(measurements, n)
+        if secret is not None:
             return SimonResult(secret=secret, queries=len(measurements), measurements=tuple(measurements))
     raise RuntimeError(f"round budget {budget} exhausted without pinning the secret")
 

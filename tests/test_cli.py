@@ -551,6 +551,17 @@ class TestDemos:
         assert p["successes"] == 300
         assert 1.0 <= p["mean_rounds"] <= 4.0
 
+    def test_non_finite_probability_refused(self, tmp_path, capsys):
+        dist = tmp_path / "nan.txt"
+        dist.write_text("000 nan\n001 0.5\n010 0.25\n011 0.25\n100 0\n101 0\n110 0\n111 0\n")
+        configs = [
+            ("qrs-demo", "[qrs]\nprobs = nan, 0.5, 0.25, 0.25\n"),
+            ("run", f"[run]\nprotocol = 3\nm = 3\ns = 110\ndistribution = {dist}\n"),
+        ]
+        for command, text in configs:
+            assert cli.main([command, "--config", _write(tmp_path, text)]) == cli.EXIT_USAGE
+            assert capsys.readouterr().err == "error: probability entries must be finite\n"
+
     def test_separation_demo_ledger(self, tmp_path, capsys):
         cfg = _write(tmp_path, "[separation]\nn = 6\nclassical_seeds = 5\n")
         code, out = _run(["separation-demo", "--config", cfg], capsys)

@@ -52,6 +52,11 @@ class TestDistributionTable:
         with pytest.raises(ValueError):
             DistributionTable(1, np.array([1.5, -0.5]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            DistributionTable(2, [bad, 0.5, 0.25, 0.25])
+
     def test_zero_entry_breaks_smoothness(self):
         t = DistributionTable(1, np.array([1.0, 0.0]))
         assert not t.is_smooth
@@ -71,6 +76,12 @@ class TestDistributionTable:
         back = load_distribution(path)
         np.testing.assert_allclose(back.probs, [0.5, 0.25, 0.125, 0.125])
         assert back.m == 2
+
+    def test_load_rejects_non_finite_entry(self, tmp_path):
+        path = tmp_path / "nan.txt"
+        path.write_text("00 nan\n01 0.5\n10 0.25\n11 0.25\n")
+        with pytest.raises(ValueError, match="finite"):
+            load_distribution(path)
 
     def test_load_rejects_wrong_line_count(self, tmp_path):
         path = tmp_path / "bad.txt"

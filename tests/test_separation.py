@@ -1,13 +1,16 @@
 """Query separation: interference solver vs collision search, and the reduction demo."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from trapqip import cli
-from trapqip.core import CapacityError, hadamard_power
+from trapqip.core import CapacityError, hadamard_power, qubit_cap
 from trapqip.oracles import query_table
 from trapqip.separation import (
     GeneralizedSimonOracle,
@@ -50,6 +53,13 @@ def _simon_reference(oracle, i, seed):
     raise AssertionError("reference exhausted its budget")
 
 
+def _null_vector_reference(rows, n):
+    """Enumerate every nonzero n-bit vector; the answer only if exactly one is orthogonal."""
+    basis = list(gf2_reduce(rows).values())
+    candidates = [v for v in range(1, 1 << n) if all(_parity(row & v) == 0 for row in basis)]
+    return candidates[0] if len(candidates) == 1 else None
+
+
 class TestOracleConstruction:
     def test_tables_are_two_to_one_along_secrets(self):
         orc = build_simon_oracle(4, 5, seed=0)
@@ -82,12 +92,37 @@ class TestOracleConstruction:
         with pytest.raises(ValueError):
             GeneralizedSimonOracle(2, (3,), ((0, 0, 0, 0),))
 
-    def test_width_and_instance_caps(self):
-        # 2n counts simon_solve's 4^n-entry arrays; n + log2(count) the tables
-        with pytest.raises(CapacityError):
-            build_simon_oracle(10, 1, seed=0)
-        with pytest.raises(CapacityError):
-            build_simon_oracle(4, (1 << 14) + 1, seed=0)
+    def test_width_and_instance_caps(self, tmp_path, capsys):
+        # n + ceil(log2 count) counts the tables; a solve holds no more than one
+        for n, count in [(qubit_cap() + 1, 1), (4, (1 << 14) + 1)]:
+            tracemalloc.start()
+            try:
+                with pytest.raises(CapacityError):
+                    build_simon_oracle(n, count, seed=0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
+        cfg = tmp_path / "sep.cfg"
+        cfg.write_text("[separation]\nn = 19\n")
+        assert cli.main(["separation-demo", "--config", str(cfg)]) == cli.EXIT_CAP
+        assert capsys.readouterr().err.startswith("resource cap: a width-19 oracle")
+
+    def test_build_and_solve_hold_a_few_words_per_entry(self):
+        size = 1 << 16
+        tracemalloc.start()
+        try:
+            orc = build_simon_oracle(16, 1, seed=0)
+            build_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            res = simon_solve(orc, 0, seed=0)
+            solve_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert res.secret == orc.secrets[0]
+        assert build_peak < 128 * size
+        assert solve_peak < 128 * size
 
     @pytest.mark.parametrize("n, count", [(0, 1), (-1, 1), (4, 0)])
     def test_empty_width_or_count_is_a_cap_refusal(self, n, count, tmp_path, capsys):
@@ -132,10 +167,22 @@ class TestGf2:
     def test_full_rank_has_no_null_vector(self):
         assert gf2_null_vector([0b001, 0b010, 0b100], 3) is None
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_null_vector_matches_enumeration(self, data):
+        # free rows often reach rank n; rows folded into a secret's complement stop
+        # at n-1; short lists stay lower (about 15%, 38% and 47% of draws)
+        n = data.draw(st.integers(1, 8))
+        rows = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=2 * n))
+        secret = data.draw(st.integers(1, (1 << n) - 1))
+        if data.draw(st.booleans()):
+            rows = [r ^ (1 << (secret.bit_length() - 1)) if _parity(r & secret) else r for r in rows]
+        assert gf2_null_vector(rows, n) == _null_vector_reference(rows, n)
+
 
 class TestInterferenceSolver:
     def test_recovers_secrets_within_budget(self):
-        for n in (3, 4, 6, 8):
+        for n in (3, 4, 6, 8, 12, 16):
             orc = build_simon_oracle(n, 2, seed=n)
             for i in range(2):
                 res = simon_solve(orc, i, seed=10 * n + i)
@@ -144,11 +191,12 @@ class TestInterferenceSolver:
                 assert orc.quantum_counts[i] == res.queries
 
     def test_measurements_orthogonal_to_secret(self):
-        orc = build_simon_oracle(6, 1, seed=3)
-        s = orc.secrets[0]
-        for seed in range(20):
-            res = simon_solve(orc, 0, seed=seed)
-            assert all(_parity(y & s) == 0 for y in res.measurements)
+        for n in (6, 12, 16):
+            orc = build_simon_oracle(n, 1, seed=3)
+            s = orc.secrets[0]
+            for seed in range(20):
+                res = simon_solve(orc, 0, seed=seed)
+                assert all(_parity(y & s) == 0 for y in res.measurements)
 
     def test_single_bit_edge_case(self):
         # n=1 forces secret 1; rank 0 suffices and one round resolves it
@@ -187,16 +235,21 @@ class TestCollisionSearch:
         assert count >= 2
 
     def test_scaling_gap(self):
-        # median collision cost at n=8 sits well above the interference cost
-        orc = build_simon_oracle(8, 1, seed=6)
-        classical = []
-        for seed in range(15):
+        # the median collision cost sits well above the interference cost and
+        # grows with n: an ordering and growth check, not a fitted constant
+        medians = []
+        for n in (8, 12, 16):
+            orc = build_simon_oracle(n, 1, seed=6)
+            classical = []
+            for seed in range(15):
+                orc.reset_counters()
+                _, count = classical_collision_count(orc, 0, seed=seed)
+                classical.append(count)
             orc.reset_counters()
-            _, count = classical_collision_count(orc, 0, seed=seed)
-            classical.append(count)
-        orc.reset_counters()
-        quantum = simon_solve(orc, 0, seed=0).queries
-        assert float(np.median(classical)) >= 2 * quantum
+            quantum = simon_solve(orc, 0, seed=0).queries
+            medians.append(float(np.median(classical)))
+            assert medians[-1] >= 2 * quantum
+        assert medians[0] < medians[1] < medians[2]
 
 
 class TestRsrLanguage:
