@@ -227,9 +227,6 @@ class UnitaryOperator:
     def dim(self) -> int:
         return self.layout.dim
 
-    def dagger(self) -> "UnitaryOperator":
-        return UnitaryOperator(self.layout, self.matrix.conj().T)
-
 
 # ---------------------------------------------------------------------------
 # operations

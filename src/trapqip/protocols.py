@@ -296,8 +296,9 @@ def _check_instance(
 ) -> None:
     """The one argument gate of the six entry points, passed before any state is built.
 
-    It checks the permutation width, x, accept_output, the prover kind, the
-    copy count, uniformity and smoothness, in that order, then the footprint.
+    It checks the permutation width, x, accept_output, the prover kind and
+    answers, the copy count, uniformity and smoothness, in that order, then
+    the footprint.
     cheat is the private width of the search's unitaries, or else of the
     prover's unitary, None when it has none.
     """
@@ -313,6 +314,9 @@ def _check_instance(
             raise ValueError("unitary cheats act on quantum messages; use run_protocol")
         if prover.kind == PROVER_CLASSICAL and len(prover.answers) != 1 << r.m:
             raise ValueError(f"answer table has {len(prover.answers)} entries, need {1 << r.m}")
+        bad = [a for a in prover.answers or () if not 0 <= a < 1 << r.m]
+        if bad:
+            raise ValueError(f"answer {bad[0]} does not fit {r.m} bits")
         cheat = prover.prover_qubits if prover.kind == PROVER_UNITARY else None
     if cheat is not None and cheat < 0:
         raise ValueError("private register width must be >= 0")
@@ -658,10 +662,8 @@ def _search_context(r: Reduction, f: Permutation, x: int, p_qubits: int, accept_
     diag, _ = _acceptance_entries(r, accept_output)
     weights = diag[0::2].real.reshape(msg, msg)
 
-    mv_lay = layout(("query", m), ("answer", m), ("work", m), ("copy", m))
-    zero = basis_state(mv_lay)
-    accept_vec = core.apply_on_registers(zero, trap_verifier(f).dagger(), ["query", "answer", "copy"])
-    v_conj = accept_vec.amplitudes.conj().reshape(msg, msg)
+    trap = trap_answer_state(r, f)  # the honest trap response is the accepting vector V^dagger|0>
+    v_conj = trap.amplitudes.conj().reshape(msg, msg)
 
     prover0 = basis_state(layout(("prover", p_qubits))) if p_qubits else None
 
@@ -673,7 +675,7 @@ def _search_context(r: Reduction, f: Permutation, x: int, p_qubits: int, accept_
         msg_rows = rows & (msg - 1)
         return (np.abs(b0) ** 2 * weights[msg_rows]).sum(axis=1), (b1 * v_conj[msg_rows]).sum(axis=1)
 
-    return prepared(honest_answer_state(r, f, x)), prepared(trap_answer_state(r, f)), row_terms
+    return prepared(honest_answer_state(r, f, x)), prepared(trap), row_terms
 
 
 def prover_search(

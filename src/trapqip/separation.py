@@ -1,11 +1,11 @@
 """Hidden-shift oracle family where quantum and classical query costs split.
 
-Each oracle instance is a random 2-to-1 function whose collisions encode a
-nonzero XOR secret.  A quantum solver recovers it in O(n) interference rounds
-drawn from the Walsh-Hadamard transform of the table's collision counts; a
-classical birthday search over distinct inputs needs about 2^(n/2) queries.
-The demo reduction consumes recovered secrets to answer random-self-reduced
-membership queries for a linear toy language.
+Each oracle instance is a random 2-to-1 function, one row of an int array,
+whose collisions encode a nonzero XOR secret.  A quantum solver recovers it
+in O(n) interference rounds drawn from the Walsh-Hadamard transform of the
+table's collision counts; a classical birthday search over distinct inputs
+needs about 2^(n/2) queries.  The demo reduction consumes recovered secrets
+to answer random-self-reduced membership queries for a linear toy language.
 """
 
 from __future__ import annotations
@@ -28,30 +28,33 @@ def _parity(v: int) -> int:
 class GeneralizedSimonOracle:
     """Instance family f_i with f_i(x) = f_i(x') iff x' in {x, x XOR s_i}.
 
-    Query counters are per-instance run state, split by caller class; reset
-    them between experiments that share an oracle.
+    tables is one read-only int64 array, row i holding f_i: 8 bytes per
+    entry.  Query counters are per-instance run state, split by caller
+    class; reset them between experiments that share an oracle.
     """
 
     n: int
     secrets: tuple[int, ...]
-    tables: tuple[tuple[int, ...], ...]
+    tables: np.ndarray
     quantum_counts: np.ndarray = field(init=False)
     classical_counts: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         size = 1 << self.n
-        if len(self.secrets) != len(self.tables):
-            raise ValueError("need one table per secret")
-        for s, table in zip(self.secrets, self.tables):
+        tables = np.asarray(self.tables, dtype=np.int64)
+        if tables.shape != (len(self.secrets), size):
+            raise ValueError(f"need one {size}-entry table per secret, got shape {tables.shape}")
+        for s, table in zip(self.secrets, tables):
             if not 0 < s < size:
                 raise ValueError(f"secret {s} must be a nonzero {self.n}-bit value")
-            if len(table) != size:
-                raise ValueError("table width does not match n")
-            values = np.asarray(table)
-            if np.any(values != values[np.arange(size) ^ s]):
+            if np.any(table != table[np.arange(size) ^ s]):
                 raise ValueError("table does not collide along its secret")
-            if np.unique(values).size != size // 2:
+            # colliding along s, its sorted values come in equal pairs; a pair equal to the next is 4-to-1
+            if np.any(np.diff(np.sort(table))[1::2] == 0):
                 raise ValueError("table is not 2-to-1")
+        tables = tables.copy()  # the caller may still hold and write the checked array
+        tables.setflags(write=False)
+        object.__setattr__(self, "tables", tables)
         count = len(self.secrets)
         object.__setattr__(self, "quantum_counts", np.zeros(count, dtype=np.int64))
         object.__setattr__(self, "classical_counts", np.zeros(count, dtype=np.int64))
@@ -62,7 +65,7 @@ class GeneralizedSimonOracle:
 
     def classical_query(self, i: int, x: int) -> int:
         self.classical_counts[i] += 1
-        return self.tables[i][x]
+        return int(self.tables[i, x])
 
     def count_quantum_query(self, i: int) -> None:
         self.quantum_counts[i] += 1
@@ -89,14 +92,14 @@ def build_simon_oracle(n: int, instance_count: int, seed: int) -> GeneralizedSim
     size = 1 << n
     x = np.arange(size)
     secrets = []
-    tables = []
-    for _ in range(instance_count):
+    tables = np.empty((instance_count, size), dtype=np.int64)
+    for table in tables:
         s = int(rng.integers(1, size))
         labels = rng.permutation(size // 2)
         rank = np.cumsum(x < x ^ s) - 1
         secrets.append(s)
-        tables.append(tuple(labels[rank[np.minimum(x, x ^ s)]].tolist()))
-    return GeneralizedSimonOracle(n=n, secrets=tuple(secrets), tables=tuple(tables))
+        table[:] = labels[rank[np.minimum(x, x ^ s)]]
+    return GeneralizedSimonOracle(n=n, secrets=tuple(secrets), tables=tables)
 
 
 # ---------------------------------------------------------------------------
@@ -114,10 +117,6 @@ def gf2_reduce(rows) -> dict[int, int]:
         if row:
             basis[row.bit_length() - 1] = row
     return basis
-
-
-def gf2_rank(rows) -> int:
-    return len(gf2_reduce(rows))
 
 
 def gf2_null_vector(rows, n: int) -> int | None:
@@ -154,8 +153,9 @@ def simon_solve(oracle: GeneralizedSimonOracle, i: int, seed: int) -> SimonResul
     to the secret with P(w) = sum_d C(d) (-1)^{w.d} / N^2, where C(d) counts
     the x with f(x) = f(x XOR d): C(0) = N, and each colliding pair, adjacent
     in a stable sort of the table, adds 2 at its XOR.  One in-place integer
-    Walsh-Hadamard transform gives the law once per solve in O(N) entries;
-    each round still counts one quantum query and makes one seeded draw.
+    Walsh-Hadamard transform gives the law, and its cumulative sum the CDF,
+    once per solve in O(N) entries; each round counts one quantum query and
+    bisects the CDF at one seeded uniform, as rng.choice(N, p=law) would.
     Rounds stop once the rows pin a unique null vector; the budget of 20n
     rounds failing is astronomically unlikely and raises.
     """
@@ -174,10 +174,11 @@ def simon_solve(oracle: GeneralizedSimonOracle, i: int, seed: int) -> SimonResul
         high *= -2
         high += low
         half *= 2
-    dist = law / float(size * size)
+    cdf = np.cumsum(law / float(size * size))
+    cdf /= cdf[-1]
     for _ in range(budget):
         oracle.count_quantum_query(i)
-        measurements.append(int(rng.choice(size, p=dist)))
+        measurements.append(int(cdf.searchsorted(rng.random(), side="right")))
         secret = gf2_null_vector(measurements, n)
         if secret is not None:
             return SimonResult(secret=secret, queries=len(measurements), measurements=tuple(measurements))

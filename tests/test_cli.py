@@ -185,13 +185,17 @@ class TestRefusedConfigs:
             ("run", "[run]\niters = 5\n", "iters"),
             ("run", "[run]\nprover = identity\niters = 5\n", "iters"),
             ("sweep", "[run]\nm = 2\n[sweep]\niters = 10, 20\n", "iters"),
+            ("run", "[run]\nprotocol = classical\nm = 2\nprover = classical:0,1,2,99\n", "answer 99"),
+            ("run", "[run]\nprotocol = classical\nm = 2\nprover = classical:99,99,99,99\n", "answer 99"),
+            ("sweep", "[run]\nprotocol = classical\nm = 2\nprover = classical:0,-1,2,3\n", "answer -1"),
         ],
         ids=[
             "run-eps-negative", "run-eps-nan", "sweep-eps-negative", "sweep-eps-nan", "negative-instance",
             "negative-trials", "run-iters-negative", "sweep-iters-negative", "zero-classical-seeds",
             "negative-classical-seeds", "run-distribution-protocol-1", "sweep-distribution-classical",
             "run-p-qubits-honest", "sweep-p-qubits-classical", "run-iters-honest", "run-iters-identity",
-            "sweep-iters-honest",
+            "sweep-iters-honest", "run-answer-past-last-query", "run-answers-all-out-of-range",
+            "sweep-answer-negative",
         ],
     )
     def test_usage_exit_without_output(self, command, text, key, tmp_path, capsys):

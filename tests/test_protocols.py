@@ -12,6 +12,7 @@ from trapqip import protocols, rejection
 from trapqip.core import CapacityError, InvariantError, LayoutError
 from trapqip.core import (
     StateVector,
+    UnitaryOperator,
     adjoin_register,
     apply_basis_permutation,
     apply_on_registers,
@@ -183,7 +184,8 @@ def _reference_search(r, f, x, p_qubits, iters, seed, accept_output=0, restart_e
     dim = 1 << (p_qubits + 2 * m)
     accept_block = _dense_projector(r, accept_output)[0::2, 0::2]
     zero = basis_state(layout(("query", m), ("answer", m), ("work", m), ("copy", m)))
-    accept_vec = apply_on_registers(zero, trap_verifier(f).dagger(), ["query", "answer", "copy"])
+    v = trap_verifier(f)
+    accept_vec = apply_on_registers(zero, UnitaryOperator(v.layout, v.matrix.conj().T), ["query", "answer", "copy"])
     private = np.eye(1 << p_qubits)[0]
     a0 = np.kron(private, honest_answer_state(r, f, x).amplitudes).reshape(dim, -1)
     a1 = np.kron(private, trap_answer_state(r, f).amplitudes).reshape(dim, -1)
@@ -642,6 +644,15 @@ class TestClassicalProtocol:
         f = xor_shift_permutation(2, 1)
         with pytest.raises(ValueError):
             run_classical_query_protocol(r, f, 0, Prover.classical((0, 1)))
+
+    @pytest.mark.parametrize("answers, bad", [((0, 1, 2, 99), 99), ((99, 99, 99, 99), 99), ((0, -1, 2, 3), -1)])
+    def test_answer_range_checked(self, answers, bad):
+        # refused whichever query is drawn, not only when the bad answer is read
+        r = build_xor_reduction(2, 1, 0)
+        f = xor_shift_permutation(2, 1)
+        for q in range(4):
+            with pytest.raises(ValueError, match=f"answer {bad} does not fit 2 bits"):
+                run_classical_query_protocol(r, f, 0, Prover.classical(answers), queries=[q])
 
     def test_classical_prover_rejected_by_quantum_engine(self):
         r = build_xor_reduction(2, 1, 0)

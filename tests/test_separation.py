@@ -18,7 +18,6 @@ from trapqip.separation import (
     build_simon_oracle,
     classical_collision_count,
     gf2_null_vector,
-    gf2_rank,
     gf2_reduce,
     quantum_reduction_demo,
     simon_solve,
@@ -46,7 +45,7 @@ def _simon_reference(oracle, i, seed):
         w = int(rng.choice(size, p=marginal / marginal.sum()))
         measurements.append(w)
         rows.append(w)
-        if gf2_rank(rows) >= n - 1:
+        if len(gf2_reduce(rows)) >= n - 1:
             secret = gf2_null_vector(rows, n)
             if secret is not None:
                 return secret, len(measurements), tuple(measurements)
@@ -71,14 +70,23 @@ class TestOracleConstruction:
             assert len(set(table)) == 8
             for x in range(16):
                 assert table[x] == table[x ^ s]
+        assert orc.tables.shape == (5, 16) and orc.tables.dtype == np.int64
+
+    def test_tables_are_a_read_only_copy(self):
+        table = np.array([[0, 1, 1, 0]])
+        orc = GeneralizedSimonOracle(2, (3,), table)
+        table[0, 0] = 5
+        assert orc.tables.tolist() == [[0, 1, 1, 0]]
+        with pytest.raises(ValueError):
+            orc.tables[0, 0] = 1
 
     def test_build_is_seed_deterministic(self):
         a = build_simon_oracle(5, 3, seed=7)
         b = build_simon_oracle(5, 3, seed=7)
         assert a.secrets == b.secrets
-        assert a.tables == b.tables
+        assert np.array_equal(a.tables, b.tables)
         c = build_simon_oracle(5, 3, seed=8)
-        assert a.secrets != c.secrets or a.tables != c.tables
+        assert a.secrets != c.secrets or not np.array_equal(a.tables, c.tables)
 
     def test_zero_secret_rejected(self):
         with pytest.raises(ValueError):
@@ -91,6 +99,27 @@ class TestOracleConstruction:
     def test_constant_table_rejected(self):
         with pytest.raises(ValueError):
             GeneralizedSimonOracle(2, (3,), ((0, 0, 0, 0),))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_two_to_one_check_matches_distinct_count(self, data):
+        # tables colliding along s by construction; labels are a permutation or
+        # free draws, so that some pairs share a label
+        n = data.draw(st.integers(1, 5))
+        size = 1 << n
+        s = data.draw(st.integers(1, size - 1))
+        if data.draw(st.booleans()):
+            labels = data.draw(st.permutations(range(size // 2)))
+        else:
+            labels = data.draw(st.lists(st.integers(0, size // 2), min_size=size // 2, max_size=size // 2))
+        table = [0] * size
+        for x, label in zip([x for x in range(size) if x < x ^ s], labels):
+            table[x] = table[x ^ s] = label
+        if len(set(table)) == size // 2:
+            assert GeneralizedSimonOracle(n, (s,), (table,)).tables.tolist() == [table]
+        else:
+            with pytest.raises(ValueError, match="2-to-1"):
+                GeneralizedSimonOracle(n, (s,), (table,))
 
     def test_width_and_instance_caps(self, tmp_path, capsys):
         # n + ceil(log2 count) counts the tables; a solve holds no more than one
@@ -109,11 +138,13 @@ class TestOracleConstruction:
         assert capsys.readouterr().err.startswith("resource cap: a width-19 oracle")
 
     def test_build_and_solve_hold_a_few_words_per_entry(self):
+        # one small build and solve first, so lazy imports are not counted
+        simon_solve(build_simon_oracle(4, 1, seed=0), 0, seed=0)
         size = 1 << 16
         tracemalloc.start()
         try:
             orc = build_simon_oracle(16, 1, seed=0)
-            build_peak = tracemalloc.get_traced_memory()[1]
+            alive, build_peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
             res = simon_solve(orc, 0, seed=0)
@@ -121,7 +152,9 @@ class TestOracleConstruction:
         finally:
             tracemalloc.stop()
         assert res.secret == orc.secrets[0]
-        assert build_peak < 128 * size
+        # the table is one int64 array: 8 bytes per entry alive, a few words at the peak
+        assert alive <= 16 * size
+        assert build_peak < 64 * size
         assert solve_peak < 128 * size
 
     @pytest.mark.parametrize("n, count", [(0, 1), (-1, 1), (4, 0)])
@@ -140,7 +173,7 @@ class TestOracleConstruction:
 
     def test_query_counters(self):
         orc = build_simon_oracle(3, 2, seed=1)
-        orc.classical_query(0, 5)
+        assert type(orc.classical_query(0, 5)) is int
         orc.classical_query(0, 2)
         orc.count_quantum_query(1)
         assert orc.classical_counts[0] == 2
@@ -153,9 +186,7 @@ class TestOracleConstruction:
 class TestGf2:
     def test_reduce_and_rank(self):
         rows = [0b110, 0b011, 0b101]
-        assert gf2_rank(rows) == 2
-        reduced = gf2_reduce(rows)
-        assert len(reduced) == 2
+        assert len(gf2_reduce(rows)) == 2
 
     def test_null_vector_is_orthogonal_complement(self):
         rows = [0b110, 0b011]
