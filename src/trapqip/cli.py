@@ -169,6 +169,10 @@ def _run_config(cfg: configparser.ConfigParser, seed_override: int | None) -> Ru
         raise ConfigError("the shift s must be nonzero")
     if rc.distribution is not None and rc.protocol != "3":
         raise ConfigError(f"distribution = {rc.distribution} needs protocol 3, not {rc.protocol}")
+    if rc.protocol == "classical" and rc.cheat_width is not None:
+        raise ConfigError(f"prover = {rc.prover} acts on quantum messages; protocol = classical sends basis queries")
+    if rc.protocol != "classical" and rc.prover.startswith("classical:"):
+        raise ConfigError(f"prover = {rc.prover} answers basis queries; protocol = {rc.protocol} sends quantum ones")
     if rc.p_qubits != 0 and rc.cheat_width is None:
         raise ConfigError(f"p_qubits = {rc.p_qubits} needs a prover with a private register, not {rc.prover}")
     if rc.prover != "search" and ("iters" in sect or cfg.has_option("sweep", "iters")):

@@ -642,40 +642,68 @@ def branch_overlap_pair(r: Reduction, f: Permutation, x: int, prover: Prover) ->
 # ---------------------------------------------------------------------------
 # numerical prover search
 
-# prover_search swaps its current unitary for a fresh Haar draw every this many iterations
+# prover_search starts a climb from a fresh Haar isometry every this many iterations
 RESTART_EVERY = 250
+# a climb stops once max|z|, its step size or its last gain falls to this
+CLIMB_TOL = 1e-12
 
 
-def _search_context(r: Reduction, f: Permutation, x: int, p_qubits: int, accept_output: int):
-    """Row-separable form of the search objective for cheat unitaries u.
+def _search_context(r: Reduction, f: Permutation, x: int, accept_output: int):
+    """The search objective on v = u[:, :2^(2m)], the only columns of a cheat u
+    that the branches reach, since the private register starts at zero.
 
-    Rows of u @ a0 and u @ a1 are indexed by (prover, query, answer) and
-    columns by (work, copy).  The out = 0 block of the acceptance projector is
-    diagonal, so p0 is a sum over rows of |u @ a0|^2 against real weights.
-    p1 is the squared trap amplitude summed over private-register values; a
-    value's amplitude is the sum of its rows' terms against the accepting
-    trap vector.  Returns a0, a1 and a function of (row indices, rows of
-    u @ a0, rows of u @ a1) giving each row's two terms.
+    Rows of v @ a0 and v @ t are indexed by (prover, query, answer), columns
+    by (work, copy).  p0 is |v a0|^2 against the real out = 0 diagonal w of
+    the acceptance projector; p1 sums |amp|^2 over private values, amp being
+    each value's overlap with the honest trap response t = V^dagger|0>.
+    Returns v -> (score, G): score = (p0 + p1)/2 and its gradient in conj(v),
+    G = [(w o v a0) a0^dagger + (amp o t) t^dagger]/2.
     """
-    m = r.m
-    msg = 1 << (2 * m)
+    msg = 1 << (2 * r.m)
     diag, _ = _acceptance_entries(r, accept_output)
     weights = diag[0::2].real.reshape(msg, msg)
+    a0 = honest_answer_state(r, f, x).amplitudes.reshape(msg, msg)
+    t = trap_answer_state(r, f).amplitudes.reshape(msg, msg)
 
-    trap = trap_answer_state(r, f)  # the honest trap response is the accepting vector V^dagger|0>
-    v_conj = trap.amplitudes.conj().reshape(msg, msg)
+    def objective(v: np.ndarray) -> tuple[float, np.ndarray]:
+        b0 = (v @ a0).reshape(-1, msg, msg)
+        wb0 = weights * b0
+        amp = np.einsum("kij,ij->k", (v @ t).reshape(-1, msg, msg), t.conj())
+        score = (np.vdot(b0, wb0).real + np.vdot(amp, amp).real) / 2.0
+        grad = (wb0.reshape(-1, msg) @ a0.conj().T + (amp[:, None, None] * t).reshape(-1, msg) @ t.conj().T) / 2.0
+        return float(score), grad
 
-    prover0 = basis_state(layout(("prover", p_qubits))) if p_qubits else None
+    return objective
 
-    def prepared(mv_state: StateVector) -> np.ndarray:
-        state = core.tensor_product(prover0, mv_state) if prover0 is not None else mv_state
-        return state.amplitudes.reshape(1 << (p_qubits + 2 * m), -1)
 
-    def row_terms(rows: np.ndarray, b0: np.ndarray, b1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        msg_rows = rows & (msg - 1)
-        return (np.abs(b0) ** 2 * weights[msg_rows]).sum(axis=1), (b1 * v_conj[msg_rows]).sum(axis=1)
+def _climb(objective, v: np.ndarray, steps: int) -> tuple[np.ndarray, float]:
+    """Riemannian gradient ascent over isometries from v, for at most steps steps.
 
-    return prepared(honest_answer_state(r, f, x)), prepared(trap), row_terms
+    A step moves along z = G - v(v^dagger G + G^dagger v)/2, G projected on
+    the tangent space, and retracts by QR with R's diagonal made positive
+    (Edelman, Arias and Smith, SIAM J. Matrix Anal. Appl. 20(2), 1998).  A
+    step that does not lower the score is taken and grows the step size by
+    1.2; any other halves it and is retried, so the score never decreases.
+    The climb stops once max|z|, the step size or the last gain falls to
+    CLIMB_TOL.  Returns the last isometry and its score.
+    """
+    score, grad = objective(v)
+    eta, gain = 1.0, math.inf
+    for _ in range(steps):
+        z = grad - v @ (v.conj().T @ grad + grad.conj().T @ v) / 2.0
+        if min(np.abs(z).max(), eta, gain) <= CLIMB_TOL:
+            break
+        q, rr = np.linalg.qr(v + eta * z)
+        d = np.diagonal(rr)
+        q = q * (d / np.abs(d))
+        new_score, new_grad = objective(q)
+        if new_score >= score:
+            gain = new_score - score
+            v, score, grad = q, new_score, new_grad
+            eta *= 1.2
+        else:
+            eta /= 2.0
+    return v, score
 
 
 def prover_search(
@@ -687,63 +715,30 @@ def prover_search(
     seed: int,
     accept_output: int = 0,
 ) -> tuple[Prover, float]:
-    """Hill-climb over cheat unitaries; returns the best prover and its value.
+    """Gradient ascent over cheat unitaries; returns the best prover and its value.
 
-    Proposals compose small random two-coordinate rotations onto the current
-    unitary, and every RESTART_EVERY-th iteration is a fresh Haar restart
-    instead.  A rotation touches two rows of the unitary, so a proposal
-    updates those rows of u @ a0 and u @ a1 and their score terms, never the
-    full product.  Scores are recomputed from scratch at the start, at each
-    restart and for the returned unitary.  The identity start makes the
-    zero-iteration result the honest value, and for a fixed seed the best
-    value is non-decreasing in the iteration count.  The result is checked
-    against the closed-form ceiling.
+    iters counts steps of climbs on v = u[:, :2^(2m)] (see _climb).  The
+    first climb starts from the identity's columns, so zero iterations give
+    the honest value; every RESTART_EVERY-th iteration starts a climb from a
+    seeded Haar isometry.  The best changes only for a strictly greater
+    score, so for a fixed seed it is non-decreasing in iters.  It is checked
+    against the closed-form ceiling and completed to a unitary by QR.
     """
     _check_instance("search", r, f, x, accept_output, cheat=p_qubits)
-    a0, a1, row_terms = _search_context(r, f, x, p_qubits, accept_output)
-    dim = 1 << (p_qubits + 2 * r.m)
+    objective = _search_context(r, f, x, accept_output)
+    dim, msg = 1 << (p_qubits + 2 * r.m), 1 << (2 * r.m)
     rng = np.random.default_rng(seed)
+    best, best_score = _climb(objective, np.eye(dim, msg, dtype=np.complex128), min(iters, RESTART_EVERY - 1))
+    for start in range(RESTART_EVERY, iters + 1, RESTART_EVERY):
+        v, score = _climb(objective, haar_unitary(dim, rng)[:, :msg], min(iters - start, RESTART_EVERY - 1))
+        if score > best_score:
+            best, best_score = v, score
 
-    def score(t0: np.ndarray, s1: np.ndarray) -> float:
-        trap = s1.reshape(1 << p_qubits, -1).sum(axis=1)
-        return float((t0.sum() + (np.abs(trap) ** 2).sum()) / 2.0)
-
-    def from_scratch(u: np.ndarray):
-        b0, b1 = u @ a0, u @ a1
-        t0, s1 = row_terms(np.arange(dim), b0, b1)
-        return b0, b1, t0, s1, score(t0, s1)
-
-    current = np.eye(dim, dtype=np.complex128)
-    b0, b1, t0, s1, current_score = from_scratch(current)
-    best, best_score = current.copy(), current_score
-    for i in range(1, iters + 1):
-        if i % RESTART_EVERY == 0:
-            # unconditional restart; escapes local maxima, best is kept aside
-            current = haar_unitary(dim, rng)
-            b0, b1, t0, s1, current_score = from_scratch(current)
-        else:
-            rows = rng.choice(dim, size=2, replace=False)
-            theta = rng.normal(0.0, 0.3)
-            phase = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-            c, s = math.cos(theta), math.sin(theta)
-            g = np.array([[c, -phase * s], [np.conj(phase) * s, c]])
-            new_b0, new_b1 = g @ b0[rows], g @ b1[rows]
-            old_t0, old_s1 = t0[rows], s1[rows]
-            t0[rows], s1[rows] = row_terms(rows, new_b0, new_b1)
-            candidate = score(t0, s1)
-            if candidate >= current_score:
-                current[rows] = g @ current[rows]
-                b0[rows], b1[rows] = new_b0, new_b1
-                current_score = candidate
-            else:
-                t0[rows], s1[rows] = old_t0, old_s1
-        if current_score > best_score:
-            best, best_score = current.copy(), current_score
-
-    best_score = from_scratch(best)[-1]
     ceiling = cheat_upper_bound(r, f, x, accept_output)
     if best_score > ceiling.bound + 1e-9:
         raise InvariantError(
             f"search value {best_score} exceeds the cheating ceiling {ceiling.bound}"
         )
-    return Prover.unitary_cheat(best, p_qubits), float(best_score)
+    unitary = np.linalg.qr(best, mode="complete")[0]
+    unitary[:, :msg] = best
+    return Prover.unitary_cheat(unitary, p_qubits), best_score

@@ -109,10 +109,10 @@ def load_distribution(path) -> DistributionTable:
     seen = set()
     for i, ln in enumerate(lines, start=1):
         parts = ln.split()
-        if len(parts) != 2 or len(parts[0]) != m:
+        if len(parts) != 2 or len(parts[0]) != m or not set(parts[0]) <= {"0", "1"}:
             raise ValueError(f"{path}: line {i}: expected '<{m}-bit q> <prob>'")
+        q = int(parts[0], 2)
         try:
-            q = int(parts[0], 2)
             d = float(parts[1])
         except ValueError:
             raise ValueError(f"{path}: line {i}: malformed entry {ln!r}") from None

@@ -188,6 +188,10 @@ class TestRefusedConfigs:
             ("run", "[run]\nprotocol = classical\nm = 2\nprover = classical:0,1,2,99\n", "answer 99"),
             ("run", "[run]\nprotocol = classical\nm = 2\nprover = classical:99,99,99,99\n", "answer 99"),
             ("sweep", "[run]\nprotocol = classical\nm = 2\nprover = classical:0,-1,2,3\n", "answer -1"),
+            ("run", "[run]\nprotocol = classical\nm = 2\nprover = identity\n", "prover"),
+            ("sweep", "[run]\nprotocol = classical\nm = 1\nprover = corrupt:0\n", "prover"),
+            ("run", "[run]\nprotocol = 1\nm = 2\nprover = classical:1,0,3,2\n", "prover"),
+            ("sweep", "[run]\nprotocol = 3\nm = 2\nprover = classical:1,0,3,2\n", "prover"),
         ],
         ids=[
             "run-eps-negative", "run-eps-nan", "sweep-eps-negative", "sweep-eps-nan", "negative-instance",
@@ -195,7 +199,8 @@ class TestRefusedConfigs:
             "negative-classical-seeds", "run-distribution-protocol-1", "sweep-distribution-classical",
             "run-p-qubits-honest", "sweep-p-qubits-classical", "run-iters-honest", "run-iters-identity",
             "sweep-iters-honest", "run-answer-past-last-query", "run-answers-all-out-of-range",
-            "sweep-answer-negative",
+            "sweep-answer-negative", "run-identity-classical", "sweep-corrupt-classical",
+            "run-classical-prover-protocol-1", "sweep-classical-prover-protocol-3",
         ],
     )
     def test_usage_exit_without_output(self, command, text, key, tmp_path, capsys):
@@ -204,6 +209,24 @@ class TestRefusedConfigs:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {key}")
         assert not dest.exists()
+
+    def test_search_refused_before_it_runs_under_classical_protocol(self, tmp_path, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("the search ran for a protocol that refuses its cheat")
+
+        monkeypatch.setattr(cli, "prover_search", never)
+        text = "[run]\nprotocol = classical\nm = 2\nprover = search\np_qubits = 2\niters = 20000\n"
+        assert cli.main(["run", "--config", _write(tmp_path, text)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: prover = search") and "protocol = classical" in err
+
+    @pytest.mark.parametrize("field", ["-1", "+1"])
+    def test_non_binary_distribution_query_refused(self, field, tmp_path, capsys):
+        dist = tmp_path / "dist.txt"
+        dist.write_text(f"00 0.25\n01 0.25\n10 0.25\n{field} 0.25\n")
+        text = f"[run]\nprotocol = 3\nm = 2\ndistribution = {dist}\n"
+        assert cli.main(["run", "--config", _write(tmp_path, text)]) == 2
+        assert capsys.readouterr().err == f"error: {dist}: line 4: expected '<2-bit q> <prob>'\n"
 
 
 class TestRemovedOptions:
@@ -296,8 +319,10 @@ class TestBlasThreads:
         [
             "[run]\nprotocol = 2\nm = 3\ns = 011\nbit = 2\neps = 0.1\nt = 5\nx = 5\n",
             "[run]\nprotocol = classical\nm = 3\ns = 110\nbit = 0\neps = 0.25\nt = 3\nx = 2\nseed = 11\n",
+            # 300 iterations run one climb from a Haar isometry
+            "[run]\nprotocol = 1\nm = 2\neps = 0.25\nx = 2\nprover = search\np_qubits = 1\niters = 300\n",
         ],
-        ids=["honest-trap-m3-t5", "classical-m3-t3"],
+        ids=["honest-trap-m3-t5", "classical-m3-t3", "search-m2-p1-haar-climb"],
     )
     def test_record_bytes_independent_of_blas_threads(self, config, tmp_path):
         assert _record_in_subprocess(config, 1, tmp_path) == _record_in_subprocess(config, 2, tmp_path)

@@ -1,6 +1,5 @@
 """Protocol engine tests: completeness, trap checks, cheating ceilings."""
 
-import math
 from unittest import mock
 
 import numpy as np
@@ -12,7 +11,6 @@ from trapqip import protocols, rejection
 from trapqip.core import CapacityError, InvariantError, LayoutError
 from trapqip.core import (
     StateVector,
-    UnitaryOperator,
     adjoin_register,
     apply_basis_permutation,
     apply_on_registers,
@@ -177,49 +175,16 @@ def _dense_projector(r, accept_output):
     return w.conj().T @ keep @ w
 
 
-def _reference_search(r, f, x, p_qubits, iters, seed, accept_output=0, restart_every=250):
-    """The search as a dense loop: a full Givens matrix per proposal, and p0
-    from the projector's accept block contracted with einsum."""
-    m = r.m
-    dim = 1 << (p_qubits + 2 * m)
-    accept_block = _dense_projector(r, accept_output)[0::2, 0::2]
-    zero = basis_state(layout(("query", m), ("answer", m), ("work", m), ("copy", m)))
-    v = trap_verifier(f)
-    accept_vec = apply_on_registers(zero, UnitaryOperator(v.layout, v.matrix.conj().T), ["query", "answer", "copy"])
-    private = np.eye(1 << p_qubits)[0]
-    a0 = np.kron(private, honest_answer_state(r, f, x).amplitudes).reshape(dim, -1)
-    a1 = np.kron(private, trap_answer_state(r, f).amplitudes).reshape(dim, -1)
-
-    def objective(u):
-        b0 = (u @ a0).reshape(1 << p_qubits, -1)
-        b1 = (u @ a1).reshape(1 << p_qubits, -1)
-        p0 = float(np.real(np.einsum("pi,ij,pj->", b0.conj(), accept_block, b0)))
-        p1 = float(np.sum(np.abs(b1 @ accept_vec.amplitudes.conj()) ** 2))
-        return (p0 + p1) / 2.0
-
-    rng = np.random.default_rng(seed)
-    current = np.eye(dim, dtype=np.complex128)
-    current_score = objective(current)
-    best, best_score = current, current_score
-    for it in range(1, iters + 1):
-        if restart_every and it % restart_every == 0:
-            current = haar_unitary(dim, rng)
-            current_score = objective(current)
-        else:
-            i, j = rng.choice(dim, size=2, replace=False)
-            theta = rng.normal(0.0, 0.3)
-            phase = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-            g = np.eye(dim, dtype=np.complex128)
-            g[i, i] = g[j, j] = math.cos(theta)
-            g[i, j] = -phase * math.sin(theta)
-            g[j, i] = np.conj(phase) * math.sin(theta)
-            candidate = g @ current
-            score = objective(candidate)
-            if score >= current_score:
-                current, current_score = candidate, score
-        if current_score > best_score:
-            best, best_score = current, current_score
-    return best, best_score
+def _compressed_bounds(r, f, accept_output):
+    """Reference ceiling, per input x, for cheats whose private register
+    starts at zero: half the top eigenvalue of the out = 0 block of the dense
+    projector plus |phi><phi|, phi the honest response."""
+    block = _dense_projector(r, accept_output)[0::2, 0::2]
+    bounds = []
+    for x in range(1 << r.m):
+        phi = honest_answer_state(r, f, x).amplitudes
+        bounds.append(np.linalg.eigvalsh(block + np.outer(phi, phi.conj()))[-1] / 2.0)
+    return bounds
 
 
 class TestStructuredProjector:
@@ -309,19 +274,49 @@ class TestProverSearch:
         assert a[1] == b[1]
         np.testing.assert_allclose(a[0].unitary.matrix, b[0].unitary.matrix)
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_matches_dense_reference_loop(self, seed, monkeypatch):
-        # restarts every 35 iterations, so that Haar restarts are covered
-        m, p = 2 - seed // 3, seed % 3
-        base = build_xor_reduction(m, 1, 0)
-        r = add_noise(base, 0.25) if seed % 2 else base
-        f = random_permutation(m, seed=seed)
-        x, accept_output = seed % (1 << m), seed % 2
-        want_u, want = _reference_search(r, f, x, p, 90, seed, accept_output, restart_every=35)
-        monkeypatch.setattr(protocols, "RESTART_EVERY", 35)
-        prover, value = prover_search(r, f, x, p, 90, seed=seed, accept_output=accept_output)
-        assert abs(value - want) <= 1e-12
-        assert np.abs(prover.unitary.matrix - want_u).max() <= 1e-12
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_search_between_honest_and_compressed_bound(self, m):
+        # 300 iterations run the identity climb and one Haar climb
+        f = random_permutation(m, seed=3)
+        for eps in (0.0, 0.1, 0.25):
+            base = build_xor_reduction(m, 1, 0)
+            r = add_noise(base, eps) if eps else base
+            for accept_output in (0, 1):
+                for x, compressed in enumerate(_compressed_bounds(r, f, accept_output)):
+                    honest = run_protocol(r, f, x, Prover.honest(), accept_output=accept_output).accept_prob
+                    ceiling = cheat_upper_bound(r, f, x, accept_output).bound
+                    assert compressed <= ceiling + 1e-9
+                    for p in (0, 1, 2):
+                        _, value = prover_search(r, f, x, p, 300, seed=x + p, accept_output=accept_output)
+                        assert honest - 1e-9 <= value <= compressed + 1e-9
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_climbs_reach_compressed_bound(self, m):
+        f = random_permutation(m, seed=3)
+        rng = np.random.default_rng(m)
+        msg = 1 << (2 * m)
+        for eps in (0.1, 0.25):
+            r = add_noise(build_xor_reduction(m, 1, 0), eps)
+            bounds = [_compressed_bounds(r, f, accept_output) for accept_output in (0, 1)]
+            for p in (0, 1, 2):
+                x, accept_output = int(rng.integers(1 << m)), p % 2
+                objective = protocols._search_context(r, f, x, accept_output)
+                start = haar_unitary(1 << (p + 2 * m), rng)[:, :msg]
+                calls = []
+
+                def counted(v):
+                    calls.append(v)
+                    return objective(v)
+
+                v, score = protocols._climb(counted, start, protocols.RESTART_EVERY - 1)
+                assert abs(score - bounds[accept_output][x]) <= 1e-6
+                assert score == objective(v)[0]
+                np.testing.assert_allclose(v.conj().T @ v, np.eye(msg), atol=1e-12)
+                # the climb stopped after len(calls) - 1 steps; a run of k + 1
+                # steps continues the run of k, so no prefix scores lower
+                scores = [protocols._climb(objective, start, k)[1] for k in range(len(calls) + 1)]
+                assert all(a <= b for a, b in zip(scores, scores[1:]))
+                assert scores[-1] == score
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())

@@ -77,6 +77,16 @@ class TestDistributionTable:
         np.testing.assert_allclose(back.probs, [0.5, 0.25, 0.125, 0.125])
         assert back.m == 2
 
+    @pytest.mark.parametrize("lines", [("00", "01", "10", "-1"), ("00", "01", "10", "+1"), ("000", "1_0")])
+    def test_load_rejects_non_binary_query(self, lines, tmp_path):
+        path = tmp_path / "dist.txt"
+        m = len(lines[0])
+        # pad to 2^m lines with the binary queries the test does not name
+        rest = [format(q, f"0{m}b") for q in range(1 << m)][len(lines) :]
+        path.write_text("".join(f"{q} {1 / (1 << m)}\n" for q in (*lines, *rest)))
+        with pytest.raises(ValueError, match=f"line {len(lines)}: expected"):
+            load_distribution(path)
+
     def test_load_rejects_non_finite_entry(self, tmp_path):
         path = tmp_path / "nan.txt"
         path.write_text("00 nan\n01 0.5\n10 0.25\n11 0.25\n")
