@@ -173,6 +173,8 @@ def _run_config(cfg: configparser.ConfigParser, seed_override: int | None) -> Ru
         raise ConfigError(f"prover = {rc.prover} acts on quantum messages; protocol = classical sends basis queries")
     if rc.protocol != "classical" and rc.prover.startswith("classical:"):
         raise ConfigError(f"prover = {rc.prover} answers basis queries; protocol = {rc.protocol} sends quantum ones")
+    if rc.p_qubits < 0:
+        raise ConfigError(f"p_qubits = {rc.p_qubits} must be >= 0")
     if rc.p_qubits != 0 and rc.cheat_width is None:
         raise ConfigError(f"p_qubits = {rc.p_qubits} needs a prover with a private register, not {rc.prover}")
     if rc.prover != "search" and ("iters" in sect or cfg.has_option("sweep", "iters")):
@@ -202,21 +204,18 @@ def _build_prover(rc: RunConfig, r, f: Permutation):
     if kind.startswith("classical:"):
         answers = [int(tok) for tok in kind.split(":", 1)[1].split(",") if tok.strip()]
         return Prover.classical(answers), None
+    msg = 1 << (2 * r.m * r.copies)
     if kind == "identity":
-        return Prover.unitary_cheat(np.eye(1 << (rc.p_qubits + 2 * r.m * r.copies)), rc.p_qubits), None
+        return Prover.unitary_cheat(np.eye(msg << rc.p_qubits, msg), rc.p_qubits), None
     if kind == "search":
-        prover, achieved = prover_search(
-            r, f, rc.x, rc.p_qubits, rc.iters, seed=rc.seed, accept_output=rc.accept_output
-        )
-        return prover, achieved
+        return prover_search(r, f, rc.x, rc.p_qubits, rc.iters, seed=rc.seed, accept_output=rc.accept_output)
     if kind.startswith("corrupt:"):
         members = frozenset(int(tok) for tok in kind.split(":", 1)[1].split(";") if tok.strip())
         if r.copies != 1:
             raise ConfigError("corrupt prover kind supports a single copy only")
-        bad = CorruptionSet(r.m, members)
         # undo the honest oracle, then answer with the lying one
-        net = np.eye(1 << (2 * r.m))[:, inversion_table(f, bad)[inversion_table(f)]]
-        return Prover.unitary_cheat(np.kron(np.eye(1 << rc.p_qubits), net), rc.p_qubits), None
+        perm = inversion_table(f, CorruptionSet(r.m, members))[inversion_table(f)]
+        return Prover.unitary_cheat(np.eye(msg << rc.p_qubits, msg)[:, perm], rc.p_qubits), None
     raise ConfigError(f"unknown prover kind {kind!r}")
 
 

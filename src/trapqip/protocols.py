@@ -46,7 +46,7 @@ from .reductions import (
     majority_vote_table,
     register_xor_table,
 )
-from .sampling import haar_unitary
+from .sampling import haar_isometry
 
 PROVER_HONEST = "honest"
 PROVER_UNITARY = "unitary-cheat"
@@ -58,23 +58,21 @@ class Prover:
     """Prover model: honest, a unitary cheat after the oracle, or classical.
 
     A unitary cheat acts on (private register, all query registers, all answer
-    registers), in that order, after the honest inverse oracle.  A classical
-    prover is an answer table indexed by the query value.
+    registers), in that order, after the honest inverse oracle; the private
+    register starts at |0>, so it is held as the isometry of its first 2^n
+    columns, n the message width.  A classical prover is an answer table.
     """
 
     kind: str
-    unitary: UnitaryOperator | None = None
+    isometry: np.ndarray | None = None
     prover_qubits: int = 0
     answers: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in (PROVER_HONEST, PROVER_UNITARY, PROVER_CLASSICAL):
             raise ValueError(f"unknown prover kind {self.kind!r}")
-        if self.kind == PROVER_UNITARY:
-            if self.unitary is None:
-                raise ValueError("unitary-cheat prover needs a unitary")
-            if self.prover_qubits < 0:
-                raise ValueError("private register width must be >= 0")
+        if self.kind == PROVER_UNITARY and self.isometry is None:
+            raise ValueError("unitary-cheat prover needs an isometry")
         if self.kind == PROVER_CLASSICAL and self.answers is None:
             raise ValueError("classical prover needs an answer table")
 
@@ -84,10 +82,18 @@ class Prover:
 
     @staticmethod
     def unitary_cheat(matrix, prover_qubits: int = 0) -> "Prover":
+        """From a unitary, checked as such, or from its first 2^n columns alone."""
+        if prover_qubits < 0:
+            raise ValueError("private register width must be >= 0")
         mat = np.asarray(matrix)
-        n = int(round(math.log2(mat.shape[0])))
-        op = UnitaryOperator(layout(("cheat", n)), mat)
-        return Prover(kind=PROVER_UNITARY, unitary=op, prover_qubits=prover_qubits)
+        cols = mat.shape[0] >> prover_qubits
+        if cols and mat.shape[0] == mat.shape[1]:
+            mat = UnitaryOperator(layout(("cheat", int(round(math.log2(mat.shape[0]))))), mat).matrix[:, :cols]
+        elif mat.shape != (cols << prover_qubits, cols) or cols & (cols - 1) or not cols:
+            raise LayoutError(f"cheat of shape {mat.shape} is not 2^n columns on {prover_qubits} + n qubits")
+        elif not np.allclose(mat.conj().T @ mat, np.eye(cols), atol=1e-9):
+            raise InvariantError("cheat columns are not orthonormal within tolerance")
+        return Prover(kind=PROVER_UNITARY, isometry=core._readonly(mat), prover_qubits=prover_qubits)
 
     @staticmethod
     def classical(answers) -> "Prover":
@@ -166,22 +172,14 @@ def trap_answer_state(r: Reduction, f: Permutation) -> StateVector:
 
 
 def _apply_prover_stage(state: StateVector, r: Reduction, f: Permutation, prover: Prover) -> StateVector:
-    width = prover.prover_qubits if prover.kind == PROVER_UNITARY else 0
-    if width:
-        state = core.tensor_product(basis_state(layout(("prover", width))), state)
+    """The honest inverse oracle, then a cheat's isometry on the messages, which
+    lead every engine layout; its private register joins as the most significant."""
     state = answer_queries(state, f, r.copies)
     if prover.kind == PROVER_UNITARY:
-        names = copy_register_names(r.copies)
-        targets = ["prover"] if width else []
-        targets += [regs["query"] for regs in names]
-        targets += [regs["answer"] for regs in names]
-        needed = 1 << (width + 2 * r.m * r.copies)
-        if prover.unitary.dim != needed:
-            raise LayoutError(
-                f"cheat unitary dim {prover.unitary.dim}, need {needed} for "
-                f"{width} private qubits and {r.copies} message pairs"
-            )
-        state = core.apply_on_registers(state, prover.unitary, targets)
+        lay = state.layout
+        if prover.prover_qubits:
+            lay = layout(("prover", prover.prover_qubits), *lay.registers)
+        state = StateVector(lay, prover.isometry @ state.amplitudes.reshape(prover.isometry.shape[1], -1))
     return state
 
 
@@ -259,9 +257,10 @@ def footprint(entry: str, r: Reduction, cheat: int | None = None) -> int:
     """Budget of the widest object an entry point builds, as core.within_cap counts it.
 
     entry is "trap", "smooth", "classical", "overlap", "ceiling" or "search";
-    cheat is the private width of the prover's unitary, None when it has none.
+    cheat is the private width of the prover's isometry, None when it has none.
     Smaller objects (preps, flag rotations) are dominated; the vote is a
-    basis table on the state, not a dense operator.
+    basis table on the state, not a dense operator.  A cheat's isometry holds
+    2^(p + 4mk) entries, no more than the post-prover state it makes.
     """
     m, k, p = r.m, r.copies, cheat or 0
     if entry == "classical":
@@ -280,8 +279,6 @@ def footprint(entry: str, r: Reduction, cheat: int | None = None) -> int:
         groups = 1 if cheat is None and entry != "overlap" else k
         state = p + 4 * m * groups
         widths = [state] if entry == "overlap" else [state + groups + (groups > 1), 6 * m]
-    if cheat is not None:
-        widths.append(2 * (p + 2 * m * k))
     return max(widths)
 
 
@@ -298,9 +295,9 @@ def _check_instance(
 
     It checks the permutation width, x, accept_output, the prover kind and
     answers, the copy count, uniformity and smoothness, in that order, then
-    the footprint.
-    cheat is the private width of the search's unitaries, or else of the
-    prover's unitary, None when it has none.
+    the footprint, then the shape of a cheat's isometry against the messages.
+    cheat is the private width of the search's isometries, or else of the
+    prover's isometry, None when it has none.
     """
     if f.m != r.m:
         raise LayoutError(f"permutation width {f.m} does not match query width {r.m}")
@@ -327,6 +324,9 @@ def _check_instance(
     if entry == "smooth" and not r.is_smooth:
         raise ValueError("query distribution carries no smoothness certificate")
     core.require_cap(footprint(entry, r, cheat), f"the {entry} run")
+    msg = 1 << (2 * r.m * r.copies)
+    if prover is not None and prover.kind == PROVER_UNITARY and prover.isometry.shape != (msg << cheat, msg):
+        raise LayoutError(f"cheat isometry {prover.isometry.shape}, need {(msg << cheat, msg)} for {r.copies} copies")
 
 
 def run_protocol(r: Reduction, f: Permutation, x: int, prover: Prover, accept_output: int = 0) -> ProtocolResult:
@@ -715,14 +715,14 @@ def prover_search(
     seed: int,
     accept_output: int = 0,
 ) -> tuple[Prover, float]:
-    """Gradient ascent over cheat unitaries; returns the best prover and its value.
+    """Gradient ascent over cheat isometries; returns the best prover and its value.
 
     iters counts steps of climbs on v = u[:, :2^(2m)] (see _climb).  The
     first climb starts from the identity's columns, so zero iterations give
     the honest value; every RESTART_EVERY-th iteration starts a climb from a
     seeded Haar isometry.  The best changes only for a strictly greater
     score, so for a fixed seed it is non-decreasing in iters.  It is checked
-    against the closed-form ceiling and completed to a unitary by QR.
+    against the closed-form ceiling and returned as the prover's isometry.
     """
     _check_instance("search", r, f, x, accept_output, cheat=p_qubits)
     objective = _search_context(r, f, x, accept_output)
@@ -730,7 +730,7 @@ def prover_search(
     rng = np.random.default_rng(seed)
     best, best_score = _climb(objective, np.eye(dim, msg, dtype=np.complex128), min(iters, RESTART_EVERY - 1))
     for start in range(RESTART_EVERY, iters + 1, RESTART_EVERY):
-        v, score = _climb(objective, haar_unitary(dim, rng)[:, :msg], min(iters - start, RESTART_EVERY - 1))
+        v, score = _climb(objective, haar_isometry(dim, msg, rng), min(iters - start, RESTART_EVERY - 1))
         if score > best_score:
             best, best_score = v, score
 
@@ -739,6 +739,4 @@ def prover_search(
         raise InvariantError(
             f"search value {best_score} exceeds the cheating ceiling {ceiling.bound}"
         )
-    unitary = np.linalg.qr(best, mode="complete")[0]
-    unitary[:, :msg] = best
-    return Prover.unitary_cheat(unitary, p_qubits), best_score
+    return Prover.unitary_cheat(best, p_qubits), best_score

@@ -1,4 +1,4 @@
-"""Seeded random instances: Haar unitaries, densities, projectors, channel dilations."""
+"""Seeded random instances: Haar unitaries and isometries, densities, projectors, channel dilations."""
 
 from __future__ import annotations
 
@@ -7,16 +7,18 @@ import numpy as np
 from .core import StateVector, UnitaryOperator, layout, require_cap
 
 
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Ginibre matrix.
-
-    The R-diagonal phase fix makes the QR factorization unique, which is what
-    turns the raw decomposition into the Haar measure.
-    """
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+def haar_isometry(dim: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+    """First cols columns of a Haar unitary, via QR of a dim x cols complex
+    Ginibre matrix.  The R-diagonal phase fix makes the QR factorization
+    unique, which is what turns the raw decomposition into the Haar measure."""
+    z = rng.normal(size=(dim, cols)) + 1j * rng.normal(size=(dim, cols))
     q, r = np.linalg.qr(z / np.sqrt(2.0))
     d = np.diag(r)
     return q * (d / np.abs(d))
+
+
+def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    return haar_isometry(dim, dim, rng)
 
 
 def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -35,8 +37,7 @@ def random_projector(dim: int, rank: int, rng: np.random.Generator) -> np.ndarra
     """Rank-r orthogonal projector with a Haar-random range."""
     if not 0 <= rank <= dim:
         raise ValueError(f"rank {rank} out of range for dim {dim}")
-    u = haar_unitary(dim, rng)
-    basis = u[:, :rank]
+    basis = haar_unitary(dim, rng)[:, :rank]
     return basis @ basis.conj().T
 
 

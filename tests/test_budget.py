@@ -99,7 +99,7 @@ def _check_footprint(entry, m, t, cheat, cap) -> bool:
                 if need > cap:
                     prover = Prover(PROVER_UNITARY, object(), cheat)
                 else:
-                    prover = Prover.unitary_cheat(np.eye(1 << (cheat + 2 * m * t)), cheat)
+                    prover = Prover.unitary_cheat(np.eye(1 << (cheat + 2 * m * t), 1 << (2 * m * t)), cheat)
             _call(entry, r, prover, cheat)
         except CapacityError as exc:
             refused = exc
@@ -157,7 +157,9 @@ def test_default_cap_limits():
     assert fits("classical", 4)
     # an entangling cheat runs every copy at once
     assert fits("trap", 1, t=3, cheat=2) and not fits("trap", 2, t=3, cheat=0)
-    assert fits("search", 2, cheat=5) and not fits("search", 2, cheat=6)
+    # a cheat is an isometry no larger than the state it makes
+    assert fits("search", 2, cheat=10) and not fits("search", 2, cheat=11)
+    assert fits("trap", 2, cheat=9) and not fits("trap", 2, cheat=10)
 
 
 @pytest.mark.parametrize("build", ["density", "trace_distance", "random_channel"])

@@ -98,9 +98,9 @@ class TestRun:
         assert peak < 1 << 20
 
     def test_identity_cheat_private_width_is_budgeted(self, tmp_path, capsys):
-        # p_qubits widens the identity cheat to a 2^14-dim dense operator,
-        # 28 qubits of budget; the footprint refuses it before it is built
-        cfg = _write(tmp_path, "[run]\nm = 1\ns = 1\nprover = identity\np_qubits = 12\n")
+        # p_qubits = 14 widens the post-prover state to 18 qubits, 19 with the
+        # out qubit; the footprint refuses it before the isometry is built
+        cfg = _write(tmp_path, "[run]\nm = 1\ns = 1\nprover = identity\np_qubits = 14\n")
         tracemalloc.start()
         try:
             code = cli.main(["run", "--config", cfg])
@@ -110,6 +110,29 @@ class TestRun:
         assert "resource cap" in capsys.readouterr().err
         assert code == 3
         assert peak < 1 << 20
+
+    def test_search_private_width_is_budgeted(self, tmp_path, capsys):
+        # the searched cheat runs on a 10 + 8 + 1-qubit trap state, over the cap
+        text = "[run]\nm = 2\ns = 01\neps = 0.25\nx = 2\nprover = search\np_qubits = 10\niters = 300\n"
+        tracemalloc.start()
+        try:
+            code = cli.main(["run", "--config", _write(tmp_path, text)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "resource cap" in capsys.readouterr().err
+        assert code == 3
+        assert peak < 1 << 20
+
+    def test_wide_identity_cheat_runs_as_its_isometry(self, tmp_path, capsys):
+        # a 2^14 x 4 isometry where the dense unitary would need 28 qubits of budget
+        records = []
+        for p in (0, 12):
+            text = f"[run]\nm = 1\ns = 1\neps = 0.25\nprover = identity\np_qubits = {p}\n"
+            code, out = _run(["run", "--config", _write(tmp_path, text)], capsys)
+            assert code == 0
+            records.append(json.loads(out))
+        assert (records[1]["p0"], records[1]["p1"]) == (records[0]["p0"], records[0]["p1"])
 
     @pytest.mark.parametrize(
         "command, text",
@@ -192,6 +215,8 @@ class TestRefusedConfigs:
             ("sweep", "[run]\nprotocol = classical\nm = 1\nprover = corrupt:0\n", "prover"),
             ("run", "[run]\nprotocol = 1\nm = 2\nprover = classical:1,0,3,2\n", "prover"),
             ("sweep", "[run]\nprotocol = 3\nm = 2\nprover = classical:1,0,3,2\n", "prover"),
+            ("run", "[run]\nprover = identity\np_qubits = -1\n", "p_qubits"),
+            ("sweep", "[run]\nprover = corrupt:1\np_qubits = -2\n", "p_qubits"),
         ],
         ids=[
             "run-eps-negative", "run-eps-nan", "sweep-eps-negative", "sweep-eps-nan", "negative-instance",
@@ -201,6 +226,7 @@ class TestRefusedConfigs:
             "sweep-iters-honest", "run-answer-past-last-query", "run-answers-all-out-of-range",
             "sweep-answer-negative", "run-identity-classical", "sweep-corrupt-classical",
             "run-classical-prover-protocol-1", "sweep-classical-prover-protocol-3",
+            "run-p-qubits-negative", "sweep-p-qubits-negative",
         ],
     )
     def test_usage_exit_without_output(self, command, text, key, tmp_path, capsys):
@@ -321,8 +347,10 @@ class TestBlasThreads:
             "[run]\nprotocol = classical\nm = 3\ns = 110\nbit = 0\neps = 0.25\nt = 3\nx = 2\nseed = 11\n",
             # 300 iterations run one climb from a Haar isometry
             "[run]\nprotocol = 1\nm = 2\neps = 0.25\nx = 2\nprover = search\np_qubits = 1\niters = 300\n",
+            # its Haar start is a 2048 x 16 isometry
+            "[run]\nprotocol = 1\nm = 2\neps = 0.25\nx = 2\nprover = search\np_qubits = 7\niters = 300\n",
         ],
-        ids=["honest-trap-m3-t5", "classical-m3-t3", "search-m2-p1-haar-climb"],
+        ids=["honest-trap-m3-t5", "classical-m3-t3", "search-m2-p1-haar-climb", "search-m2-p7-haar-climb"],
     )
     def test_record_bytes_independent_of_blas_threads(self, config, tmp_path):
         assert _record_in_subprocess(config, 1, tmp_path) == _record_in_subprocess(config, 2, tmp_path)

@@ -11,6 +11,7 @@ from trapqip import protocols, rejection
 from trapqip.core import CapacityError, InvariantError, LayoutError
 from trapqip.core import (
     StateVector,
+    UnitaryOperator,
     adjoin_register,
     apply_basis_permutation,
     apply_on_registers,
@@ -47,10 +48,12 @@ from trapqip.reductions import (
     DistributionTable,
     add_noise,
     amplify,
+    answer_queries,
     apply_decider,
     build_known_smooth_reduction,
     build_smooth_xor_reduction,
     build_xor_reduction,
+    copy_register_names,
     generate_query_state,
     honest_answer_state,
     majority_error,
@@ -148,10 +151,54 @@ class TestBranchBalance:
                 state = tensor_product(basis_state(layout(("prover", p))), start) if p else start
                 state = apply_basis_permutation(state, inversion_table(f), ["query", "answer"])
                 targets = (["prover"] if p else []) + ["query", "answer"]
-                state = apply_on_registers(state, prover.unitary, targets)
+                state = apply_on_registers(state, UnitaryOperator(layout(("cheat", 4 + p)), u), targets)
                 rho = partial_trace(state, keep=honest.layout.names).matrix
                 want = np.vdot(honest.amplitudes, rho @ honest.amplitudes).real
                 assert abs(value - want) <= 1e-12
+
+
+def _dense_prover_stage(u, p):
+    """The prover stage through the full unitary u: adjoin a zero private
+    register, run the honest oracle, then apply u on (prover, queries, answers)."""
+
+    def stage(state, r, f, prover):
+        if p:
+            state = tensor_product(basis_state(layout(("prover", p))), state)
+        state = answer_queries(state, f, r.copies)
+        names = copy_register_names(r.copies)
+        targets = (["prover"] if p else []) + [regs[kind] for kind in ("query", "answer") for regs in names]
+        return apply_on_registers(state, UnitaryOperator(layout(("cheat", p + 2 * r.m * r.copies)), u), targets)
+
+    return stage
+
+
+class TestIsometryStage:
+    """Engines on a cheat's isometry against the dense unitary route."""
+
+    @pytest.mark.parametrize(
+        "m, t, p",
+        [(1, 1, p) for p in range(4)] + [(2, 1, p) for p in range(4)] + [(1, 3, 1)],
+    )
+    def test_engines_match_dense_unitary_route(self, m, t, p, monkeypatch):
+        rng = np.random.default_rng(40 + 8 * m + p)
+        f = random_permutation(m, 5)
+        raw = np.linspace(0.5, 1.5, 1 << m)
+        trap = amplify(add_noise(build_xor_reduction(m, 1, 0), 0.25), t)
+        smooth = amplify(add_noise(build_smooth_xor_reduction(m, 1, 0, DistributionTable(m, raw / raw.sum())), 0.1), t)
+        u = haar_unitary(1 << (p + 2 * m * t), rng)
+        prover = Prover.unitary_cheat(u, prover_qubits=p)
+        assert prover.isometry.shape == (1 << (p + 2 * m * t), 1 << (2 * m * t))
+
+        def both(x):
+            return run_protocol(trap, f, x, prover), run_smooth_protocol(smooth, f, x, prover, seed=2)
+
+        fast = [both(x) for x in range(1 << m)]
+        monkeypatch.setattr(protocols, "_apply_prover_stage", _dense_prover_stage(u, p))
+        dense = [both(x) for x in range(1 << m)]
+        for got, want in zip(fast, dense):
+            for a, b in zip(got, want):
+                assert abs(a.p0 - b.p0) <= 1e-12
+                assert abs(a.p1 - b.p1) <= 1e-12
 
 
 def _dense_projector(r, accept_output):
@@ -272,7 +319,7 @@ class TestProverSearch:
         a = prover_search(r, f, 2, 0, 60, seed=5)
         b = prover_search(r, f, 2, 0, 60, seed=5)
         assert a[1] == b[1]
-        np.testing.assert_allclose(a[0].unitary.matrix, b[0].unitary.matrix)
+        np.testing.assert_allclose(a[0].isometry, b[0].isometry)
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_search_between_honest_and_compressed_bound(self, m):
@@ -756,6 +803,46 @@ class TestValidation:
     def test_cheat_matrix_must_be_square_power_of_two(self):
         with pytest.raises(LayoutError):
             Prover.unitary_cheat(np.eye(3))
+
+    @pytest.mark.parametrize(
+        "shape, p",
+        [((8, 8), 4), ((8, 4), 0), ((8, 4), 2), ((8, 3), 1), ((12, 3), 2), ((4, 8), 0)],
+        ids=["8x8-p4", "8x4-p0", "8x4-p2", "8x3-p1", "12x3-p2", "4x8-p0"],
+    )
+    def test_cheat_shape_must_be_columns_of_a_unitary(self, shape, p):
+        # 2^(p+n) rows and 2^n columns, or square with at least one column kept
+        with pytest.raises(LayoutError):
+            Prover.unitary_cheat(np.eye(*shape), p)
+
+    def test_cheat_columns_must_be_orthonormal(self):
+        v = np.eye(8, 4)
+        Prover.unitary_cheat(v, 1)
+        for bad in (2.0 * v, v + 1e-6 * np.ones((8, 4)), np.ones((8, 4)) / np.sqrt(8)):
+            with pytest.raises(InvariantError):
+                Prover.unitary_cheat(bad, 1)
+        # a square input is checked for unitarity and keeps its first columns
+        with pytest.raises(InvariantError):
+            Prover.unitary_cheat(np.array([[1.0, 0.0], [1.0, 1.0]]))
+        u = haar_unitary(8, np.random.default_rng(1))
+        np.testing.assert_array_equal(Prover.unitary_cheat(u, 1).isometry, u[:, :4])
+
+    @pytest.mark.parametrize("entry", ["trap", "smooth", "overlap"])
+    @pytest.mark.parametrize("cheat", [(32, 32, 0), (16, 8, 1), (64, 8, 3)], ids=["32x32-p0", "16x8-p1", "64x8-p3"])
+    def test_cheat_of_wrong_width_refused_before_states(self, entry, cheat, monkeypatch):
+        # m = 2 messages span 4 qubits, so these isometries do not fit them
+        rows, cols, p = cheat
+        prover = Prover.unitary_cheat(np.eye(rows, cols), p)
+        f = xor_shift_permutation(2, 1)
+        smooth = build_smooth_xor_reduction(2, 1, 0, DistributionTable(2, (0.3, 0.2, 0.25, 0.25)))
+        r = build_xor_reduction(2, 1, 0)
+        call = {
+            "trap": lambda: run_protocol(r, f, 0, prover),
+            "smooth": lambda: run_smooth_protocol(smooth, f, 0, prover),
+            "overlap": lambda: branch_overlap_pair(r, f, 0, prover),
+        }[entry]
+        monkeypatch.setattr(StateVector, "__post_init__", _no_state)
+        with pytest.raises(LayoutError, match="cheat isometry"):
+            call()
 
     def test_result_probabilities_range_checked(self):
         with pytest.raises(InvariantError):
