@@ -142,6 +142,12 @@ class RunConfig:
 _PARSERS = {"str": str, "str | None": lambda raw: raw or None, "int": int, "float": float}
 
 
+def _seed(seed: int) -> int:
+    if seed < 0:
+        raise ConfigError(f"seed = {seed} must be >= 0")
+    return seed
+
+
 def _parse_bits(raw: str, m: int) -> int:
     if len(raw) != m or any(ch not in "01" for ch in raw):
         raise ConfigError(f"expected an {m}-character binary string, got {raw!r}")
@@ -155,8 +161,7 @@ def _run_config(cfg: configparser.ConfigParser, seed_override: int | None) -> Ru
     if m < 1:
         raise ConfigError(f"m = {m} must be >= 1")
     rc = RunConfig(**values, s=_parse_bits(sect["s"].strip(), m) if "s" in sect else RunConfig.s)
-    if seed_override is not None:
-        rc = replace(rc, seed=seed_override)
+    rc = replace(rc, seed=_seed(rc.seed if seed_override is None else seed_override))
     if rc.protocol not in ("1", "2", "3", "classical"):
         raise ConfigError(f"unknown protocol {rc.protocol!r}")
     if not 0 <= rc.x < (1 << rc.m):
@@ -185,8 +190,6 @@ def _run_config(cfg: configparser.ConfigParser, seed_override: int | None) -> Ru
 def _build_reduction(rc: RunConfig):
     if not 0 <= rc.eps < 1:  # NaN fails both comparisons
         raise ConfigError(f"eps = {rc.eps} outside [0, 1)")
-    if rc.iters < 0:
-        raise ConfigError(f"iters = {rc.iters} must be >= 0")
     if rc.t != 1 and rc.protocol == "1":
         raise ConfigError("t > 1 needs protocol 2, 3, or classical")
     if rc.distribution is None:
@@ -439,7 +442,7 @@ _SUITES = {
 
 def cmd_verify(args) -> int:
     _, digest = _load_config(args.config)
-    seed = args.seed if args.seed is not None else 0
+    seed = _seed(args.seed if args.seed is not None else 0)
     checks = _SUITES[args.suite](seed)
     failed = [name for name, ok in checks if not ok]
     summary = {
@@ -468,7 +471,7 @@ def cmd_qrs_demo(args) -> int:
     trials = _typed(sect, "trials", int, 2000)
     if trials < 0:
         raise ConfigError(f"trials = {trials} must be >= 0")
-    seed = args.seed if args.seed is not None else _typed(sect, "seed", int, 0)
+    seed = _seed(args.seed if args.seed is not None else _typed(sect, "seed", int, 0))
     table = DistributionTable(m, probs)
     plan = rejection.make_plan(table, DistributionTable.uniform(m))
     state = _amplitude_state(table)
@@ -501,7 +504,7 @@ def cmd_separation_demo(args) -> int:
     n = _typed(sect, "n", int, 8)
     instance = _typed(sect, "instance", int, 0)
     classical_seeds = _typed(sect, "classical_seeds", int, 25)
-    seed = args.seed if args.seed is not None else _typed(sect, "seed", int, 0)
+    seed = _seed(args.seed if args.seed is not None else _typed(sect, "seed", int, 0))
     if instance < 0:
         raise ConfigError(f"instance = {instance} must be >= 0")
     if classical_seeds < 1:

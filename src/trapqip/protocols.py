@@ -8,9 +8,10 @@ the trap branch by uncomputing back to the all-zero state.  The branch
 measurement commutes with everything the prover can do, so the simulator
 propagates both branches separately and reports p0, p1, and their mean.
 
-Provers follow the normal form: the honest inverse oracle is always applied,
-then an arbitrary unitary on the prover's private register plus the message
-registers.  By default the verifier accepts a decider output of 0, which
+Provers follow the normal form: the honest inverse oracle answers every
+query, then a cheat acts on the private register plus the messages, so every
+branch starts from an honest response (a0 or t) and the prover stage is the
+cheat alone.  By default the verifier accepts a decider output of 0, which
 decides the complement language; accept_output=1 flips the convention.
 """
 
@@ -40,7 +41,6 @@ from .reductions import (
     apply_generator,
     copy_register_names,
     decider_table,
-    generate_query_state,
     honest_answer_state,
     join_copies,
     majority_vote_table,
@@ -171,16 +171,16 @@ def trap_answer_state(r: Reduction, f: Permutation) -> StateVector:
 # the protocol engine
 
 
-def _apply_prover_stage(state: StateVector, r: Reduction, f: Permutation, prover: Prover) -> StateVector:
-    """The honest inverse oracle, then a cheat's isometry on the messages, which
-    lead every engine layout; its private register joins as the most significant."""
-    state = answer_queries(state, f, r.copies)
-    if prover.kind == PROVER_UNITARY:
-        lay = state.layout
-        if prover.prover_qubits:
-            lay = layout(("prover", prover.prover_qubits), *lay.registers)
-        state = StateVector(lay, prover.isometry @ state.amplitudes.reshape(prover.isometry.shape[1], -1))
-    return state
+def _apply_prover_stage(state: StateVector, prover: Prover) -> StateVector:
+    """A cheat's isometry on an honest response's messages, which lead every
+    engine layout; its private register joins as the most significant.  Any
+    other prover leaves the response as it is."""
+    if prover.kind != PROVER_UNITARY:
+        return state
+    lay = state.layout
+    if prover.prover_qubits:
+        lay = layout(("prover", prover.prover_qubits), *lay.registers)
+    return StateVector(lay, prover.isometry @ state.amplitudes.reshape(prover.isometry.shape[1], -1))
 
 
 def _decide(state: StateVector, r: Reduction, accept_output: int) -> float:
@@ -240,9 +240,12 @@ def _per_distinct_copy(r: Reduction, simulate) -> list:
 
 
 def _trap_accept(r: Reduction, f: Permutation, prover: Prover) -> float:
-    """Trap-branch acceptance over all of r's copies at once; it depends on m,
-    f and the prover alone, so a one-copy slice gives every honest copy's."""
-    return _trap_branch(_apply_prover_stage(trap_state(r.m, r.copies), r, f, prover), r, f)
+    """Trap-branch acceptance over all of r's copies: the prover stage on the
+    honest trap response t, then the trap check.  It depends on m, f and the
+    prover alone, so an honest prover's copies multiply one copy's value."""
+    if prover.kind == PROVER_HONEST and r.copies > 1:
+        return math.prod([_trap_accept(_copy_slice(r, 0), f, prover)] * r.copies)
+    return _trap_branch(_apply_prover_stage(trap_answer_state(r, f), prover), r, f)
 
 
 def _header(protocol: str, prover: Prover, m: int, copies: int, accept_output: int, seed: int | None = None) -> dict:
@@ -294,8 +297,9 @@ def _check_instance(
     """The one argument gate of the six entry points, passed before any state is built.
 
     It checks the permutation width, x, accept_output, the prover kind and
-    answers, the copy count, uniformity and smoothness, in that order, then
-    the footprint, then the shape of a cheat's isometry against the messages.
+    answers, the copy count, uniformity (a cheat beats the ceiling without
+    it) and smoothness, in that order, then the footprint, then the shape of
+    a cheat's isometry against the messages.
     cheat is the private width of the search's isometries, or else of the
     prover's isometry, None when it has none.
     """
@@ -319,8 +323,8 @@ def _check_instance(
         raise ValueError("private register width must be >= 0")
     if entry in ("ceiling", "search") and r.copies != 1:
         raise ValueError(f"the {entry} is defined per copy; slice the reduction first")
-    if entry == "search" and not r.distributions[0].is_uniform:
-        raise ValueError("ceiling holds for uniform queries; search the resampled interface")
+    if entry in ("ceiling", "search") and not r.distributions[0].is_uniform:
+        raise ValueError(f"the {entry} needs uniform queries; use the resampled interface")
     if entry == "smooth" and not r.is_smooth:
         raise ValueError("query distribution carries no smoothness certificate")
     core.require_cap(footprint(entry, r, cheat), f"the {entry} run")
@@ -342,19 +346,12 @@ def run_protocol(r: Reduction, f: Permutation, x: int, prover: Prover, accept_ou
     if prover.kind == PROVER_HONEST and r.copies > 1:
         # Honest runs stay in product form across copies, so per-copy exact
         # simulation plus the majority law avoids the full-width state.
-        def one_prob(single: Reduction) -> float:
-            comp = _apply_prover_stage(generate_query_state(single, x), single, f, prover)
-            return _computation_branch(comp, single, 1)
-
-        ones = _per_distinct_copy(r, one_prob)
+        ones = _per_distinct_copy(r, lambda single: _computation_branch(honest_answer_state(single, f, x), single, 1))
         p0 = _majority_accept(ones, r.copies, accept_output)
-        p1 = math.prod([_trap_accept(_copy_slice(r, 0), f, prover)] * r.copies)
         metadata["per_copy_one_probs"] = ones
     else:
-        comp = _apply_prover_stage(generate_query_state(r, x), r, f, prover)
-        p0 = _computation_branch(comp, r, accept_output)
-        p1 = _trap_accept(r, f, prover)
-    return ProtocolResult(p0=float(p0), p1=float(p1), metadata=metadata)
+        p0 = _computation_branch(_apply_prover_stage(honest_answer_state(r, f, x), prover), r, accept_output)
+    return ProtocolResult(p0=float(p0), p1=float(_trap_accept(r, f, prover)), metadata=metadata)
 
 
 # the same engine under the name multi-copy callers import
@@ -405,7 +402,7 @@ def _smooth_branch(r: Reduction, f: Permutation, x: int, prover: Prover, accept_
         state = core.adjoin_register(step.accepted, "copy", r.m)
         parts.append(core.apply_basis_permutation(state, xor, ["query", "copy"]))
 
-    comp = _apply_prover_stage(join_copies(parts), r, f, prover)
+    comp = _apply_prover_stage(answer_queries(join_copies(parts), f, r.copies), prover)
     down_probs, down_budgets = [], []
     down_impossible = False
     for i, regs in enumerate(copy_register_names(r.copies)):
@@ -482,15 +479,13 @@ def run_smooth_protocol(
             for c, b in zip(seeds, branches)
         ]
         p0 = _majority_accept(ones, r.copies, accept_output)
-        p1 = math.prod([_trap_accept(_copy_slice(r, 0), f, prover)] * r.copies)
         metadata["per_copy"] = parts
         metadata["budget_exceeded"] = any(p["budget_exceeded"] for p in parts)
-        return ProtocolResult(p0=float(p0), p1=float(p1), metadata=metadata)
-
-    branch = _smooth_branch(r, f, x, prover, accept_output)
-    p1 = _trap_accept(r, f, prover)
-    metadata.update(_smooth_rounds(rng, branch))
-    return ProtocolResult(p0=float(branch.p0), p1=float(p1), metadata=metadata)
+    else:
+        branch = _smooth_branch(r, f, x, prover, accept_output)
+        p0 = branch.p0
+        metadata.update(_smooth_rounds(rng, branch))
+    return ProtocolResult(p0=float(p0), p1=float(_trap_accept(r, f, prover)), metadata=metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +555,6 @@ class CheatBound:
 
     bound: float
     eigen_bound: float
-    sin_theta: float
     sin_sq: float
 
 
@@ -595,7 +589,7 @@ def cheat_upper_bound(r: Reduction, f: Permutation, x: int, accept_output: int =
     and is invariant under P, so its top eigenvalue is at least 1, while P
     has none above 1 elsewhere.  It is at most 2^(m+1)-dimensional.  Both
     values must agree within 1e-9 or the call fails.  Meaningful as a
-    soundness ceiling on inputs the verifier should reject.
+    soundness ceiling on inputs the verifier should reject, for uniform queries.
     """
     _check_instance("ceiling", r, f, x, accept_output)
     diag, off = _acceptance_entries(r, accept_output)
@@ -603,8 +597,7 @@ def cheat_upper_bound(r: Reduction, f: Permutation, x: int, accept_output: int =
     phi = np.kron(honest.amplitudes, np.array([1.0, 0.0]))
     sin_sq = float(np.sum(diag.real * np.abs(phi) ** 2))
     sin_sq = min(max(sin_sq, 0.0), 1.0)
-    sin_theta = math.sqrt(sin_sq)
-    bound = (1.0 + sin_theta) / 2.0
+    bound = (1.0 + math.sqrt(sin_sq)) / 2.0
     support = np.flatnonzero(phi)
     # sorted and closed under i ^ 1, so the partner of position k is k ^ 1
     span = np.union1d(support, support ^ 1)
@@ -618,21 +611,20 @@ def cheat_upper_bound(r: Reduction, f: Permutation, x: int, accept_output: int =
         raise InvariantError(
             f"closed-form ceiling {bound} and eigenvalue oracle {eigen_bound} disagree"
         )
-    return CheatBound(bound=bound, eigen_bound=eigen_bound, sin_theta=sin_theta, sin_sq=sin_sq)
+    return CheatBound(bound=bound, eigen_bound=eigen_bound, sin_sq=sin_sq)
 
 
 def branch_overlap_pair(r: Reduction, f: Permutation, x: int, prover: Prover) -> tuple[float, float]:
-    """Overlap of each post-prover branch with its honest response.
+    """Overlap of each branch, the prover stage on its honest response (a0 or
+    t, each built once), with that response.
 
     The two values agree for uniform-query reductions whatever the cheat does;
     their common deficit is what the trap branch charges the prover.
     """
     _check_instance("overlap", r, f, x, prover=prover)
-    honest_comp = honest_answer_state(r, f, x)
-    honest_trap = trap_answer_state(r, f)
     out = []
-    for start, honest in ((generate_query_state(r, x), honest_comp), (trap_state(r.m, r.copies), honest_trap)):
-        amps = _apply_prover_stage(start, r, f, prover).amplitudes
+    for honest in (honest_answer_state(r, f, x), trap_answer_state(r, f)):
+        amps = _apply_prover_stage(honest, prover).amplitudes
         # <honest| on the message registers; the private register, if any,
         # is the most significant, so each row is one of its basis values
         out.append(float(np.linalg.norm(amps.reshape(-1, honest.dim) @ honest.amplitudes.conj()) ** 2))
@@ -724,6 +716,8 @@ def prover_search(
     score, so for a fixed seed it is non-decreasing in iters.  It is checked
     against the closed-form ceiling and returned as the prover's isometry.
     """
+    if iters < 0:
+        raise ValueError(f"iters = {iters} must be >= 0")
     _check_instance("search", r, f, x, accept_output, cheat=p_qubits)
     objective = _search_context(r, f, x, accept_output)
     dim, msg = 1 << (p_qubits + 2 * r.m), 1 << (2 * r.m)

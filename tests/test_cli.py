@@ -217,6 +217,12 @@ class TestRefusedConfigs:
             ("sweep", "[run]\nprotocol = 3\nm = 2\nprover = classical:1,0,3,2\n", "prover"),
             ("run", "[run]\nprover = identity\np_qubits = -1\n", "p_qubits"),
             ("sweep", "[run]\nprover = corrupt:1\np_qubits = -2\n", "p_qubits"),
+            ("run", "[run]\nprotocol = 1\nseed = -1\n", "seed"),
+            ("run", "[run]\nprotocol = 3\nseed = -1\n", "seed"),
+            ("sweep", "[run]\nprotocol = classical\nseed = -1\n", "seed"),
+            ("run", "[run]\nprover = search\nseed = -1\n", "seed"),
+            ("qrs-demo", "[qrs]\nseed = -3\n", "seed"),
+            ("separation-demo", "[separation]\nn = 6\nseed = -3\n", "seed"),
         ],
         ids=[
             "run-eps-negative", "run-eps-nan", "sweep-eps-negative", "sweep-eps-nan", "negative-instance",
@@ -226,7 +232,9 @@ class TestRefusedConfigs:
             "sweep-iters-honest", "run-answer-past-last-query", "run-answers-all-out-of-range",
             "sweep-answer-negative", "run-identity-classical", "sweep-corrupt-classical",
             "run-classical-prover-protocol-1", "sweep-classical-prover-protocol-3",
-            "run-p-qubits-negative", "sweep-p-qubits-negative",
+            "run-p-qubits-negative", "sweep-p-qubits-negative", "run-seed-negative-protocol-1",
+            "run-seed-negative-protocol-3", "sweep-seed-negative-classical", "run-seed-negative-search",
+            "qrs-seed-negative", "separation-seed-negative",
         ],
     )
     def test_usage_exit_without_output(self, command, text, key, tmp_path, capsys):
@@ -234,6 +242,17 @@ class TestRefusedConfigs:
         code = cli.main([command, "--config", _write(tmp_path, text), "--out", str(dest)])
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {key}")
+        assert not dest.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["run"], ["sweep"], ["verify-lemmas", "epr"], ["qrs-demo"], ["separation-demo"]],
+        ids=["run", "sweep", "verify-lemmas", "qrs-demo", "separation-demo"],
+    )
+    def test_negative_seed_flag_refused(self, argv, tmp_path, capsys):
+        dest = tmp_path / "never.out"
+        assert cli.main([*argv, "--seed", "-3", "--out", str(dest)]) == 2
+        assert capsys.readouterr().err == "error: seed = -3 must be >= 0\n"
         assert not dest.exists()
 
     def test_search_refused_before_it_runs_under_classical_protocol(self, tmp_path, monkeypatch, capsys):

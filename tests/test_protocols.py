@@ -27,7 +27,6 @@ from trapqip.protocols import (
     ProtocolResult,
     Prover,
     _acceptance_entries,
-    _apply_prover_stage,
     _computation_branch,
     _copy_slice,
     _majority_accept,
@@ -48,7 +47,6 @@ from trapqip.reductions import (
     DistributionTable,
     add_noise,
     amplify,
-    answer_queries,
     apply_decider,
     build_known_smooth_reduction,
     build_smooth_xor_reduction,
@@ -157,17 +155,17 @@ class TestBranchBalance:
                 assert abs(value - want) <= 1e-12
 
 
-def _dense_prover_stage(u, p):
+def _dense_prover_stage(u, p, copies):
     """The prover stage through the full unitary u: adjoin a zero private
-    register, run the honest oracle, then apply u on (prover, queries, answers)."""
+    register to the honest response, then apply u on (prover, queries, answers)."""
+    names = copy_register_names(copies)
+    targets = (["prover"] if p else []) + [regs[kind] for kind in ("query", "answer") for regs in names]
+    cheat = UnitaryOperator(layout(("cheat", u.shape[0].bit_length() - 1)), u)
 
-    def stage(state, r, f, prover):
+    def stage(state, prover):
         if p:
             state = tensor_product(basis_state(layout(("prover", p))), state)
-        state = answer_queries(state, f, r.copies)
-        names = copy_register_names(r.copies)
-        targets = (["prover"] if p else []) + [regs[kind] for kind in ("query", "answer") for regs in names]
-        return apply_on_registers(state, UnitaryOperator(layout(("cheat", p + 2 * r.m * r.copies)), u), targets)
+        return apply_on_registers(state, cheat, targets)
 
     return stage
 
@@ -190,15 +188,59 @@ class TestIsometryStage:
         assert prover.isometry.shape == (1 << (p + 2 * m * t), 1 << (2 * m * t))
 
         def both(x):
-            return run_protocol(trap, f, x, prover), run_smooth_protocol(smooth, f, x, prover, seed=2)
+            a, b = run_protocol(trap, f, x, prover), run_smooth_protocol(smooth, f, x, prover, seed=2)
+            return [a.p0, a.p1, b.p0, b.p1, *branch_overlap_pair(trap, f, x, prover)]
 
         fast = [both(x) for x in range(1 << m)]
-        monkeypatch.setattr(protocols, "_apply_prover_stage", _dense_prover_stage(u, p))
+        monkeypatch.setattr(protocols, "_apply_prover_stage", _dense_prover_stage(u, p, t))
         dense = [both(x) for x in range(1 << m)]
-        for got, want in zip(fast, dense):
-            for a, b in zip(got, want):
-                assert abs(a.p0 - b.p0) <= 1e-12
-                assert abs(a.p1 - b.p1) <= 1e-12
+        assert np.abs(np.array(fast) - np.array(dense)).max() <= 1e-12
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("called where an honest response already exists")
+
+
+class TestHonestResponsesBuiltOnce:
+    """Every branch starts from the honest responses a0 and t, each built once."""
+
+    @pytest.mark.parametrize("p", [None, 0, 1, 2])
+    def test_overlap_builds_each_response_once(self, p, monkeypatch):
+        r = add_noise(build_xor_reduction(2, 1, 0), 0.25)
+        f = random_permutation(2, 3)
+        rng = np.random.default_rng(30 + (p or 0))
+        prover = Prover.honest() if p is None else Prover.unitary_cheat(haar_unitary(1 << (4 + p), rng), p)
+        for x in range(4):
+            want = branch_overlap_pair(r, f, x, prover)
+            # trap_state runs once, inside trap_answer_state
+            counted = ("honest_answer_state", "trap_answer_state", "trap_state")
+            calls = [_counting(monkeypatch, protocols, name) for name in counted]
+            monkeypatch.setattr(protocols, "generate_query_state", _never, raising=False)
+            got = branch_overlap_pair(r, f, x, prover)
+            monkeypatch.undo()
+            assert got == want
+            assert [len(c) for c in calls] == [1, 1, 1]
+
+    @pytest.mark.parametrize("t, cheat", [(1, False), (3, False), (1, True), (3, True)])
+    def test_engines_take_trap_acceptance_once(self, t, cheat, monkeypatch):
+        m = 1
+        f = xor_shift_permutation(m, 1)
+        trap = amplify(add_noise(build_xor_reduction(m, 1, 0), 0.1), t)
+        smooth = amplify(build_smooth_xor_reduction(m, 1, 0, _smooth_tables(m)[1]), t)
+        u = haar_unitary(2 << (2 * m * t), np.random.default_rng(t))
+        prover = Prover.unitary_cheat(u, 1) if cheat else Prover.honest()
+        for r, engine in ((trap, run_protocol), (smooth, run_smooth_protocol)):
+            want = engine(r, f, 0, prover)
+            accepts = _counting(monkeypatch, protocols, "_trap_accept")
+            checks = _counting(monkeypatch, protocols, "_trap_branch")
+            got = engine(r, f, 0, prover)
+            monkeypatch.undo()
+            assert (got.p0, got.p1, repr(got.metadata)) == (want.p0, want.p1, repr(want.metadata))
+            # one call on the full reduction; an honest multi-copy call
+            # recurses once on a one-copy slice, and the trap check runs once
+            assert accepts[0][0] is r
+            assert [args[0].copies for args in accepts] == ([t, 1] if t > 1 and not cheat else [t])
+            assert len(checks) == 1
 
 
 def _dense_projector(r, accept_output):
@@ -437,14 +479,11 @@ class TestMultiQuery:
 
 def _per_copy_reference(r, f, x, accept_output):
     """The honest multi-copy trap engine simulating every copy in full, in order."""
-    honest = Prover.honest()
     ones, trap_ok = [], 1.0
     for i in range(r.copies):
         single = _copy_slice(r, i)
-        comp = _apply_prover_stage(generate_query_state(single, x), single, f, honest)
-        ones.append(_computation_branch(comp, single, 1))
-        trap = _apply_prover_stage(trap_state(single.m), single, f, honest)
-        trap_ok *= _trap_branch(trap, single, f)
+        ones.append(_computation_branch(honest_answer_state(single, f, x), single, 1))
+        trap_ok *= _trap_branch(trap_answer_state(single, f), single, f)
     return _majority_accept(ones, r.copies, accept_output), trap_ok, ones
 
 
@@ -493,7 +532,7 @@ class TestHonestCopySharing:
         for r, want_generated in ((distinct, 3), (identical, 1), (shared, 1)):
             for x in range(1 << m):
                 p0, p1, ones = _per_copy_reference(r, f, x, 0)
-                generated = _counting(monkeypatch, protocols, "generate_query_state")
+                generated = _counting(monkeypatch, protocols, "honest_answer_state")
                 traps = _counting(monkeypatch, protocols, "_trap_branch")
                 res = run_protocol(r, f, x, Prover.honest())
                 monkeypatch.undo()
@@ -788,6 +827,22 @@ class TestValidation:
         monkeypatch.setattr(StateVector, "__post_init__", _no_state)
         with pytest.raises(ValueError, match="accept_output"):
             call()
+
+    def test_ceiling_refuses_non_uniform_queries(self, monkeypatch):
+        # on this table a p = 1 cheat scores 0.6446 at x = 0, above the 0.5 the
+        # ceiling's formula gives, so the ceiling is no bound there
+        r = build_smooth_xor_reduction(1, 1, 0, DistributionTable(1, (0.05, 0.95)))
+        f = xor_shift_permutation(1, 1)
+        monkeypatch.setattr(StateVector, "__post_init__", _no_state)
+        with pytest.raises(ValueError, match="the ceiling needs uniform queries"):
+            cheat_upper_bound(r, f, 0)
+
+    def test_search_refuses_negative_iters(self, monkeypatch):
+        r = build_xor_reduction(2, 1, 0)
+        f = xor_shift_permutation(2, 1)
+        monkeypatch.setattr(StateVector, "__post_init__", _no_state)
+        with pytest.raises(ValueError, match="^iters = -5 must be >= 0$"):
+            prover_search(r, f, 2, 1, -5, seed=0)
 
     def test_classical_prover_refused_by_overlap(self, monkeypatch):
         r = build_xor_reduction(2, 1, 0)
