@@ -7,7 +7,6 @@ meaningful even if the driver is wrong.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -28,7 +27,6 @@ class LemmaReport:
     """One verified identity: two independently computed sides, their tolerance, and the derived verdict."""
 
     check_id: str
-    inputs_digest: str
     left: float
     right: float
     tolerance: float
@@ -36,17 +34,6 @@ class LemmaReport:
     @property
     def passed(self) -> bool:
         return abs(self.left - self.right) <= self.tolerance
-
-
-def _digest(*parts) -> str:
-    h = hashlib.sha256()
-    for part in parts:
-        if isinstance(part, str):
-            h.update(part.encode())
-        else:
-            h.update(np.ascontiguousarray(np.asarray(part)).tobytes())
-        h.update(b"|")
-    return h.hexdigest()[:12]
 
 
 # ---------------------------------------------------------------------------
@@ -92,13 +79,7 @@ def purification_invariance(channel: UnitaryOperator, phi: StateVector, psi: Sta
         # rows: the state's basis index; columns: the fresh register's value l
         amps = dilated.amplitudes.reshape(state.dim, 1 << env_width)
         sides.append(float(np.linalg.norm(state.amplitudes.conj() @ amps) ** 2))
-    return LemmaReport(
-        "purification-invariance",
-        _digest(phi.amplitudes, psi.amplitudes, channel.matrix),
-        sides[0],
-        sides[1],
-        PROJECTOR_TOL,
-    )
+    return LemmaReport("purification-invariance", sides[0], sides[1], PROJECTOR_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -146,13 +127,8 @@ def maxproj_closed_form(pi_s, phi) -> float:
 
 def maxproj_report(pi_s, phi) -> LemmaReport:
     """Closed form against the eigenvalue oracle, as a report."""
-    return LemmaReport(
-        "bisection-bound",
-        _digest(pi_s, _as_vector(phi)),
-        maxproj_closed_form(pi_s, phi),
-        maxproj_eigen_oracle(pi_s, phi),
-        PROJECTOR_TOL,
-    )
+    closed, eigen = maxproj_closed_form(pi_s, phi), maxproj_eigen_oracle(pi_s, phi)
+    return LemmaReport("bisection-bound", closed, eigen, PROJECTOR_TOL)
 
 
 def maxproj_optimizer_state(pi_s, phi):
@@ -219,4 +195,4 @@ def epr_trivialization(f: Permutation) -> LemmaReport:
     oracle_free = StateVector(lay, swapped.amplitudes)
 
     fid = core.fidelity(with_oracle, oracle_free)
-    return LemmaReport("oracle-free-epr", _digest(np.array(f.table)), fid, 1.0, PROJECTOR_TOL)
+    return LemmaReport("oracle-free-epr", fid, 1.0, PROJECTOR_TOL)

@@ -2,9 +2,10 @@
 
 Config files are flat text: "key = value" lines under bracketed section
 headers.  The [run] section drives both run and sweep (sweep adds range
-lists in [sweep]); [qrs] and [separation] configure the demos.  Every
-emitted record embeds a digest of the raw config bytes, and identical
-config plus seed gives byte-identical output.
+lists in [sweep]); [qrs] and [separation] configure the demos, and a
+section the command does not read is refused.  Every emitted record
+embeds a digest of the raw config bytes, and identical config plus seed
+gives byte-identical output.
 
 Exit codes: 0 success, 1 invariant breach or suite failure, 2 usage or
 config error, 3 resource cap.
@@ -78,7 +79,8 @@ class ConfigError(ValueError):
     pass
 
 
-def _load_config(path: str | None) -> tuple[configparser.ConfigParser, str]:
+def _load_config(path: str | None, sections: tuple[str, ...]) -> tuple[configparser.ConfigParser, str]:
+    """The parsed config and its digest; a section the command does not read is refused."""
     parser = configparser.ConfigParser()
     if path is None:
         return parser, hashlib.sha256(b"").hexdigest()[:16]
@@ -90,6 +92,12 @@ def _load_config(path: str | None) -> tuple[configparser.ConfigParser, str]:
         parser.read_string(raw.decode())
     except (UnicodeDecodeError, configparser.Error) as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from None
+    unread = [name for name in parser.sections() if name not in sections]
+    if parser.defaults():  # [DEFAULT] keys leak into every section
+        unread.insert(0, parser.default_section)
+    if unread:
+        reads = ", ".join(f"[{name}]" for name in sections) or "no section"
+        raise ConfigError(f"unknown section [{unread[0]}] in {path}; this command reads {reads}")
     return parser, hashlib.sha256(raw).hexdigest()[:16]
 
 
@@ -276,7 +284,7 @@ def _emit(data: bytes, out: str | None) -> None:
 
 
 def cmd_run(args) -> int:
-    cfg, digest = _load_config(args.config)
+    cfg, digest = _load_config(args.config, ("run", "sweep"))
     rc = _run_config(cfg, args.seed)
     record = _execute(rc, digest)
     fmt = args.format or "json"
@@ -297,7 +305,7 @@ def _parse_range(raw: str | None, parse, default: list) -> list:
 
 
 def cmd_sweep(args) -> int:
-    cfg, digest = _load_config(args.config)
+    cfg, digest = _load_config(args.config, ("run", "sweep"))
     rc = _run_config(cfg, args.seed)
     sect = _section(cfg, "sweep", _SWEEP_KEYS)
     try:
@@ -441,7 +449,7 @@ _SUITES = {
 
 
 def cmd_verify(args) -> int:
-    _, digest = _load_config(args.config)
+    _, digest = _load_config(args.config, ())
     seed = _seed(args.seed if args.seed is not None else 0)
     checks = _SUITES[args.suite](seed)
     failed = [name for name, ok in checks if not ok]
@@ -461,7 +469,7 @@ _QRS_KEYS = {"probs", "trials", "seed"}
 
 
 def cmd_qrs_demo(args) -> int:
-    cfg, digest = _load_config(args.config)
+    cfg, digest = _load_config(args.config, ("qrs",))
     sect = _section(cfg, "qrs", _QRS_KEYS)
     raw = sect.get("probs", "0.5, 0.25, 0.125, 0.125")
     probs = np.array([float(tok) for tok in raw.split(",")])
@@ -499,7 +507,7 @@ _SEPARATION_KEYS = {"n", "instance", "classical_seeds", "seed"}
 
 
 def cmd_separation_demo(args) -> int:
-    cfg, digest = _load_config(args.config)
+    cfg, digest = _load_config(args.config, ("separation",))
     sect = _section(cfg, "separation", _SEPARATION_KEYS)
     n = _typed(sect, "n", int, 8)
     instance = _typed(sect, "instance", int, 0)

@@ -270,10 +270,11 @@ def footprint(entry: str, r: Reduction, cheat: int | None = None) -> int:
         widths = [3 * m]  # (query, answer, work) before the query is read
     elif entry in ("ceiling", "search"):
         # p + 4m states.  2(4m + 1) counts a dense projector on (query,
-        # answer, work, copy, out), wider than anything these entries build
-        # from its per-index entries.  It stays the rule because it keeps the
-        # CLI's upper_bound at m <= 2, and the pinned protocol-1 m = 3 records
-        # hold no ceiling; widening it waits for a deliberate re-pin of them.
+        # answer, work, copy, out), wider than anything these entries build:
+        # they hold it as the normal form's bit table and 2x2 block.  It
+        # stays the rule because it keeps the CLI's upper_bound at m <= 2,
+        # and the pinned protocol-1 m = 3 records hold no ceiling; widening
+        # it waits for a deliberate re-pin of them.
         widths = [2 * (4 * m + 1), p + 4 * m]
     else:
         # honest multi-copy trap and smooth runs go once per distinct copy; outs
@@ -558,60 +559,65 @@ class CheatBound:
     sin_sq: float
 
 
-def _acceptance_entries(r: Reduction, accept_output: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-index entries diag[i] = P[i, i] and off[i] = P[i, i ^ 1] of the
-    projector P onto accepting runs of the computation branch, with the copy
-    erasure and the decider both embedded over (query, answer, work, copy, out).
+def _normal_form(r: Reduction, f: Permutation, x: int, accept_output: int):
+    """The verifier's side of a single copy, fixed before the prover moves:
+    (a0, t, bits, block).
 
-    W = (noise on out) . (decider table) . (copy erasure).  The erasure only
-    permutes (query, copy), which nothing after it reads, so it cancels in
-    W^dag M W.  The table XORs the language bit into out, so index i pairs
-    only with i ^ 1, through the 2x2 block rot^dag diag(mask) rot; every other
-    entry of P is zero.
+    a0 and t are the honest response and the honest trap response as (msg,
+    msg) arrays, msg = 2^(2m): rows (query, answer), columns (work, copy).
+    The acceptance projector P0 is held as the decider holds it: bits[i] is
+    the decider's out on index i with out = 0 (the language bit of answer ^
+    work), and block = rot^dag diag(mask) rot; P0 joins index i with out = o
+    to index i with out = o' by block[bits[i] ^ o, bits[i] ^ o'].  The copy
+    erasure only permutes (query, copy), which nothing after it reads, so it
+    cancels in P0, and every other entry of P0 is zero.
     """
-    dim = 1 << (4 * r.m + 1)
-    idx = np.arange(dim)
-    answer_work = (idx >> (r.m + 1)) & ((1 << (2 * r.m)) - 1)
-    out = decider_table(r.m, r.bit)[(answer_work << 1) | (idx & 1)] & 1
+    msg = 1 << (2 * r.m)
+    a0 = honest_answer_state(r, f, x).amplitudes.reshape(msg, msg)
+    t = trap_answer_state(r, f).amplitudes.reshape(msg, msg)
+    answer_work = (np.arange(msg * msg) >> r.m) & (msg - 1)
+    bits = (decider_table(r.m, r.bit)[answer_work << 1] & 1).reshape(msg, msg)
     rot = np.eye(2) if r.noise is None else r.noise.matrix
     mask = np.array([accept_output == 0, accept_output == 1], dtype=float)
-    block = rot.conj().T @ (mask[:, None] * rot)
-    return block[out, out], block[out, out ^ 1]
+    return a0, t, bits, rot.conj().T @ (mask[:, None] * rot)
 
 
-def cheat_upper_bound(r: Reduction, f: Permutation, x: int, accept_output: int = 0) -> CheatBound:
-    """Cheating ceiling (1 + sin theta)/2 with an eigenvalue-oracle cross-check.
+def _ceiling(a0: np.ndarray, bits: np.ndarray, block: np.ndarray) -> CheatBound:
+    """(1 + sin theta)/2 from the normal form, with its eigen-oracle cross-check.
 
-    sin^2 theta = <phi|P|phi> is the honest response's mass in the acceptance
-    projector P; phi has out = 0, so it only meets P's diagonal.  The oracle
-    value is half the top eigenvalue of P + |phi><phi|, found by eigvalsh on
-    the span of e_i and e_(i^1) over the support of phi: that span holds phi
-    and is invariant under P, so its top eigenvalue is at least 1, while P
-    has none above 1 elsewhere.  It is at most 2^(m+1)-dimensional.  Both
-    values must agree within 1e-9 or the call fails.  Meaningful as a
-    soundness ceiling on inputs the verifier should reject, for uniform queries.
+    sin^2 theta = <a0|P0|a0>; a0 has out = 0, so it meets only the weights
+    block[bits, bits].  The oracle value is half the top eigenvalue of P0 +
+    |a0><a0| on the span of both out values of each index in a0's support:
+    that span holds a0 and is invariant under P0, so its top eigenvalue is at
+    least 1, while P0 has none above 1 elsewhere.  It is at most
+    2^(m+1)-dimensional.  Both values must agree within 1e-9.
     """
-    _check_instance("ceiling", r, f, x, accept_output)
-    diag, off = _acceptance_entries(r, accept_output)
-    honest = honest_answer_state(r, f, x)
-    phi = np.kron(honest.amplitudes, np.array([1.0, 0.0]))
-    sin_sq = float(np.sum(diag.real * np.abs(phi) ** 2))
+    sin_sq = float(np.sum(block[bits, bits].real * np.abs(a0) ** 2))
     sin_sq = min(max(sin_sq, 0.0), 1.0)
     bound = (1.0 + math.sqrt(sin_sq)) / 2.0
-    support = np.flatnonzero(phi)
-    # sorted and closed under i ^ 1, so the partner of position k is k ^ 1
-    span = np.union1d(support, support ^ 1)
-    k = np.arange(span.size)
-    restricted = np.outer(phi[span], phi[span].conj())
-    restricted[k, k] += diag[span]
-    restricted[k, k ^ 1] += off[span]
-    top = float(np.linalg.eigvalsh(restricted)[-1])
-    eigen_bound = top / 2.0
+    support = np.flatnonzero(a0)
+    # each support index, then its out = 1 partner, so the partner of position k is k ^ 1
+    phi = (a0.ravel()[support, None] * np.array([1.0, 0.0])).ravel()
+    out = (bits.ravel()[support, None] ^ np.array([0, 1])).ravel()
+    k = np.arange(phi.size)
+    restricted = np.outer(phi, phi.conj())
+    restricted[k, k] += block[out, out]
+    restricted[k, k ^ 1] += block[out, out ^ 1]
+    eigen_bound = float(np.linalg.eigvalsh(restricted)[-1]) / 2.0
     if abs(bound - eigen_bound) > 1e-9:
         raise InvariantError(
             f"closed-form ceiling {bound} and eigenvalue oracle {eigen_bound} disagree"
         )
     return CheatBound(bound=bound, eigen_bound=eigen_bound, sin_sq=sin_sq)
+
+
+def cheat_upper_bound(r: Reduction, f: Permutation, x: int, accept_output: int = 0) -> CheatBound:
+    """Cheating ceiling (1 + sin theta)/2 of the normal form with its eigen-oracle
+    cross-check (see _ceiling); a soundness ceiling on inputs the verifier
+    should reject, for uniform queries."""
+    _check_instance("ceiling", r, f, x, accept_output)
+    a0, _, bits, block = _normal_form(r, f, x, accept_output)
+    return _ceiling(a0, bits, block)
 
 
 def branch_overlap_pair(r: Reduction, f: Permutation, x: int, prover: Prover) -> tuple[float, float]:
@@ -640,22 +646,20 @@ RESTART_EVERY = 250
 CLIMB_TOL = 1e-12
 
 
-def _search_context(r: Reduction, f: Permutation, x: int, accept_output: int):
-    """The search objective on v = u[:, :2^(2m)], the only columns of a cheat u
-    that the branches reach, since the private register starts at zero.
+def _search_context(a0: np.ndarray, t: np.ndarray, bits: np.ndarray, block: np.ndarray):
+    """The search objective of the normal form (see _normal_form) on v =
+    u[:, :2^(2m)], the only columns of a cheat u that the branches reach,
+    since the private register starts at zero.
 
     Rows of v @ a0 and v @ t are indexed by (prover, query, answer), columns
-    by (work, copy).  p0 is |v a0|^2 against the real out = 0 diagonal w of
-    the acceptance projector; p1 sums |amp|^2 over private values, amp being
-    each value's overlap with the honest trap response t = V^dagger|0>.
+    by (work, copy).  p0 is |v a0|^2 against P0's real out = 0 weights w =
+    block[bits, bits]; p1 sums |amp|^2 over private values, amp being each
+    value's overlap with the honest trap response t = V^dagger|0>.
     Returns v -> (score, G): score = (p0 + p1)/2 and its gradient in conj(v),
     G = [(w o v a0) a0^dagger + (amp o t) t^dagger]/2.
     """
-    msg = 1 << (2 * r.m)
-    diag, _ = _acceptance_entries(r, accept_output)
-    weights = diag[0::2].real.reshape(msg, msg)
-    a0 = honest_answer_state(r, f, x).amplitudes.reshape(msg, msg)
-    t = trap_answer_state(r, f).amplitudes.reshape(msg, msg)
+    msg = a0.shape[0]
+    weights = block[bits, bits].real
 
     def objective(v: np.ndarray) -> tuple[float, np.ndarray]:
         b0 = (v @ a0).reshape(-1, msg, msg)
@@ -714,12 +718,14 @@ def prover_search(
     the honest value; every RESTART_EVERY-th iteration starts a climb from a
     seeded Haar isometry.  The best changes only for a strictly greater
     score, so for a fixed seed it is non-decreasing in iters.  It is checked
-    against the closed-form ceiling and returned as the prover's isometry.
+    against the ceiling of the normal form it climbed on, built once, and
+    returned as the prover's isometry.
     """
     if iters < 0:
         raise ValueError(f"iters = {iters} must be >= 0")
     _check_instance("search", r, f, x, accept_output, cheat=p_qubits)
-    objective = _search_context(r, f, x, accept_output)
+    a0, t, bits, block = _normal_form(r, f, x, accept_output)
+    objective = _search_context(a0, t, bits, block)
     dim, msg = 1 << (p_qubits + 2 * r.m), 1 << (2 * r.m)
     rng = np.random.default_rng(seed)
     best, best_score = _climb(objective, np.eye(dim, msg, dtype=np.complex128), min(iters, RESTART_EVERY - 1))
@@ -728,7 +734,7 @@ def prover_search(
         if score > best_score:
             best, best_score = v, score
 
-    ceiling = cheat_upper_bound(r, f, x, accept_output)
+    ceiling = _ceiling(a0, bits, block)
     if best_score > ceiling.bound + 1e-9:
         raise InvariantError(
             f"search value {best_score} exceeds the cheating ceiling {ceiling.bound}"

@@ -231,13 +231,12 @@ class RsrLanguage:
 
 @dataclass(frozen=True)
 class ReductionDemoResult:
-    """Decision plus the audit trail of solver calls and oracle queries."""
+    """Decision plus the audit trail of solver refusals and oracle queries."""
 
     decision: int | None
     expected: int
     pair_bits: tuple[int, ...]
     quantum_queries: tuple[int, ...]
-    solver_calls: int
     solver_rejections: int
     aborted: bool
 
@@ -271,7 +270,6 @@ def quantum_reduction_demo(
     size = 1 << lang.n
     attempts = 1 if classical_budget is None else classical_budget
     pair_bits = []
-    calls = 0
     rejections = 0
     aborted = False
     for j in range(DEMO_PAIRS):
@@ -287,7 +285,6 @@ def quantum_reduction_demo(
                 else:
                     claim = int(rng.integers(1, size))
                 answer = _solver_answer(lang, oracle, i, claim, query)
-                calls += 1
                 if answer is None:
                     rejections += 1
                 else:
@@ -307,7 +304,6 @@ def quantum_reduction_demo(
         expected=lang.member(x),
         pair_bits=tuple(pair_bits),
         quantum_queries=tuple(int(v) for v in oracle.quantum_counts),
-        solver_calls=calls,
         solver_rejections=rejections,
         aborted=aborted,
     )

@@ -101,9 +101,9 @@ class TestBisectionBound:
         assert rep.check_id == "bisection-bound"
         assert rep.passed
         # the verdict is derived from the two sides and the tolerance, never declared
-        assert not LemmaReport("x", "d", 1.0, 1.0 + 2 * rep.tolerance, rep.tolerance).passed
+        assert not LemmaReport("x", 1.0, 1.0 + 2 * rep.tolerance, rep.tolerance).passed
         with pytest.raises(TypeError):
-            LemmaReport("x", "d", 1.0, 1.0, rep.tolerance, True)
+            LemmaReport("x", 1.0, 1.0, rep.tolerance, True)
 
     def test_degenerate_angles_have_no_bisecting_state(self):
         rng = np.random.default_rng(23)

@@ -245,6 +245,24 @@ class TestRefusedConfigs:
         assert not dest.exists()
 
     @pytest.mark.parametrize(
+        "argv, text, section",
+        [
+            (["run"], "[Run]\nm = 3\nprotocol = 2\nt = 3\n", "[Run]"),
+            (["run"], "[DEFAULT]\nm = 3\n", "[DEFAULT]"),
+            (["sweep"], "[run]\nm = 2\n[swep]\nx = all\n", "[swep]"),
+            (["verify-lemmas", "epr"], "[run]\nm = 2\nprotocol = 2\n", "[run]"),
+            (["qrs-demo"], "[qrs]\ntrials = 5\n[run]\nm = 2\n", "[run]"),
+            (["separation-demo"], "[seperation]\nn = 6\n", "[seperation]"),
+        ],
+        ids=["run", "run-default", "sweep", "verify-lemmas", "qrs-demo", "separation-demo"],
+    )
+    def test_unread_section_refused(self, argv, text, section, tmp_path, capsys):
+        dest = tmp_path / "never.out"
+        assert cli.main([*argv, "--config", _write(tmp_path, text), "--out", str(dest)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: unknown section {section} in ")
+        assert not dest.exists()
+
+    @pytest.mark.parametrize(
         "argv",
         [["run"], ["sweep"], ["verify-lemmas", "epr"], ["qrs-demo"], ["separation-demo"]],
         ids=["run", "sweep", "verify-lemmas", "qrs-demo", "separation-demo"],
@@ -311,7 +329,8 @@ class TestRunConfig:
             protocol="3", m=3, s=0b101, bit=2, eps=0.25, t=5, x=6, prover="search", p_qubits=1, iters=7,
             seed=11, distribution="dist.txt", accept_output=1,
         )
-        cfg, _ = cli._load_config(_write(tmp_path, "[run]\n" + "".join(f"{k} = {v}\n" for k, v in raw.items())))
+        text = "[run]\n" + "".join(f"{k} = {v}\n" for k, v in raw.items())
+        cfg, _ = cli._load_config(_write(tmp_path, text), ("run", "sweep"))
         rc = cli._run_config(cfg, None)
         fields = dataclasses.fields(cli.RunConfig)
         assert set(raw) == {f.name for f in fields}
@@ -321,7 +340,7 @@ class TestRunConfig:
             assert got == expected and type(got) is type(expected), f.name
 
     def test_empty_distribution_is_unset(self, tmp_path):
-        cfg, _ = cli._load_config(_write(tmp_path, "[run]\ndistribution =\n"))
+        cfg, _ = cli._load_config(_write(tmp_path, "[run]\ndistribution =\n"), ("run", "sweep"))
         assert cli._run_config(cfg, None) == cli.RunConfig()
 
 

@@ -26,7 +26,6 @@ from trapqip.oracles import inversion_table, random_permutation, xor_shift_permu
 from trapqip.protocols import (
     ProtocolResult,
     Prover,
-    _acceptance_entries,
     _computation_branch,
     _copy_slice,
     _majority_accept,
@@ -277,8 +276,8 @@ def _compressed_bounds(r, f, accept_output):
 
 
 class TestStructuredProjector:
-    """Per-index projector entries and the compressed eigen oracle against
-    the dense projector."""
+    """The normal form's projector, a bit table and one 2x2 block, and the
+    compressed eigen oracle against the dense projector."""
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_entries_and_ceiling_match_dense_projector(self, m):
@@ -289,12 +288,16 @@ class TestStructuredProjector:
                 r = add_noise(base, eps) if eps else base
                 for accept_output in (0, 1):
                     dense = _dense_projector(r, accept_output)
-                    diag, off = _acceptance_entries(r, accept_output)
-                    idx = np.arange(dense.shape[0])
-                    assert np.abs(dense[idx, idx] - diag).max() <= 1e-12
-                    assert np.abs(dense[idx, idx ^ 1] - off).max() <= 1e-12
-                    rest = dense.copy()
-                    rest[idx, idx] = rest[idx, idx ^ 1] = 0.0
+                    _, _, bits, block = protocols._normal_form(r, f, 0, accept_output)
+                    n = bits.size
+                    # index i with out o meets index i with out o' through
+                    # block[bits[i] ^ o, bits[i] ^ o']
+                    outs = bits.reshape(n, 1) ^ np.array([0, 1])
+                    want = block[outs[:, :, None], outs[:, None, :]]
+                    per_index = dense.reshape(n, 2, n, 2)[np.arange(n), :, np.arange(n), :]
+                    assert np.abs(per_index - want).max() <= 1e-12
+                    rest = dense.reshape(n, 2, n, 2).copy()
+                    rest[np.arange(n), :, np.arange(n), :] = 0.0
                     assert np.abs(rest).max() <= 1e-12
                     # one input per language side keeps the dense eigvalsh count small
                     for x in (0, (1 << m) - 1):
@@ -355,6 +358,17 @@ class TestProverSearch:
                 assert prover.kind == "unitary-cheat"
                 assert value <= bound + 1e-9
 
+    def test_builds_the_normal_form_once(self):
+        r = add_noise(build_xor_reduction(2, 1, 0), 0.25)
+        f = xor_shift_permutation(2, 1)
+
+        def counted(name):
+            return mock.patch.object(protocols, name, wraps=getattr(protocols, name))
+
+        with counted("_check_instance") as gate, counted("honest_answer_state") as a0, counted("trap_answer_state") as t:
+            prover_search(r, f, 2, 1, 100, seed=0)
+        assert (gate.call_count, a0.call_count, t.call_count) == (1, 1, 1)
+
     def test_seeded_determinism(self):
         r = add_noise(build_xor_reduction(2, 1, 0), 0.25)
         f = xor_shift_permutation(2, 1)
@@ -389,7 +403,7 @@ class TestProverSearch:
             bounds = [_compressed_bounds(r, f, accept_output) for accept_output in (0, 1)]
             for p in (0, 1, 2):
                 x, accept_output = int(rng.integers(1 << m)), p % 2
-                objective = protocols._search_context(r, f, x, accept_output)
+                objective = protocols._search_context(*protocols._normal_form(r, f, x, accept_output))
                 start = haar_unitary(1 << (p + 2 * m), rng)[:, :msg]
                 calls = []
 
