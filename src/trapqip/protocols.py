@@ -204,9 +204,8 @@ def _computation_branch(state: StateVector, r: Reduction, accept_output: int) ->
     return _decide(state, r, accept_output)
 
 
-def _trap_branch(state: StateVector, r: Reduction, f: Permutation) -> float:
-    names = copy_register_names(r.copies)
-    verifier = trap_verifier(f)
+def _trap_branch(state: StateVector, copies: int, verifier: UnitaryOperator) -> float:
+    names = copy_register_names(copies)
     for regs in names:
         state = core.apply_on_registers(state, verifier, [regs["query"], regs["answer"], regs["copy"]])
     zeros = {name: 0 for regs in names for name in regs.values()}
@@ -239,13 +238,24 @@ def _per_distinct_copy(r: Reduction, simulate) -> list:
     return [by_table[table] for table in r.distributions]
 
 
+@lru_cache(maxsize=64)
+def _honest_trap_accept(f: Permutation) -> float:
+    """One honest copy's trap acceptance under f: the trap check on the
+    one-copy honest trap response, computed once per permutation.  Its dense
+    verifier is built outside trap_verifier's cache, so honest runs retain
+    none (2^(6m) entries each)."""
+    return _trap_branch(answer_queries(trap_state(f.m), f, 1), 1, trap_verifier.__wrapped__(f))
+
+
 def _trap_accept(r: Reduction, f: Permutation, prover: Prover) -> float:
     """Trap-branch acceptance over all of r's copies: the prover stage on the
     honest trap response t, then the trap check.  It depends on m, f and the
-    prover alone, so an honest prover's copies multiply one copy's value."""
-    if prover.kind == PROVER_HONEST and r.copies > 1:
-        return math.prod([_trap_accept(_copy_slice(r, 0), f, prover)] * r.copies)
-    return _trap_branch(_apply_prover_stage(trap_answer_state(r, f), prover), r, f)
+    prover alone: an honest prover's copies multiply one copy's value, taken
+    once per permutation from _honest_trap_accept, and a cheat runs the check
+    on every call."""
+    if prover.kind == PROVER_HONEST:
+        return math.prod([_honest_trap_accept(f)] * r.copies)
+    return _trap_branch(_apply_prover_stage(trap_answer_state(r, f), prover), r.copies, trap_verifier(f))
 
 
 def _header(protocol: str, prover: Prover, m: int, copies: int, accept_output: int, seed: int | None = None) -> dict:
@@ -561,10 +571,11 @@ class CheatBound:
 
 def _normal_form(r: Reduction, f: Permutation, x: int, accept_output: int):
     """The verifier's side of a single copy, fixed before the prover moves:
-    (a0, t, bits, block).
+    (a0, bits, block).
 
-    a0 and t are the honest response and the honest trap response as (msg,
-    msg) arrays, msg = 2^(2m): rows (query, answer), columns (work, copy).
+    a0 is the honest response as a (msg, msg) array, msg = 2^(2m): rows
+    (query, answer), columns (work, copy).  The honest trap response t, which
+    only the search reads, is trap_answer_state in the same shape.
     The acceptance projector P0 is held as the decider holds it: bits[i] is
     the decider's out on index i with out = 0 (the language bit of answer ^
     work), and block = rot^dag diag(mask) rot; P0 joins index i with out = o
@@ -574,12 +585,11 @@ def _normal_form(r: Reduction, f: Permutation, x: int, accept_output: int):
     """
     msg = 1 << (2 * r.m)
     a0 = honest_answer_state(r, f, x).amplitudes.reshape(msg, msg)
-    t = trap_answer_state(r, f).amplitudes.reshape(msg, msg)
     answer_work = (np.arange(msg * msg) >> r.m) & (msg - 1)
     bits = (decider_table(r.m, r.bit)[answer_work << 1] & 1).reshape(msg, msg)
     rot = np.eye(2) if r.noise is None else r.noise.matrix
     mask = np.array([accept_output == 0, accept_output == 1], dtype=float)
-    return a0, t, bits, rot.conj().T @ (mask[:, None] * rot)
+    return a0, bits, rot.conj().T @ (mask[:, None] * rot)
 
 
 def _ceiling(a0: np.ndarray, bits: np.ndarray, block: np.ndarray) -> CheatBound:
@@ -616,8 +626,7 @@ def cheat_upper_bound(r: Reduction, f: Permutation, x: int, accept_output: int =
     cross-check (see _ceiling); a soundness ceiling on inputs the verifier
     should reject, for uniform queries."""
     _check_instance("ceiling", r, f, x, accept_output)
-    a0, _, bits, block = _normal_form(r, f, x, accept_output)
-    return _ceiling(a0, bits, block)
+    return _ceiling(*_normal_form(r, f, x, accept_output))
 
 
 def branch_overlap_pair(r: Reduction, f: Permutation, x: int, prover: Prover) -> tuple[float, float]:
@@ -724,9 +733,9 @@ def prover_search(
     if iters < 0:
         raise ValueError(f"iters = {iters} must be >= 0")
     _check_instance("search", r, f, x, accept_output, cheat=p_qubits)
-    a0, t, bits, block = _normal_form(r, f, x, accept_output)
-    objective = _search_context(a0, t, bits, block)
+    a0, bits, block = _normal_form(r, f, x, accept_output)
     dim, msg = 1 << (p_qubits + 2 * r.m), 1 << (2 * r.m)
+    objective = _search_context(a0, trap_answer_state(r, f).amplitudes.reshape(msg, msg), bits, block)
     rng = np.random.default_rng(seed)
     best, best_score = _climb(objective, np.eye(dim, msg, dtype=np.complex128), min(iters, RESTART_EVERY - 1))
     for start in range(RESTART_EVERY, iters + 1, RESTART_EVERY):

@@ -58,9 +58,10 @@ class DistributionTable:
 
     @classmethod
     def uniform(cls, m: int) -> "DistributionTable":
+        """The uniform table on m bits, checked against the cap on every call
+        and built once per width, so every caller shares one table and its prep."""
         core.require_cap(m, "a distribution table")
-        size = 1 << m
-        return cls(m, np.full(size, 1.0 / size))
+        return _uniform_table(m)
 
     @property
     def d_min(self) -> float:
@@ -94,6 +95,12 @@ class DistributionTable:
         nv = v @ v
         eye = np.eye(target.size)
         return UnitaryOperator(layout(("query", self.m)), eye if nv < 1e-30 else eye - 2.0 * np.outer(v, v) / nv)
+
+
+@lru_cache(maxsize=64)
+def _uniform_table(m: int) -> DistributionTable:
+    size = 1 << m
+    return DistributionTable(m, np.full(size, 1.0 / size))
 
 
 def load_distribution(path) -> DistributionTable:

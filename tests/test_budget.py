@@ -21,6 +21,7 @@ from trapqip.oracles import random_permutation, xor_shift_permutation
 from trapqip.protocols import (
     PROVER_UNITARY,
     Prover,
+    _honest_trap_accept,
     branch_overlap_pair,
     cheat_upper_bound,
     footprint,
@@ -92,6 +93,7 @@ def _check_footprint(entry, m, t, cheat, cap) -> bool:
     refused = None
     with mock.patch.dict(os.environ, {"TRAPQIP_MAX_QUBITS": str(cap)}):
         trap_verifier.cache_clear()
+        _honest_trap_accept.cache_clear()
         tracemalloc.start()
         try:
             prover = Prover.honest()
@@ -107,6 +109,7 @@ def _check_footprint(entry, m, t, cheat, cap) -> bool:
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
             trap_verifier.cache_clear()
+            _honest_trap_accept.cache_clear()
     if need > cap:
         assert refused is not None, f"{label}: ran over the cap"
         assert peak < 1 << 20, f"{label}: refused after {peak} bytes"

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trapqip import cli
+from trapqip import cli, protocols, reductions
 
 
 def _run(argv, capsys):
@@ -606,6 +606,25 @@ class TestSweep:
         _, out = _run(["sweep", "--config", cfg], capsys)
         rows = list(csv.DictReader(io.StringIO(out)))
         assert [int(r["x"]) for r in rows] == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("protocol", ["2", "3"])
+    def test_warm_sweep_matches_cold_runs(self, protocol, tmp_path, capsys):
+        head = f"[run]\nprotocol = {protocol}\nm = 3\ns = 101\nbit = 1\neps = 0.1\n"
+        cfg = _write(tmp_path, head + "[sweep]\nt = 1, 3, 5\nx = all\n")
+        _run(["sweep", "--config", cfg], capsys)  # fills every cache the sweep reads
+        _, out = _run(["sweep", "--config", cfg], capsys)
+        warm = [(r["t"], r["x"], r["p0"], r["p1"]) for r in csv.DictReader(io.StringIO(out))]
+        cold = []
+        for t in (1, 3, 5):
+            for x in range(8):
+                point = _write(tmp_path, head + f"t = {t}\nx = {x}\n", name="point.cfg")
+                protocols._honest_trap_accept.cache_clear()
+                protocols.trap_verifier.cache_clear()
+                reductions._uniform_table.cache_clear()
+                _, out = _run(["run", "--config", point, "--format", "csv"], capsys)
+                (row,) = csv.DictReader(io.StringIO(out))
+                cold.append((row["t"], row["x"], row["p0"], row["p1"]))
+        assert warm == cold
 
     def test_empty_range_emits_header_only(self, tmp_path, capsys):
         cfg = _write(tmp_path, "[run]\nm = 2\n[sweep]\neps =\n")

@@ -230,16 +230,82 @@ class TestHonestResponsesBuiltOnce:
         prover = Prover.unitary_cheat(u, 1) if cheat else Prover.honest()
         for r, engine in ((trap, run_protocol), (smooth, run_smooth_protocol)):
             want = engine(r, f, 0, prover)
+            protocols._honest_trap_accept.cache_clear()
             accepts = _counting(monkeypatch, protocols, "_trap_accept")
             checks = _counting(monkeypatch, protocols, "_trap_branch")
             got = engine(r, f, 0, prover)
             monkeypatch.undo()
             assert (got.p0, got.p1, repr(got.metadata)) == (want.p0, want.p1, repr(want.metadata))
-            # one call on the full reduction; an honest multi-copy call
-            # recurses once on a one-copy slice, and the trap check runs once
-            assert accepts[0][0] is r
-            assert [args[0].copies for args in accepts] == ([t, 1] if t > 1 and not cheat else [t])
+            # one call on the full reduction, and the trap check runs once:
+            # an honest one on one copy, through the cold memo
+            assert [args[0] for args in accepts] == [r]
             assert len(checks) == 1
+
+
+class TestHonestTrapMemo:
+    """An honest trap check runs once per permutation, with the uncached bytes."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_memo_equals_uncached_trap_check(self, m, monkeypatch):
+        r = build_xor_reduction(m, 1, 0)
+        perms = [xor_shift_permutation(m, s) for s in range(1 << m)]
+        perms += [random_permutation(m, seed) for seed in range(3)]
+        perms = list(dict.fromkeys(perms))  # equal tables share one memo entry
+        protocols._honest_trap_accept.cache_clear()
+        checks = _counting(monkeypatch, protocols, "_trap_branch")
+        for f in perms:
+            got = protocols._honest_trap_accept(f)
+            # every honest check reads the same value, so also check what it ran on
+            [(state, copies, verifier)] = checks
+            checks.clear()
+            assert np.array_equal(state.amplitudes, trap_answer_state(r, f).amplitudes)
+            assert (copies, state.layout) == (1, trap_answer_state(r, f).layout)
+            assert np.array_equal(verifier.matrix, trap_verifier(f).matrix)
+            assert got == _trap_branch(trap_answer_state(r, f), 1, trap_verifier(f))
+
+    def test_honest_p1_matches_cold_runs(self):
+        m = 2
+        f = random_permutation(m, 5)
+        table = _smooth_tables(m)[2]
+        runs = []
+        for eps in (0.0, 0.1, 0.25):
+            for bit in range(m):
+                for t in (1, 3, 5):
+                    for base, engine in (
+                        (build_xor_reduction(m, 2, bit), run_protocol),
+                        (build_smooth_xor_reduction(m, 2, bit, table), run_smooth_protocol),
+                    ):
+                        r = amplify(add_noise(base, eps) if eps else base, t)
+                        runs += [(engine, r, x) for x in range(1 << m)]
+
+        def record(engine, r, x):
+            res = engine(r, f, x, Prover.honest())
+            return res.p0, res.p1, repr(res.metadata)
+
+        cold = []
+        for run in runs:
+            protocols._honest_trap_accept.cache_clear()
+            cold.append(record(*run))
+        assert [record(*run) for run in runs] == cold
+
+    def test_trap_check_once_per_permutation(self, monkeypatch):
+        m = 2
+        f = random_permutation(m, 6)
+        r = add_noise(build_xor_reduction(m, 1, 0), 0.1)
+        smooth = amplify(build_smooth_xor_reduction(m, 1, 0, _smooth_tables(m)[1]), 3)
+        cheat = Prover.unitary_cheat(haar_unitary(1 << (2 * m), np.random.default_rng(6)))
+        protocols._honest_trap_accept.cache_clear()
+        trap_verifier.cache_clear()
+        checks = _counting(monkeypatch, protocols, "_trap_branch")
+        run_protocol(r, f, 0, Prover.honest())
+        run_smooth_protocol(smooth, f, 1, Prover.honest())
+        assert len(checks) == 1
+        # the honest check keeps no dense verifier; a cheat's run caches one
+        assert trap_verifier.cache_info().currsize == 0
+        for call in range(1, 4):
+            run_protocol(r, f, 0, cheat)
+            assert len(checks) == 1 + call
+        assert trap_verifier.cache_info().currsize == 1
 
 
 def _dense_projector(r, accept_output):
@@ -288,7 +354,7 @@ class TestStructuredProjector:
                 r = add_noise(base, eps) if eps else base
                 for accept_output in (0, 1):
                     dense = _dense_projector(r, accept_output)
-                    _, _, bits, block = protocols._normal_form(r, f, 0, accept_output)
+                    _, bits, block = protocols._normal_form(r, f, 0, accept_output)
                     n = bits.size
                     # index i with out o meets index i with out o' through
                     # block[bits[i] ^ o, bits[i] ^ o']
@@ -318,6 +384,15 @@ class TestCheatBound:
             np.testing.assert_allclose(b.bound, want, atol=1e-12)
             np.testing.assert_allclose(b.sin_sq, eps, atol=1e-12)
             assert abs(b.bound - b.eigen_bound) <= 1e-9
+
+    def test_ceiling_builds_no_trap_response(self):
+        r = add_noise(build_xor_reduction(2, 1, 0), 0.25)
+        f = xor_shift_permutation(2, 1)
+        with mock.patch.object(protocols, "trap_answer_state", wraps=trap_answer_state) as t:
+            cheat_upper_bound(r, f, 2)
+            assert t.call_count == 0
+            prover_search(r, f, 2, 0, 10, seed=0)
+            assert t.call_count == 1
 
     def test_multi_copy_rejected(self):
         r = amplify(build_xor_reduction(2, 1, 0), 3)
@@ -403,7 +478,9 @@ class TestProverSearch:
             bounds = [_compressed_bounds(r, f, accept_output) for accept_output in (0, 1)]
             for p in (0, 1, 2):
                 x, accept_output = int(rng.integers(1 << m)), p % 2
-                objective = protocols._search_context(*protocols._normal_form(r, f, x, accept_output))
+                a0, bits, block = protocols._normal_form(r, f, x, accept_output)
+                t = trap_answer_state(r, f).amplitudes.reshape(msg, msg)
+                objective = protocols._search_context(a0, t, bits, block)
                 start = haar_unitary(1 << (p + 2 * m), rng)[:, :msg]
                 calls = []
 
@@ -497,7 +574,7 @@ def _per_copy_reference(r, f, x, accept_output):
     for i in range(r.copies):
         single = _copy_slice(r, i)
         ones.append(_computation_branch(honest_answer_state(single, f, x), single, 1))
-        trap_ok *= _trap_branch(trap_answer_state(single, f), single, f)
+        trap_ok *= _trap_branch(trap_answer_state(single, f), single.copies, trap_verifier(f))
     return _majority_accept(ones, r.copies, accept_output), trap_ok, ones
 
 
@@ -546,6 +623,7 @@ class TestHonestCopySharing:
         for r, want_generated in ((distinct, 3), (identical, 1), (shared, 1)):
             for x in range(1 << m):
                 p0, p1, ones = _per_copy_reference(r, f, x, 0)
+                protocols._honest_trap_accept.cache_clear()
                 generated = _counting(monkeypatch, protocols, "honest_answer_state")
                 traps = _counting(monkeypatch, protocols, "_trap_branch")
                 res = run_protocol(r, f, x, Prover.honest())
@@ -644,6 +722,7 @@ class TestSmoothCopySharing:
         for r, want_built in ((distinct, 3), (identical, 1), (shared, 1)):
             for x in range(1 << m):
                 want = _smooth_per_copy_reference(r, f, x, 0, seed=x)
+                protocols._honest_trap_accept.cache_clear()
                 built = _counting(monkeypatch, protocols, "_pre_copy_state")
                 traps = _counting(monkeypatch, protocols, "_trap_branch")
                 res = run_smooth_protocol(r, f, x, Prover.honest(), seed=x)

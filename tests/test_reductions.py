@@ -2,7 +2,9 @@
 
 import dataclasses
 import math
+import os
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -153,6 +155,14 @@ class TestCopyIsItsTable:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_uniform_built_once_per_width_and_capped_on_every_call(self):
+        for m in (1, 2, 3):
+            assert DistributionTable.uniform(m) is DistributionTable.uniform(m)
+            assert DistributionTable.uniform(m).prep is build_xor_reduction(m, 1, 0).distributions[0].prep
+        with mock.patch.dict(os.environ, {"TRAPQIP_MAX_QUBITS": "2"}):
+            with pytest.raises(CapacityError):
+                DistributionTable.uniform(3)
 
     def test_every_builder_checks_the_cap(self):
         with pytest.raises(CapacityError):
