@@ -10,6 +10,7 @@ qubits under the one budget rule, `core.within_cap`, checked before it is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -84,6 +85,14 @@ def query_table(answers) -> np.ndarray:
     return idx ^ answers[idx >> m]
 
 
+@lru_cache(maxsize=64)
+def inverse_answers(p: Permutation) -> np.ndarray:
+    """f^{-1} as a read-only array: the honest answer to every query."""
+    answers = np.array([p.inverse_of(q) for q in range(1 << p.m)])
+    answers.setflags(write=False)
+    return answers
+
+
 def inversion_table(p: Permutation, lying: "CorruptionSet | None" = None) -> np.ndarray:
     """The inversion oracle |q, y> -> |q, y XOR f^{-1}(q)> as a query_table.
 
@@ -91,7 +100,7 @@ def inversion_table(p: Permutation, lying: "CorruptionSet | None" = None) -> np.
     lowest-order bit is flipped, so the reply fails the f(answer) == query
     check, and it agrees with the honest inverse elsewhere.
     """
-    answers = np.array([p.inverse_of(q) for q in range(1 << p.m)])
+    answers = inverse_answers(p).copy()
     if lying is not None:
         if lying.m != p.m:
             raise ValueError("corruption set and permutation have different widths")

@@ -13,6 +13,12 @@ query, then a cheat acts on the private register plus the messages, so every
 branch starts from an honest response (a0 or t) and the prover stage is the
 cheat alone.  By default the verifier accepts a decider output of 0, which
 decides the complement language; accept_output=1 flips the convention.
+
+After a copy's prep every verifier step is a basis map, so an honest copy's
+response lives on 2^m basis states, one per query.  Honest trap and
+classical runs are evaluated on that support and build no statevector; the
+statevector kernels run every cheat and every smooth run, and are the
+reference the honest values equal bit for bit.
 """
 
 from __future__ import annotations
@@ -32,11 +38,12 @@ from .core import (
     basis_state,
     layout,
 )
-from .oracles import Permutation
+from .oracles import Permutation, inverse_answers
 from .reductions import (
     DistributionTable,
     Reduction,
     answer_queries,
+    answered_copy,
     apply_decider,
     apply_generator,
     copy_register_names,
@@ -122,20 +129,16 @@ class ProtocolResult:
 # verifier-side states and circuits
 
 
-def trap_state(m: int, copies: int = 1) -> StateVector:
-    """Uniform query superposition mirrored into the copy register, work zero.
+def trap_state(m: int, copies: int = 1, f: Permutation | None = None) -> StateVector:
+    """Uniform query superposition mirrored into the copy register, work zero;
+    given f, the honest inverse oracle's answers fill the answer registers.
 
     Equals the generator output with the work buffer forced to zero, which is
     exactly what makes the two branches indistinguishable to the prover.
     """
     if m < 1:
         raise ValueError("query width must be >= 1")
-    lay = layout(("query", m), ("answer", m), ("work", m), ("copy", m))
-    amps = np.zeros(lay.dim, dtype=np.complex128)
-    scale = 1.0 / math.sqrt(1 << m)
-    for q in range(1 << m):
-        amps[lay.pack({"query": q, "copy": q})] = scale
-    return join_copies([StateVector(lay, amps)] * copies)
+    return join_copies([answered_copy(m, f, 0, 1.0 / math.sqrt(1 << m))] * copies)
 
 
 @lru_cache(maxsize=64)
@@ -163,8 +166,10 @@ def trap_verifier(f: Permutation) -> UnitaryOperator:
 
 
 def trap_answer_state(r: Reduction, f: Permutation) -> StateVector:
-    """Trap state after the honest inverse oracle filled the answer registers."""
-    return answer_queries(trap_state(r.m, r.copies), f, r.copies)
+    """Trap state after the honest inverse oracle filled the answer registers:
+    1/sqrt(2^m) at |q, f^-1(q), 0, q> of each copy, scattered with no kernel,
+    bit for bit answer_queries(trap_state(r.m, r.copies), f, r.copies)."""
+    return trap_state(r.m, r.copies, f)
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +186,31 @@ def _apply_prover_stage(state: StateVector, prover: Prover) -> StateVector:
     if prover.prover_qubits:
         lay = layout(("prover", prover.prover_qubits), *lay.registers)
     return StateVector(lay, prover.isometry @ state.amplitudes.reshape(prover.isometry.shape[1], -1))
+
+
+def _rotation(r: Reduction) -> np.ndarray:
+    """The decider's noise on out as a 2x2 matrix, the identity when there is none."""
+    return np.eye(2) if r.noise is None else r.noise.matrix
+
+
+def _honest_copy_prob(r: Reduction, f: Permutation, x: int, out: int) -> float:
+    """P(out = out) of r's single honest copy, from its 2^m-entry support.
+
+    Once the copy register is erased, query q's amplitude a_q = prep[q, 0]
+    sits at |q, f^-1(q), q ^ x, 0>; the decider writes bit_q, the language
+    bit of f^-1(q) ^ q ^ x, into out, so out = o has amplitude rot[o, bit_q]
+    a_q.  The squares go to their statevector positions in a zero array of
+    2^(4m) entries, so np.sum pairs them as _computation_branch on
+    honest_answer_state does, and the value is the same bit for bit.
+    """
+    m = r.m
+    q = np.arange(1 << m)
+    answer_work = (inverse_answers(f) << m) | (q ^ x)
+    bits = decider_table(m, r.bit)[answer_work << 1] & 1
+    amps = _rotation(r)[out, bits] * r.distributions[0].prep.matrix[:, 0]
+    probs = np.zeros(1 << (4 * m))
+    probs[((q << (2 * m)) | answer_work) << m] = np.abs(amps) ** 2
+    return float(np.sum(probs))
 
 
 def _decide(state: StateVector, r: Reduction, accept_output: int) -> float:
@@ -244,7 +274,7 @@ def _honest_trap_accept(f: Permutation) -> float:
     one-copy honest trap response, computed once per permutation.  Its dense
     verifier is built outside trap_verifier's cache, so honest runs retain
     none (2^(6m) entries each)."""
-    return _trap_branch(answer_queries(trap_state(f.m), f, 1), 1, trap_verifier.__wrapped__(f))
+    return _trap_branch(trap_state(f.m, 1, f), 1, trap_verifier.__wrapped__(f))
 
 
 def _trap_accept(r: Reduction, f: Permutation, prover: Prover) -> float:
@@ -345,21 +375,26 @@ def _check_instance(
 
 
 def run_protocol(r: Reduction, f: Permutation, x: int, prover: Prover, accept_output: int = 0) -> ProtocolResult:
-    """Trap protocol for any odd copy count; exact p0, p1 from the statevector.
+    """Trap protocol for any odd copy count; exact p0, p1.
 
     Several copies run over grouped per-copy registers with a majority
-    decider.  Honest provers are evaluated once per distinct copy (one per
-    distinct table) plus one trap branch, combined by the exact majority law;
-    entangling cheats run on the full grouped state, within the qubit cap.
+    decider.  An honest prover builds no state: each distinct copy (one per
+    distinct table) is evaluated on its 2^m-entry support, the copies
+    combine by the exact majority law, and the trap branch is the memoised
+    honest value.  A cheat runs on the full grouped statevector, within the
+    qubit cap; that path is also the reference the honest values match bit
+    for bit.
     """
     _check_instance("trap", r, f, x, accept_output, prover)
     metadata = _header("trap", prover, r.m, r.copies, accept_output)
     if prover.kind == PROVER_HONEST and r.copies > 1:
         # Honest runs stay in product form across copies, so per-copy exact
-        # simulation plus the majority law avoids the full-width state.
-        ones = _per_distinct_copy(r, lambda single: _computation_branch(honest_answer_state(single, f, x), single, 1))
+        # values plus the majority law avoid the full-width state.
+        ones = _per_distinct_copy(r, lambda single: _honest_copy_prob(single, f, x, 1))
         p0 = _majority_accept(ones, r.copies, accept_output)
         metadata["per_copy_one_probs"] = ones
+    elif prover.kind == PROVER_HONEST:
+        p0 = _honest_copy_prob(r, f, x, accept_output)
     else:
         p0 = _computation_branch(_apply_prover_stage(honest_answer_state(r, f, x), prover), r, accept_output)
     return ProtocolResult(p0=float(p0), p1=float(_trap_accept(r, f, prover)), metadata=metadata)
@@ -503,6 +538,23 @@ def run_smooth_protocol(
 # classical-query protocol
 
 
+def _classical_copy_prob(r: Reduction, table: DistributionTable, x: int, q: int, answer: int) -> float:
+    """P(out = 1) of one copy whose query read q and was answered with answer.
+
+    Conditioning the copy's pre-query state on q leaves prep[q, 0] alone on
+    |answer, q ^ x> of (answer, work), renormalised as core.condition_on
+    does, and the decider's bit there is a decider_table lookup.  Each float
+    operation is the one the statevector path runs on that entry, so the
+    value is the same bit for bit.
+    """
+    amp = table.prep.matrix[q : q + 1, 0]
+    prob = float(np.sum(np.abs(amp) ** 2))
+    if prob <= core.ATOL**2:
+        raise InvariantError("conditioning on a supported query failed")
+    bit = decider_table(r.m, r.bit)[((answer << r.m) | (q ^ x)) << 1] & 1
+    return float(np.sum(np.abs(_rotation(r)[1, bit] * (amp / np.sqrt(prob))) ** 2))
+
+
 def run_classical_query_protocol(
     r: Reduction,
     f: Permutation,
@@ -514,20 +566,20 @@ def run_classical_query_protocol(
 ) -> ProtocolResult:
     """Measure the queries to basis values and verify answers by recomputing f.
 
-    Any answer a with f(a) != q rejects with certainty; honest answers are
-    decided by the reduction.  The pre-query state is built once per distinct
-    copy (one per distinct table) and conditioned on each copy's drawn query;
-    the copies combine by the exact majority law.  The single-phase
-    acceptance is reported as both p0 and p1, so accept_prob equals it.
+    Any answer a with f(a) != q rejects with certainty; otherwise the
+    reduction decides.  No state is built: a copy conditioned on its drawn
+    query q holds the single amplitude prep[q, 0], renormalised, so each
+    copy's decision is read from that entry and a decider_table lookup (see
+    _classical_copy_prob), for honest and classical provers alike.  The
+    copies combine by the exact majority law.  The single-phase acceptance
+    is reported as both p0 and p1, so accept_prob equals it.
     """
     _check_instance("classical", r, f, x, accept_output, prover)
     if queries is not None and len(queries) != r.copies:
         raise ValueError(f"need one forced query per copy, got {len(queries)}")
     rng = np.random.default_rng(seed)
     size = 1 << r.m
-    one_copy = _copy_slice(r, 0)
     drawn, replies, checks, ones = [], [], [], []
-    pre = _per_distinct_copy(r, lambda single: _pre_copy_state(single, x, 0))
     for i, table in enumerate(r.distributions):
         probs = table.probs
         q = int(queries[i]) if queries is not None else int(rng.choice(size, p=probs))
@@ -535,15 +587,11 @@ def run_classical_query_protocol(
             raise ValueError(f"query {q} does not fit {r.m} bits")
         if probs[q] <= 0:
             raise ValueError(f"query {q} is outside the distribution's support")
-        prob, state = core.condition_on(pre[i], {"query": q})
-        if prob <= 0:
-            raise InvariantError("conditioning on a supported query failed")
         a = f.inverse_of(q) if prover.kind == PROVER_HONEST else prover.answers[q]
-        state = core.apply_basis_permutation(state, np.arange(size) ^ a, ["answer"])
         drawn.append(q)
         replies.append(a)
         checks.append(f(a) == q)
-        ones.append(_decide(state, one_copy, 1))
+        ones.append(_classical_copy_prob(r, table, x, q, a))
 
     accept = _majority_accept(ones, r.copies, accept_output) if all(checks) else 0.0
     metadata = {
@@ -587,7 +635,7 @@ def _normal_form(r: Reduction, f: Permutation, x: int, accept_output: int):
     a0 = honest_answer_state(r, f, x).amplitudes.reshape(msg, msg)
     answer_work = (np.arange(msg * msg) >> r.m) & (msg - 1)
     bits = (decider_table(r.m, r.bit)[answer_work << 1] & 1).reshape(msg, msg)
-    rot = np.eye(2) if r.noise is None else r.noise.matrix
+    rot = _rotation(r)
     mask = np.array([accept_output == 0, accept_output == 1], dtype=float)
     return a0, bits, rot.conj().T @ (mask[:, None] * rot)
 

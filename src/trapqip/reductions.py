@@ -25,7 +25,7 @@ import numpy as np
 
 from . import core
 from .core import StateVector, UnitaryOperator, basis_state, layout
-from .oracles import Permutation, inversion_table
+from .oracles import Permutation, inverse_answers, inversion_table
 
 DIST_SUM_TOL = 1e-12
 
@@ -251,23 +251,29 @@ def build_smooth_xor_reduction(m: int, s: int, bit: int, table: DistributionTabl
     return build_known_smooth_reduction(m, s, bit, [table])
 
 
+@lru_cache(maxsize=64)
+def _noise_rotation(eps: float) -> UnitaryOperator:
+    """The rotation on `out` that errs with probability eps, built and checked once per eps."""
+    c, s_ = math.cos(math.asin(math.sqrt(eps))), math.sqrt(eps)
+    return UnitaryOperator(layout(("out", 1)), np.array([[c, -s_], [s_, c]]))
+
+
 def add_noise(r: Reduction, eps: float) -> Reduction:
     """Compose a fixed rotation on the output qubit so honest runs err with probability eps.
 
     Valid because the pre-noise decider writes a deterministic basis bit on
-    honest inputs; rotation angles on the same axis add.
+    honest inputs; rotation angles on the same axis add.  A noiseless base
+    takes the rotation shared by every call with the same eps.
     """
     if not 0 <= eps < 1:
         raise ValueError(f"noise level {eps} outside [0, 1)")
     if r.copies != 1:
         raise ValueError("add noise before amplifying")
     angle = math.asin(math.sqrt(r.epsilon)) + math.asin(math.sqrt(eps))
-    c, s_ = math.cos(math.asin(math.sqrt(eps))), math.sqrt(eps)
-    rot = np.array([[c, -s_], [s_, c]])
+    noise = _noise_rotation(eps)
     if r.noise is not None:
-        rot = rot @ r.noise.matrix
-    combined = float(math.sin(angle) ** 2)
-    return replace(r, base_epsilon=combined, noise=UnitaryOperator(layout(("out", 1)), rot))
+        noise = UnitaryOperator(noise.layout, noise.matrix @ r.noise.matrix)
+    return replace(r, base_epsilon=float(math.sin(angle) ** 2), noise=noise)
 
 
 def amplify(r: Reduction, t: int) -> Reduction:
@@ -344,13 +350,41 @@ def answer_queries(state: StateVector, f: Permutation, k: int) -> StateVector:
 
 def generate_query_state(r: Reduction, x: int) -> StateVector:
     """The verifier's pre-send state: generator output plus a basis copy of q,
-    one copy per query, joined by join_copies."""
+    one copy per query, joined by join_copies.  The kernel-path reference for
+    honest_answer_state."""
     if not 0 <= x < (1 << r.m):
         raise ValueError(f"input {x} does not fit {r.m} bits")
     return join_copies([_single_query_state(r, x, i) for i in range(r.copies)])
 
 
-def honest_answer_state(r: Reduction, f: Permutation, x: int) -> StateVector:
-    """Query state after an honest inverse oracle filled the answer registers."""
-    return answer_queries(generate_query_state(r, x), f, r.copies)
+def answered_copy(m: int, f: Permutation | None, work, amplitudes) -> StateVector:
+    """One copy on (query, answer, work, copy) holding amplitudes[q] at |q,
+    f^-1(q), work[q], q> for each query q, and zero elsewhere; with f None the
+    answer register stays zero.
 
+    A copy's honest response has this 2^m-entry support: everything after
+    the prep (or the trap's uniform superposition) is a basis map, so each
+    query's amplitude lands unchanged on one index.
+    """
+    if f is not None and f.m != m:
+        raise core.LayoutError(f"permutation width {f.m} does not match query width {m}")
+    q = np.arange(1 << m)
+    answers = 0 if f is None else inverse_answers(f)
+    lay = layout(("query", m), ("answer", m), ("work", m), ("copy", m))
+    amps = np.zeros(lay.dim, dtype=np.complex128)
+    amps[(q << (3 * m)) | (answers << (2 * m)) | (work << m) | q] = amplitudes
+    return StateVector(lay, amps)
+
+
+def honest_answer_state(r: Reduction, f: Permutation, x: int) -> StateVector:
+    """Query state after an honest inverse oracle filled the answer registers.
+
+    Built from each copy's support with no kernel: the copy of table d holds
+    d.prep's first column at |q, f^-1(q), q ^ x, q>, bit for bit what
+    answer_queries(generate_query_state(r, x), f, r.copies) holds, and the
+    copies join through join_copies.
+    """
+    if not 0 <= x < (1 << r.m):
+        raise ValueError(f"input {x} does not fit {r.m} bits")
+    work = np.arange(1 << r.m) ^ x
+    return join_copies([answered_copy(r.m, f, work, table.prep.matrix[:, 0]) for table in r.distributions])

@@ -1,5 +1,6 @@
 """Protocol engine tests: completeness, trap checks, cheating ceilings."""
 
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -46,6 +47,7 @@ from trapqip.reductions import (
     DistributionTable,
     add_noise,
     amplify,
+    answer_queries,
     apply_decider,
     build_known_smooth_reduction,
     build_smooth_xor_reduction,
@@ -569,12 +571,16 @@ class TestMultiQuery:
 
 
 def _per_copy_reference(r, f, x, accept_output):
-    """The honest multi-copy trap engine simulating every copy in full, in order."""
+    """The honest trap engine on the statevector kernels, every copy in full,
+    in order: the generator, the copy and the inverse oracle build each
+    response, and a single copy is decided at accept_output directly."""
     ones, trap_ok = [], 1.0
     for i in range(r.copies):
         single = _copy_slice(r, i)
-        ones.append(_computation_branch(honest_answer_state(single, f, x), single, 1))
-        trap_ok *= _trap_branch(trap_answer_state(single, f), single.copies, trap_verifier(f))
+        ones.append(_computation_branch(answer_queries(generate_query_state(single, x), f, 1), single, 1))
+        trap_ok *= _trap_branch(answer_queries(trap_state(r.m), f, 1), 1, trap_verifier(f))
+    if r.copies == 1:
+        return _computation_branch(answer_queries(generate_query_state(r, x), f, 1), r, accept_output), trap_ok, ones
     return _majority_accept(ones, r.copies, accept_output), trap_ok, ones
 
 
@@ -624,7 +630,7 @@ class TestHonestCopySharing:
             for x in range(1 << m):
                 p0, p1, ones = _per_copy_reference(r, f, x, 0)
                 protocols._honest_trap_accept.cache_clear()
-                generated = _counting(monkeypatch, protocols, "honest_answer_state")
+                generated = _counting(monkeypatch, protocols, "_honest_copy_prob")
                 traps = _counting(monkeypatch, protocols, "_trap_branch")
                 res = run_protocol(r, f, x, Prover.honest())
                 monkeypatch.undo()
@@ -742,8 +748,9 @@ class TestSmoothCopySharing:
         assert [repr(p) for p in parts[1:]] == before
 
 
-def _classical_reference(r, f, x, prover, seed):
-    """The classical-query engine building every copy's pre-query state afresh."""
+def _classical_reference(r, f, x, prover, seed, accept_output=0):
+    """The classical-query engine on the statevector kernels, building every
+    copy's pre-query state afresh."""
     rng = np.random.default_rng(seed)
     size = 1 << r.m
     drawn, replies, checks, ones = [], [], [], []
@@ -758,7 +765,7 @@ def _classical_reference(r, f, x, prover, seed):
         replies.append(a)
         checks.append(f(a) == q)
         ones.append(measure_probability(state, {"out": 1}))
-    accept = _majority_accept(ones, r.copies, 0) if all(checks) else 0.0
+    accept = _majority_accept(ones, r.copies, accept_output) if all(checks) else 0.0
     return drawn, replies, checks, ones, accept
 
 
@@ -769,21 +776,22 @@ class TestClassicalProtocol:
         # lies on query 0 only, so some seeds catch it and some do not
         liar = Prover.classical([f.inverse_of(q) ^ (q == 0) for q in range(1 << m)])
         cases = [
-            (amplify(add_noise(build_xor_reduction(m, 1, 0), 0.1), 3), 1),
-            (build_known_smooth_reduction(m, 1, 0, _smooth_tables(m)), 3),
+            amplify(add_noise(build_xor_reduction(m, 1, 0), 0.1), 3),
+            build_known_smooth_reduction(m, 1, 0, _smooth_tables(m)),
         ]
-        for r, want_built in cases:
+        for r in cases:
             for prover in (Prover.honest(), liar):
                 for seed in range(20):
                     x = seed % (1 << m)
                     want = _classical_reference(r, f, x, prover, seed)
-                    built = _counting(monkeypatch, protocols, "_pre_copy_state")
+                    # one evaluation per copy, on its drawn entry
+                    evaluated = _counting(monkeypatch, protocols, "_classical_copy_prob")
                     res = run_classical_query_protocol(r, f, x, prover, seed=seed)
                     monkeypatch.undo()
                     meta = res.metadata
                     got = (meta["queries"], meta["answers"], meta["checks"], meta["per_copy_one_probs"], res.p0)
                     assert got == want
-                    assert len(built) == want_built
+                    assert len(evaluated) == r.copies
 
     def test_honest_accepts_at_base_correctness(self):
         r = add_noise(build_xor_reduction(2, 1, 0), 1 / 3)
@@ -833,6 +841,92 @@ class TestClassicalProtocol:
         f = xor_shift_permutation(2, 1)
         with pytest.raises(ValueError):
             run_protocol(r, f, 0, Prover.classical((1, 0, 3, 2)))
+
+
+def _draw_reduction(data, m, t):
+    """A drawn honest instance: xor shift or random permutation, per-copy
+    uniform or smooth tables, eps 0, 0.1 or 0.25 on the decider."""
+    s = data.draw(st.integers(1, (1 << m) - 1))
+    if data.draw(st.booleans()):
+        f = xor_shift_permutation(m, s)
+    else:
+        f = random_permutation(m, data.draw(st.integers(0, 99)))
+    pool = [DistributionTable.uniform(m), *_smooth_tables(m)]
+    tables = tuple(data.draw(st.sampled_from(pool)) for _ in range(t))
+    eps = data.draw(st.sampled_from((0.0, 0.1, 0.25)))
+    base = build_smooth_xor_reduction(m, s, data.draw(st.integers(0, m - 1)), tables[0])
+    return replace(add_noise(base, eps) if eps else base, distributions=tables), f
+
+
+class TestHonestSupport:
+    """Honest copies evaluated on their 2^m-entry support equal the
+    statevector kernels bit for bit, and build no state."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_trap_engine_matches_kernel_path(self, data):
+        m = data.draw(st.integers(1, 3))
+        t = data.draw(st.sampled_from((1, 3, 5)))
+        r, f = _draw_reduction(data, m, t)
+        for x in range(1 << m):
+            for accept_output in (0, 1):
+                res = run_protocol(r, f, x, Prover.honest(), accept_output=accept_output)
+                p0, p1, ones = _per_copy_reference(r, f, x, accept_output)
+                assert (res.p0, res.p1) == (p0, p1)
+                assert res.metadata.get("per_copy_one_probs") == (ones if t > 1 else None)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_classical_engine_matches_kernel_path(self, data):
+        m = data.draw(st.integers(1, 3))
+        t = data.draw(st.sampled_from((1, 3, 5)))
+        r, f = _draw_reduction(data, m, t)
+        provers = [
+            Prover.honest(),
+            Prover.classical([f.inverse_of(q) ^ (q == 0) for q in range(1 << m)]),
+            Prover.classical([(f.inverse_of(q) + 1) % (1 << m) for q in range(1 << m)]),  # every answer wrong
+        ]
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        for x in range(1 << m):
+            for accept_output in (0, 1):
+                for prover in provers:
+                    res = run_classical_query_protocol(r, f, x, prover, seed=seed, accept_output=accept_output)
+                    drawn, replies, checks, ones, accept = _classical_reference(r, f, x, prover, seed, accept_output)
+                    head = {"protocol": "classical", "prover_kind": prover.kind, "m": m, "copies": t}
+                    head.update(accept_output=accept_output, seed=seed)
+                    tail = {"queries": drawn, "answers": replies, "checks": checks, "per_copy_one_probs": ones}
+                    assert (res.p0, res.p1, repr(res.metadata)) == (accept, accept, repr({**head, **tail}))
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_responses_match_kernel_path(self, data):
+        m = data.draw(st.integers(1, 3))
+        t = data.draw(st.sampled_from((1, 3) if m == 1 else (1,)))
+        r, f = _draw_reduction(data, m, t)
+        x = data.draw(st.integers(0, (1 << m) - 1))
+        pairs = [
+            (honest_answer_state(r, f, x), answer_queries(generate_query_state(r, x), f, t)),
+            (trap_answer_state(r, f), answer_queries(trap_state(m, t), f, t)),
+        ]
+        for got, want in pairs:
+            assert got.layout == want.layout
+            assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+
+    def test_warm_honest_runs_build_no_state(self, monkeypatch):
+        m = 3
+        f = random_permutation(m, 2)
+        base = add_noise(build_xor_reduction(m, 5, 1), 0.1)
+        runs = [(run_protocol, amplify(base, t)) for t in (1, 3, 5)]
+        runs += [(run_classical_query_protocol, amplify(base, t)) for t in (1, 3)]
+        for engine, r in runs:
+            engine(r, f, 0, Prover.honest())  # warms the trap memo and the prep
+        built = _counting(monkeypatch, StateVector, "__post_init__")
+        for engine, r in runs:
+            for x in range(1 << m):
+                engine(r, f, x, Prover.honest())
+        assert built == []
+        run_protocol(base, f, 0, Prover.unitary_cheat(np.eye(1 << (2 * m))))
+        assert built
 
 
 class TestSmoothProtocol:
@@ -943,6 +1037,15 @@ class TestValidation:
         monkeypatch.setattr(StateVector, "__post_init__", _no_state)
         with pytest.raises(ValueError, match="classical provers"):
             branch_overlap_pair(r, f, 0, Prover.classical([0, 0, 0, 0]))
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_responses_refuse_a_permutation_of_another_width(self, width):
+        r = build_xor_reduction(2, 1, 0)
+        f = xor_shift_permutation(width, 1)
+        with pytest.raises(LayoutError, match=f"permutation width {width} does not match query width 2"):
+            honest_answer_state(r, f, 0)
+        with pytest.raises(LayoutError, match=f"permutation width {width} does not match query width 2"):
+            trap_answer_state(r, f)
 
     def test_unknown_prover_kind(self):
         with pytest.raises(ValueError):

@@ -226,6 +226,16 @@ class TestNoise:
         assert r.epsilon == pytest.approx(0.2)
         assert r.base_epsilon == pytest.approx(0.2)
 
+    def test_rotation_shared_per_eps(self):
+        first = add_noise(build_xor_reduction(2, 1, 0), 0.1)
+        # the second call builds and checks no operator
+        with mock.patch.object(UnitaryOperator, "__post_init__", side_effect=AssertionError("rebuilt")):
+            second = add_noise(build_xor_reduction(3, 2, 1), 0.1)
+        assert second.noise is first.noise
+        assert add_noise(first, 0.25).noise is not add_noise(first, 0.25).noise
+        twice = add_noise(first, 0.1).noise.matrix
+        np.testing.assert_allclose(twice, first.noise.matrix @ first.noise.matrix, atol=1e-15)
+
 
 class TestMajority:
     def test_frozen_binomial_tails(self):
