@@ -1,7 +1,12 @@
 """Batch harness: config-driven runs, parameter sweeps, verification suites.
 
-Config files are flat text: "key = value" lines under bracketed section
-headers.  The [run] section drives both run and sweep (sweep adds range
+Config files are flat UTF-8 text, read line by line: a "[name]" line opens
+a section (names are case-sensitive), a "key = value" line sets a key of
+the open section (keys are case-folded, both sides stripped, the value
+read literally), and blank lines and lines whose first non-blank
+character is "#" or ";" are skipped.  A repeated section, a repeated key,
+a key before any section, a line with no "=" and an indented line are
+refused.  The [run] section drives both run and sweep (sweep adds range
 lists in [sweep]); [qrs] and [separation] configure the demos, and a
 section the command does not read is refused.  Every emitted record
 embeds a digest of the raw config bytes, and identical config plus seed
@@ -14,7 +19,6 @@ config error, 3 resource cap.
 from __future__ import annotations
 
 import argparse
-import configparser
 import csv
 import hashlib
 import io
@@ -79,32 +83,63 @@ class ConfigError(ValueError):
     pass
 
 
-def _load_config(path: str | None, sections: tuple[str, ...]) -> tuple[configparser.ConfigParser, str]:
+Config = dict[str, dict[str, str]]
+
+
+def _read_sections(text: str, path: str) -> Config:
+    """Section name -> key -> value of a config in the module docstring's grammar."""
+    sections: Config = {}
+    current = None
+    for number, line in enumerate(text.split("\n"), 1):
+        body = line.strip()
+        if not body or body[0] in "#;":
+            continue
+        if line[0].isspace():
+            problem = "indented line"
+        elif body[0] == "[" and body[-1] == "]":
+            name = body[1:-1]
+            if name not in sections:
+                current = sections[name] = {}
+                continue
+            problem = f"repeated section [{name}]"
+        else:
+            key, eq, value = body.partition("=")
+            key = key.rstrip().lower()
+            if not eq or not key:
+                problem = "expected 'key = value' or '[section]'"
+            elif current is None:
+                problem = f"key {key} before any section"
+            elif key in current:
+                problem = f"repeated key {key}"
+            else:
+                current[key] = value.lstrip()
+                continue
+        raise ConfigError(f"malformed config {path}: line {number}: {problem}")
+    return sections
+
+
+def _load_config(path: str | None, sections: tuple[str, ...]) -> tuple[Config, str]:
     """The parsed config and its digest; a section the command does not read is refused."""
-    parser = configparser.ConfigParser()
     if path is None:
-        return parser, hashlib.sha256(b"").hexdigest()[:16]
+        return {}, hashlib.sha256(b"").hexdigest()[:16]
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     try:
-        parser.read_string(raw.decode())
-    except (UnicodeDecodeError, configparser.Error) as exc:
+        text = raw.decode()
+    except UnicodeDecodeError as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from None
-    unread = [name for name in parser.sections() if name not in sections]
-    if parser.defaults():  # [DEFAULT] keys leak into every section
-        unread.insert(0, parser.default_section)
+    cfg = _read_sections(text, path)
+    unread = [name for name in cfg if name not in sections]
     if unread:
         reads = ", ".join(f"[{name}]" for name in sections) or "no section"
         raise ConfigError(f"unknown section [{unread[0]}] in {path}; this command reads {reads}")
-    return parser, hashlib.sha256(raw).hexdigest()[:16]
+    return cfg, hashlib.sha256(raw).hexdigest()[:16]
 
 
-def _section(cfg: configparser.ConfigParser, name: str, known: set[str]) -> dict[str, str]:
-    if not cfg.has_section(name):
-        return {}
-    items = dict(cfg.items(name))
+def _section(cfg: Config, name: str, known: set[str]) -> dict[str, str]:
+    items = cfg.get(name, {})
     unknown = sorted(set(items) - known)
     if unknown:
         raise ConfigError(f"unknown keys in [{name}]: {', '.join(unknown)}")
@@ -114,9 +149,8 @@ def _section(cfg: configparser.ConfigParser, name: str, known: set[str]) -> dict
 def _typed(section: dict[str, str], key: str, parse, default):
     if key not in section:
         return default
-    raw = section[key].strip()
     try:
-        return parse(raw)
+        return parse(section[key])
     except ValueError:
         raise ConfigError(f"bad value for {key}: {section[key]!r}") from None
 
@@ -148,6 +182,8 @@ class RunConfig:
 # [run] value parser per RunConfig field annotation; an empty optional string
 # is unset.  The shift s is read as an m-bit string instead.
 _PARSERS = {"str": str, "str | None": lambda raw: raw or None, "int": int, "float": float}
+_RUN_FIELDS = fields(RunConfig)
+_RUN_KEYS = {f.name for f in _RUN_FIELDS}
 
 
 def _seed(seed: int) -> int:
@@ -162,14 +198,16 @@ def _parse_bits(raw: str, m: int) -> int:
     return int(raw, 2)
 
 
-def _run_config(cfg: configparser.ConfigParser, seed_override: int | None) -> RunConfig:
-    sect = _section(cfg, "run", {f.name for f in fields(RunConfig)})
-    values = {f.name: _typed(sect, f.name, _PARSERS[f.type], f.default) for f in fields(RunConfig) if f.name != "s"}
+def _run_config(cfg: Config, seed_override: int | None) -> RunConfig:
+    sect = _section(cfg, "run", _RUN_KEYS)
+    values = {f.name: _typed(sect, f.name, _PARSERS[f.type], f.default) for f in _RUN_FIELDS if f.name != "s"}
     m = values["m"]
     if m < 1:
         raise ConfigError(f"m = {m} must be >= 1")
-    rc = RunConfig(**values, s=_parse_bits(sect["s"].strip(), m) if "s" in sect else RunConfig.s)
-    rc = replace(rc, seed=_seed(rc.seed if seed_override is None else seed_override))
+    if seed_override is not None:
+        values["seed"] = seed_override
+    rc = RunConfig(**values, s=_parse_bits(sect["s"], m) if "s" in sect else RunConfig.s)
+    _seed(rc.seed)
     if rc.protocol not in ("1", "2", "3", "classical"):
         raise ConfigError(f"unknown protocol {rc.protocol!r}")
     if not 0 <= rc.x < (1 << rc.m):
@@ -190,7 +228,7 @@ def _run_config(cfg: configparser.ConfigParser, seed_override: int | None) -> Ru
         raise ConfigError(f"p_qubits = {rc.p_qubits} must be >= 0")
     if rc.p_qubits != 0 and rc.cheat_width is None:
         raise ConfigError(f"p_qubits = {rc.p_qubits} needs a prover with a private register, not {rc.prover}")
-    if rc.prover != "search" and ("iters" in sect or cfg.has_option("sweep", "iters")):
+    if rc.prover != "search" and ("iters" in sect or "iters" in cfg.get("sweep", {})):
         raise ConfigError(f"iters needs prover = search, not {rc.prover}")
     return rc
 
@@ -298,7 +336,6 @@ _SWEEP_KEYS = {"eps", "t", "x", "iters"}
 def _parse_range(raw: str | None, parse, default: list) -> list:
     if raw is None:
         return default
-    raw = raw.strip()
     if not raw:
         return []
     return [parse(tok.strip()) for tok in raw.split(",")]
@@ -313,7 +350,7 @@ def cmd_sweep(args) -> int:
         t_range = _parse_range(sect.get("t"), int, [rc.t])
         iters_range = _parse_range(sect.get("iters"), int, [rc.iters])
         raw_x = sect.get("x")
-        if raw_x is not None and raw_x.strip() == "all":
+        if raw_x == "all":
             x_range = range(1 << rc.m)
         else:
             x_range = _parse_range(raw_x, int, [rc.x])

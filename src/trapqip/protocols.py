@@ -141,8 +141,7 @@ def trap_state(m: int, copies: int = 1, f: Permutation | None = None) -> StateVe
     return join_copies([answered_copy(m, f, 0, 1.0 / math.sqrt(1 << m))] * copies)
 
 
-@lru_cache(maxsize=64)
-def trap_verifier(f: Permutation) -> UnitaryOperator:
+def _build_trap_verifier(f: Permutation) -> UnitaryOperator:
     """Uncompute the honest trap response to all-zero on (query, answer, copy).
 
     Chain: XOR the query into the copy, XOR f(answer) into the query, then
@@ -163,6 +162,9 @@ def trap_verifier(f: Permutation) -> UnitaryOperator:
     # the Hadamards after the basis chain, as a column gather; kept dense
     # because the trap-branch p1 bytes come from this dense contraction
     return UnitaryOperator(lay, full[:, rows])
+
+
+trap_verifier = lru_cache(maxsize=64)(_build_trap_verifier)
 
 
 def trap_answer_state(r: Reduction, f: Permutation) -> StateVector:
@@ -273,8 +275,8 @@ def _honest_trap_accept(f: Permutation) -> float:
     """One honest copy's trap acceptance under f: the trap check on the
     one-copy honest trap response, computed once per permutation.  Its dense
     verifier is built outside trap_verifier's cache, so honest runs retain
-    none (2^(6m) entries each)."""
-    return _trap_branch(trap_state(f.m, 1, f), 1, trap_verifier.__wrapped__(f))
+    none (2^(6m) entries each), whatever wraps trap_verifier."""
+    return _trap_branch(trap_state(f.m, 1, f), 1, _build_trap_verifier(f))
 
 
 def _trap_accept(r: Reduction, f: Permutation, prover: Prover) -> float:

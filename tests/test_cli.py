@@ -1,10 +1,12 @@
 """Batch harness: configs in, deterministic records out, meaningful exit codes."""
 
+import configparser
 import csv
 import dataclasses
 import io
 import json
 import os
+import string
 import subprocess
 import sys
 import tracemalloc
@@ -12,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trapqip import cli, protocols, reductions
 
@@ -342,6 +346,78 @@ class TestRunConfig:
     def test_empty_distribution_is_unset(self, tmp_path):
         cfg, _ = cli._load_config(_write(tmp_path, "[run]\ndistribution =\n"), ("run", "sweep"))
         assert cli._run_config(cfg, None) == cli.RunConfig()
+
+
+_NAME_CHARS = string.ascii_letters + string.digits + "_-."
+# printable one-line values; % is excluded because ConfigParser interpolates it
+_VALUE_CHARS = "".join(ch for ch in string.printable if ch not in "%\n\r\x0b\x0c")
+
+
+@st.composite
+def _flat_configs(draw):
+    """A config inside the grammar, rendered with varied spacing, case and comments."""
+    names = draw(st.lists(st.text(_NAME_CHARS + " ", min_size=1, max_size=6), max_size=4, unique=True))
+    lines, sections = [], {}
+    for name in names:
+        if name == "DEFAULT":  # ConfigParser's defaults, refused here as an unread section
+            continue
+        keys = st.text(_NAME_CHARS, min_size=1, max_size=6).map(str.lower)
+        items = draw(st.dictionaries(keys, st.text(_VALUE_CHARS, max_size=10), max_size=4))
+        sections[name] = {key: value.strip() for key, value in items.items()}
+        lines.append(f"[{name}]")
+        for key, value in items.items():
+            spelled = "".join(draw(st.sampled_from([ch.lower(), ch.upper()])) for ch in key)
+            lines.append(spelled + draw(st.sampled_from(["=", " = ", "  =", "= ", "\t=\t"])) + value)
+            lines.append(draw(st.sampled_from(["", "   ", "# note", "; note", "  # indented note"])))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"])), sections
+
+
+class TestConfigGrammar:
+    """[section] headers and key = value lines, read literally."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(config=_flat_configs())
+    def test_matches_configparser_inside_the_grammar(self, config):
+        text, sections = config
+        reference = configparser.ConfigParser()
+        reference.read_string(text)
+        want = {name: dict(reference.items(name)) for name in reference.sections()}
+        assert want == sections
+        assert cli._read_sections(text, "job.cfg") == want
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("[run]\nm = 2\n[sweep]\nx = all\n[run]\nt = 3\n", 5),
+            ("[run]\nm = 2\n# comment\nM = 3\n", 4),
+            ("m = 2\n[run]\n", 1),
+            ("[run]\nm : 2\n", 2),
+            ("[run]\n= 2\n", 2),
+            ("[run]\nprover = classical:0,\n  1,2,3\n", 3),
+            ("[run]\n  m = 2\n", 2),
+        ],
+        ids=[
+            "repeated-section", "repeated-key", "key-before-section", "colon-delimiter", "empty-key",
+            "continuation-line", "indented-key",
+        ],
+    )
+    def test_malformed_line_refused(self, text, line, tmp_path, capsys):
+        dest = tmp_path / "never.out"
+        cfg = _write(tmp_path, text)
+        assert cli.main(["run", "--config", cfg, "--out", str(dest)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: malformed config {cfg}: line {line}: ")
+        assert not dest.exists()
+
+    @pytest.mark.parametrize("name", ["50%.txt", "100%%.txt"])
+    def test_percent_in_value_is_literal(self, name, tmp_path, capsys):
+        dist = tmp_path / name
+        dist.write_text("00 0.125\n01 0.375\n10 0.25\n11 0.25\n")
+        # L(x) = 0 at x = 0, so the honest p0 is 1 - amplified_error
+        text = f"[run]\nprotocol = 3\nm = 2\ns = 01\nbit = 0\neps = 0.1\nx = 0\ndistribution = {dist}\n"
+        code, out = _run(["run", "--config", _write(tmp_path, text)], capsys)
+        assert code == 0
+        rec = json.loads(out)
+        assert abs(rec["p0"] - (1 - rec["amplified_error"])) <= 1e-9
 
 
 class TestParserCache:

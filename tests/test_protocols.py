@@ -309,6 +309,20 @@ class TestHonestTrapMemo:
             assert len(checks) == 1 + call
         assert trap_verifier.cache_info().currsize == 1
 
+    def test_wrapped_verifier_cache_stays_empty(self, monkeypatch):
+        # a tracer's wrapper exposes the lru_cache object as __wrapped__
+        cache = protocols.trap_verifier
+
+        def traced(f):
+            return cache(f)
+
+        traced.__wrapped__ = cache
+        monkeypatch.setattr(protocols, "trap_verifier", traced)
+        protocols._honest_trap_accept.cache_clear()
+        cache.cache_clear()
+        run_protocol(build_xor_reduction(2, 1, 0), random_permutation(2, 7), 0, Prover.honest())
+        assert cache.cache_info().currsize == 0
+
 
 def _dense_projector(r, accept_output):
     """Reference acceptance projector W^dag M W from dense matrices: W is the
