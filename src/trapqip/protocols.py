@@ -16,16 +16,16 @@ decides the complement language; accept_output=1 flips the convention.
 
 After a copy's prep every verifier step is a basis map, so an honest copy's
 response lives on 2^m basis states, one per query.  Honest trap and
-classical runs are evaluated on that support and build no statevector; the
-statevector kernels run every cheat and every smooth run, and are the
-reference the honest values equal bit for bit.
+classical runs are evaluated on that support and build no statevector, and
+cheats outside the smooth engine on the verifier normal form (_normal_form);
+the statevector kernels run the smooth engine and are the reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -141,7 +141,7 @@ def trap_state(m: int, copies: int = 1, f: Permutation | None = None) -> StateVe
     return join_copies([answered_copy(m, f, 0, 1.0 / math.sqrt(1 << m))] * copies)
 
 
-def _build_trap_verifier(f: Permutation) -> UnitaryOperator:
+def trap_verifier(f: Permutation) -> UnitaryOperator:
     """Uncompute the honest trap response to all-zero on (query, answer, copy).
 
     Chain: XOR the query into the copy, XOR f(answer) into the query, then
@@ -160,11 +160,8 @@ def _build_trap_verifier(f: Permutation) -> UnitaryOperator:
     full = np.kron(np.eye(size), np.kron(core.hadamard_power(m), np.eye(size)))
     lay = layout(("query", m), ("answer", m), ("copy", m))
     # the Hadamards after the basis chain, as a column gather; kept dense
-    # because the trap-branch p1 bytes come from this dense contraction
+    # because the honest p1 bytes come from this dense contraction
     return UnitaryOperator(lay, full[:, rows])
-
-
-trap_verifier = lru_cache(maxsize=64)(_build_trap_verifier)
 
 
 def trap_answer_state(r: Reduction, f: Permutation) -> StateVector:
@@ -175,13 +172,67 @@ def trap_answer_state(r: Reduction, f: Permutation) -> StateVector:
 
 
 # ---------------------------------------------------------------------------
+# the verifier normal form, on which every cheat is scored
+
+
+def _response(state: StateVector) -> np.ndarray:
+    """An honest response as a square array: rows (queries, answers), columns (works, copies)."""
+    return state.amplitudes.reshape((1 << (state.layout.total_qubits // 2),) * 2)
+
+
+def _normal_form(r: Reduction, f: Permutation, x: int, accept_output: int):
+    """The verifier's side of r's t copies, fixed before the prover moves:
+    (a0, bits, block), with a0 (and t) as _response holds it.
+
+    P0 is held as the decider holds it: bits[i] is the t-bit pattern (copy 0
+    first) of each copy's language bit of answer ^ work on index i, block =
+    R^dag diag(mask) R, R the noise rotation on every out and mask the outs
+    whose majority is accept_output, and P0 joins index i with outs o to
+    index i with outs o' by block[bits[i] ^ o, bits[i] ^ o'].  The copy
+    erasure only permutes (query, copy), which nothing after it reads, so it
+    cancels in P0, and every other entry of P0 is zero.  A response has every
+    out = 0, so it meets only block[bits, bits], the majority-law weights.
+    """
+    m, t, low = r.m, r.copies, (1 << r.m) - 1
+    a0 = _response(honest_answer_state(r, f, x))
+    idx, bits = np.arange(a0.size), 0
+    for shift in range(m * (t - 1), -1, -m):  # copy 0 first within each register group
+        answer_work = (((idx >> (2 * m * t + shift)) & low) << m) | ((idx >> (m * t + shift)) & low)
+        bits = (bits << 1) | (decider_table(m, r.bit)[answer_work << 1] & 1)
+    rot = reduce(np.kron, [_rotation(r)] * t)
+    mask = ((majority_vote_table(t)[np.arange(1 << t) << 1] & 1) == accept_output).astype(float)
+    return a0, bits.reshape(a0.shape), rot.conj().T @ (mask[:, None] * rot)
+
+
+def _vdot(a: np.ndarray, b: np.ndarray) -> complex:
+    """np.vdot in chunks of 8192 entries: OpenBLAS threads a longer one, which moves its last bits."""
+    a, b = a.ravel(), b.ravel()
+    return sum(np.vdot(a[i : i + 8192], b[i : i + 8192]) for i in range(0, a.size, 8192))
+
+
+def _cheat_p0(v: np.ndarray, a0: np.ndarray, weights: np.ndarray) -> tuple[float, np.ndarray]:
+    """A cheat v's computation-branch acceptance, sum of w |v a0|^2 with w =
+    block[bits, bits].real (see _normal_form), and w o v a0 for the gradient."""
+    b0 = (v @ a0).reshape(-1, *a0.shape)
+    wb0 = weights * b0
+    return float(_vdot(b0, wb0).real), wb0
+
+
+def _cheat_overlap(v: np.ndarray, response: np.ndarray) -> tuple[float, np.ndarray]:
+    """Sum over private values of |<response|v response>|^2, and the overlaps:
+    on t = V^dagger|0> the trap branch's acceptance, on a0 its overlap."""
+    amp = np.einsum("kij,ij->k", (v @ response).reshape(-1, *response.shape), response.conj())
+    return float(_vdot(amp, amp).real), amp
+
+
+# ---------------------------------------------------------------------------
 # the protocol engine
 
 
 def _apply_prover_stage(state: StateVector, prover: Prover) -> StateVector:
-    """A cheat's isometry on an honest response's messages, which lead every
-    engine layout; its private register joins as the most significant.  Any
-    other prover leaves the response as it is."""
+    """A cheat's isometry on an honest response's messages, which lead the
+    smooth engine's layout; its private register joins as the most
+    significant.  Any other prover leaves the response as it is."""
     if prover.kind != PROVER_UNITARY:
         return state
     lay = state.layout
@@ -202,8 +253,8 @@ def _honest_copy_prob(r: Reduction, f: Permutation, x: int, out: int) -> float:
     sits at |q, f^-1(q), q ^ x, 0>; the decider writes bit_q, the language
     bit of f^-1(q) ^ q ^ x, into out, so out = o has amplitude rot[o, bit_q]
     a_q.  The squares go to their statevector positions in a zero array of
-    2^(4m) entries, so np.sum pairs them as _computation_branch on
-    honest_answer_state does, and the value is the same bit for bit.
+    2^(4m) entries, so np.sum pairs them as measure_probability does on the
+    decided honest_answer_state, and the value is the same bit for bit.
     """
     m = r.m
     q = np.arange(1 << m)
@@ -229,19 +280,10 @@ def _decide(state: StateVector, r: Reduction, accept_output: int) -> float:
     return core.measure_probability(state, {final: accept_output})
 
 
-def _computation_branch(state: StateVector, r: Reduction, accept_output: int) -> float:
-    xor = register_xor_table(r.m)
-    for regs in copy_register_names(r.copies):
-        state = core.apply_basis_permutation(state, xor, [regs["query"], regs["copy"]])
-    return _decide(state, r, accept_output)
-
-
-def _trap_branch(state: StateVector, copies: int, verifier: UnitaryOperator) -> float:
-    names = copy_register_names(copies)
-    for regs in names:
-        state = core.apply_on_registers(state, verifier, [regs["query"], regs["answer"], regs["copy"]])
-    zeros = {name: 0 for regs in names for name in regs.values()}
-    return core.measure_probability(state, zeros)
+def _trap_branch(state: StateVector, verifier: UnitaryOperator) -> float:
+    """The dense trap check of one copy: the verifier, then all registers zero."""
+    state = core.apply_on_registers(state, verifier, ["query", "answer", "copy"])
+    return core.measure_probability(state, {name: 0 for name in state.layout.names})
 
 
 def _majority_accept(one_probs, copies: int, accept_output: int) -> float:
@@ -272,22 +314,17 @@ def _per_distinct_copy(r: Reduction, simulate) -> list:
 
 @lru_cache(maxsize=64)
 def _honest_trap_accept(f: Permutation) -> float:
-    """One honest copy's trap acceptance under f: the trap check on the
-    one-copy honest trap response, computed once per permutation.  Its dense
-    verifier is built outside trap_verifier's cache, so honest runs retain
-    none (2^(6m) entries each), whatever wraps trap_verifier."""
-    return _trap_branch(trap_state(f.m, 1, f), 1, _build_trap_verifier(f))
+    """One honest copy's trap acceptance under f: the dense trap check on the
+    one-copy honest trap response, computed once per permutation."""
+    return _trap_branch(trap_state(f.m, 1, f), trap_verifier(f))
 
 
 def _trap_accept(r: Reduction, f: Permutation, prover: Prover) -> float:
-    """Trap-branch acceptance over all of r's copies: the prover stage on the
-    honest trap response t, then the trap check.  It depends on m, f and the
-    prover alone: an honest prover's copies multiply one copy's value, taken
-    once per permutation from _honest_trap_accept, and a cheat runs the check
-    on every call."""
+    """Trap-branch acceptance over all of r's copies, which depends on m, f and the prover
+    alone: an honest prover's copies multiply one copy's memo, a cheat's is _cheat_overlap on t."""
     if prover.kind == PROVER_HONEST:
         return math.prod([_honest_trap_accept(f)] * r.copies)
-    return _trap_branch(_apply_prover_stage(trap_answer_state(r, f), prover), r.copies, trap_verifier(f))
+    return _cheat_overlap(prover.isometry, _response(trap_answer_state(r, f)))[0]
 
 
 def _header(protocol: str, prover: Prover, m: int, copies: int, accept_output: int, seed: int | None = None) -> dict:
@@ -304,27 +341,25 @@ def footprint(entry: str, r: Reduction, cheat: int | None = None) -> int:
     entry is "trap", "smooth", "classical", "overlap", "ceiling" or "search";
     cheat is the private width of the prover's isometry, None when it has none.
     Smaller objects (preps, flag rotations) are dominated; the vote is a
-    basis table on the state, not a dense operator.  A cheat's isometry holds
-    2^(p + 4mk) entries, no more than the post-prover state it makes.
+    basis table on the state, not a dense operator.  A cheat scored on the
+    normal form builds its isometry and its image of a response, 2^(p + 4mk).
     """
     m, k, p = r.m, r.copies, cheat or 0
     if entry == "classical":
         widths = [3 * m]  # (query, answer, work) before the query is read
     elif entry in ("ceiling", "search"):
-        # p + 4m states.  2(4m + 1) counts a dense projector on (query,
-        # answer, work, copy, out), wider than anything these entries build:
-        # they hold it as the normal form's bit table and 2x2 block.  It
-        # stays the rule because it keeps the CLI's upper_bound at m <= 2,
-        # and the pinned protocol-1 m = 3 records hold no ceiling; widening
-        # it waits for a deliberate re-pin of them.
+        # p + 4m states.  2(4m + 1) counts a dense projector that nothing
+        # builds; it keeps the CLI's upper_bound at m <= 2, since the pinned
+        # protocol-1 m = 3 records hold no ceiling, until a re-pin of them.
         widths = [2 * (4 * m + 1), p + 4 * m]
+    elif cheat is None and entry != "overlap":
+        # honest runs go once per distinct copy, with its out (or resampling
+        # flag); the honest memo's trap verifier is dense on 3m
+        widths = [4 * m + 1, 6 * m]
+    elif entry == "smooth":
+        widths = [p + 4 * m * k + k + (k > 1)]  # a cheat's statevector, outs and vote
     else:
-        # honest multi-copy trap and smooth runs go once per distinct copy; outs
-        # and vote (or a resampling flag) join the state; the trap verifier is
-        # dense on 3m
-        groups = 1 if cheat is None and entry != "overlap" else k
-        state = p + 4 * m * groups
-        widths = [state] if entry == "overlap" else [state + groups + (groups > 1), 6 * m]
+        widths = [p + 4 * m * k]  # the normal-form scorer
     return max(widths)
 
 
@@ -383,9 +418,8 @@ def run_protocol(r: Reduction, f: Permutation, x: int, prover: Prover, accept_ou
     decider.  An honest prover builds no state: each distinct copy (one per
     distinct table) is evaluated on its 2^m-entry support, the copies
     combine by the exact majority law, and the trap branch is the memoised
-    honest value.  A cheat runs on the full grouped statevector, within the
-    qubit cap; that path is also the reference the honest values match bit
-    for bit.
+    honest value.  A cheat acts on all copies' messages at once and is
+    scored on their normal form, p0 by _cheat_p0 and p1 by _trap_accept.
     """
     _check_instance("trap", r, f, x, accept_output, prover)
     metadata = _header("trap", prover, r.m, r.copies, accept_output)
@@ -398,7 +432,8 @@ def run_protocol(r: Reduction, f: Permutation, x: int, prover: Prover, accept_ou
     elif prover.kind == PROVER_HONEST:
         p0 = _honest_copy_prob(r, f, x, accept_output)
     else:
-        p0 = _computation_branch(_apply_prover_stage(honest_answer_state(r, f, x), prover), r, accept_output)
+        a0, bits, block = _normal_form(r, f, x, accept_output)
+        p0 = _cheat_p0(prover.isometry, a0, block[bits, bits].real)[0]
     return ProtocolResult(p0=float(p0), p1=float(_trap_accept(r, f, prover)), metadata=metadata)
 
 
@@ -619,29 +654,6 @@ class CheatBound:
     sin_sq: float
 
 
-def _normal_form(r: Reduction, f: Permutation, x: int, accept_output: int):
-    """The verifier's side of a single copy, fixed before the prover moves:
-    (a0, bits, block).
-
-    a0 is the honest response as a (msg, msg) array, msg = 2^(2m): rows
-    (query, answer), columns (work, copy).  The honest trap response t, which
-    only the search reads, is trap_answer_state in the same shape.
-    The acceptance projector P0 is held as the decider holds it: bits[i] is
-    the decider's out on index i with out = 0 (the language bit of answer ^
-    work), and block = rot^dag diag(mask) rot; P0 joins index i with out = o
-    to index i with out = o' by block[bits[i] ^ o, bits[i] ^ o'].  The copy
-    erasure only permutes (query, copy), which nothing after it reads, so it
-    cancels in P0, and every other entry of P0 is zero.
-    """
-    msg = 1 << (2 * r.m)
-    a0 = honest_answer_state(r, f, x).amplitudes.reshape(msg, msg)
-    answer_work = (np.arange(msg * msg) >> r.m) & (msg - 1)
-    bits = (decider_table(r.m, r.bit)[answer_work << 1] & 1).reshape(msg, msg)
-    rot = _rotation(r)
-    mask = np.array([accept_output == 0, accept_output == 1], dtype=float)
-    return a0, bits, rot.conj().T @ (mask[:, None] * rot)
-
-
 def _ceiling(a0: np.ndarray, bits: np.ndarray, block: np.ndarray) -> CheatBound:
     """(1 + sin theta)/2 from the normal form, with its eigen-oracle cross-check.
 
@@ -680,20 +692,16 @@ def cheat_upper_bound(r: Reduction, f: Permutation, x: int, accept_output: int =
 
 
 def branch_overlap_pair(r: Reduction, f: Permutation, x: int, prover: Prover) -> tuple[float, float]:
-    """Overlap of each branch, the prover stage on its honest response (a0 or
-    t, each built once), with that response.
+    """Overlap of each branch's honest response (a0 or t, each built once)
+    with the prover's image of it (see _cheat_overlap), the identity's if honest.
 
     The two values agree for uniform-query reductions whatever the cheat does;
     their common deficit is what the trap branch charges the prover.
     """
     _check_instance("overlap", r, f, x, prover=prover)
-    out = []
-    for honest in (honest_answer_state(r, f, x), trap_answer_state(r, f)):
-        amps = _apply_prover_stage(honest, prover).amplitudes
-        # <honest| on the message registers; the private register, if any,
-        # is the most significant, so each row is one of its basis values
-        out.append(float(np.linalg.norm(amps.reshape(-1, honest.dim) @ honest.amplitudes.conj()) ** 2))
-    return out[0], out[1]
+    a0, t = _response(honest_answer_state(r, f, x)), _response(trap_answer_state(r, f))
+    v = np.eye(len(a0)) if prover.kind == PROVER_HONEST else prover.isometry
+    return _cheat_overlap(v, a0)[0], _cheat_overlap(v, t)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -706,27 +714,19 @@ CLIMB_TOL = 1e-12
 
 
 def _search_context(a0: np.ndarray, t: np.ndarray, bits: np.ndarray, block: np.ndarray):
-    """The search objective of the normal form (see _normal_form) on v =
-    u[:, :2^(2m)], the only columns of a cheat u that the branches reach,
-    since the private register starts at zero.
-
-    Rows of v @ a0 and v @ t are indexed by (prover, query, answer), columns
-    by (work, copy).  p0 is |v a0|^2 against P0's real out = 0 weights w =
-    block[bits, bits]; p1 sums |amp|^2 over private values, amp being each
-    value's overlap with the honest trap response t = V^dagger|0>.
-    Returns v -> (score, G): score = (p0 + p1)/2 and its gradient in conj(v),
-    G = [(w o v a0) a0^dagger + (amp o t) t^dagger]/2.
+    """The search objective on v = u[:, :2^(2m)], the columns of a cheat u that
+    a zero private register reaches: v -> (score, G), the engine's (p0 + p1)/2
+    (_cheat_p0, _cheat_overlap on t) and its gradient in conj(v),
+    G = [(w o v a0) a0^dagger + (amp o t) t^dagger]/2, amp the overlaps with t.
     """
     msg = a0.shape[0]
     weights = block[bits, bits].real
 
     def objective(v: np.ndarray) -> tuple[float, np.ndarray]:
-        b0 = (v @ a0).reshape(-1, msg, msg)
-        wb0 = weights * b0
-        amp = np.einsum("kij,ij->k", (v @ t).reshape(-1, msg, msg), t.conj())
-        score = (np.vdot(b0, wb0).real + np.vdot(amp, amp).real) / 2.0
+        p0, wb0 = _cheat_p0(v, a0, weights)
+        p1, amp = _cheat_overlap(v, t)
         grad = (wb0.reshape(-1, msg) @ a0.conj().T + (amp[:, None, None] * t).reshape(-1, msg) @ t.conj().T) / 2.0
-        return float(score), grad
+        return (p0 + p1) / 2.0, grad
 
     return objective
 
@@ -784,8 +784,8 @@ def prover_search(
         raise ValueError(f"iters = {iters} must be >= 0")
     _check_instance("search", r, f, x, accept_output, cheat=p_qubits)
     a0, bits, block = _normal_form(r, f, x, accept_output)
-    dim, msg = 1 << (p_qubits + 2 * r.m), 1 << (2 * r.m)
-    objective = _search_context(a0, trap_answer_state(r, f).amplitudes.reshape(msg, msg), bits, block)
+    dim, msg = 1 << (p_qubits + 2 * r.m), len(a0)
+    objective = _search_context(a0, _response(trap_answer_state(r, f)), bits, block)
     rng = np.random.default_rng(seed)
     best, best_score = _climb(objective, np.eye(dim, msg, dtype=np.complex128), min(iters, RESTART_EVERY - 1))
     for start in range(RESTART_EVERY, iters + 1, RESTART_EVERY):

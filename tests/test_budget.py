@@ -29,7 +29,6 @@ from trapqip.protocols import (
     run_classical_query_protocol,
     run_protocol,
     run_smooth_protocol,
-    trap_verifier,
 )
 from trapqip.reductions import (
     DistributionTable,
@@ -92,7 +91,6 @@ def _check_footprint(entry, m, t, cheat, cap) -> bool:
     label = f"{entry} m={m} t={t} cheat={cheat} cap={cap}: footprint {need}"
     refused = None
     with mock.patch.dict(os.environ, {"TRAPQIP_MAX_QUBITS": str(cap)}):
-        trap_verifier.cache_clear()
         _honest_trap_accept.cache_clear()
         tracemalloc.start()
         try:
@@ -108,7 +106,6 @@ def _check_footprint(entry, m, t, cheat, cap) -> bool:
         finally:
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
-            trap_verifier.cache_clear()
             _honest_trap_accept.cache_clear()
     if need > cap:
         assert refused is not None, f"{label}: ran over the cap"
@@ -148,7 +145,8 @@ def test_footprint_holds_for_caps_near_it(data):
 
 
 def test_default_cap_limits():
-    """At the default cap: ceiling m <= 2, trap runs m <= 3, classical m = 4."""
+    """At the default cap: ceiling m <= 2, honest trap runs m <= 3, cheats and
+    classical runs m = 4."""
     assert qubit_cap() == 18
 
     def fits(entry, m, t=1, cheat=None):
@@ -160,9 +158,11 @@ def test_default_cap_limits():
     assert fits("classical", 4)
     # an entangling cheat runs every copy at once
     assert fits("trap", 1, t=3, cheat=2) and not fits("trap", 2, t=3, cheat=0)
-    # a cheat is an isometry no larger than the state it makes
+    # a cheat is scored on the normal form: its isometry and its image, p + 4mt
     assert fits("search", 2, cheat=10) and not fits("search", 2, cheat=11)
-    assert fits("trap", 2, cheat=9) and not fits("trap", 2, cheat=10)
+    assert fits("trap", 2, cheat=10) and not fits("trap", 2, cheat=11)
+    # the honest memo's trap verifier is dense on 6m qubits; a cheat builds none
+    assert fits("trap", 4, cheat=2) and not fits("trap", 4)
 
 
 @pytest.mark.parametrize("build", ["density", "trace_distance", "random_channel"])

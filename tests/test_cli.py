@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trapqip import cli, protocols, reductions
+from trapqip.sampling import haar_unitary
 
 
 def _run(argv, capsys):
@@ -102,9 +103,9 @@ class TestRun:
         assert peak < 1 << 20
 
     def test_identity_cheat_private_width_is_budgeted(self, tmp_path, capsys):
-        # p_qubits = 14 widens the post-prover state to 18 qubits, 19 with the
-        # out qubit; the footprint refuses it before the isometry is built
-        cfg = _write(tmp_path, "[run]\nm = 1\ns = 1\nprover = identity\np_qubits = 14\n")
+        # p_qubits = 15 makes a 19-qubit isometry; the footprint refuses it
+        # before the isometry is built
+        cfg = _write(tmp_path, "[run]\nm = 1\ns = 1\nprover = identity\np_qubits = 15\n")
         tracemalloc.start()
         try:
             code = cli.main(["run", "--config", cfg])
@@ -116,8 +117,8 @@ class TestRun:
         assert peak < 1 << 20
 
     def test_search_private_width_is_budgeted(self, tmp_path, capsys):
-        # the searched cheat runs on a 10 + 8 + 1-qubit trap state, over the cap
-        text = "[run]\nm = 2\ns = 01\neps = 0.25\nx = 2\nprover = search\np_qubits = 10\niters = 300\n"
+        # the searched cheat is an 11 + 8-qubit isometry, over the cap
+        text = "[run]\nm = 2\ns = 01\neps = 0.25\nx = 2\nprover = search\np_qubits = 11\niters = 300\n"
         tracemalloc.start()
         try:
             code = cli.main(["run", "--config", _write(tmp_path, text)])
@@ -440,17 +441,42 @@ class TestParserCache:
         assert json.loads(last[1])["seed"] == 3
 
 
-def _record_in_subprocess(config: str, blas_threads: int, tmp_path) -> bytes:
+def _blas_env(blas_threads: int) -> dict:
     env = dict(os.environ)
     for var in ("OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env.pop(var, None)
     env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
     src = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _record_in_subprocess(config: str, blas_threads: int, tmp_path) -> bytes:
     dest = tmp_path / f"rec-{blas_threads}.json"
     argv = [sys.executable, "-m", "trapqip.cli", "run", "--config", _write(tmp_path, config), "--out", str(dest)]
-    subprocess.run(argv, env=env, check=True, timeout=120)
+    subprocess.run(argv, env=_blas_env(blas_threads), check=True, timeout=120)
     return dest.read_bytes()
+
+
+# Every value of m = 1, t = 3 cheats with p = 1 and 2, printed as bytes:
+# run_protocol's p0 at both accept_output values and p1, and the two branch
+# overlaps.  At p = 2 the p0 sum runs over 2^14 entries, more than OpenBLAS
+# keeps on one thread.
+CHEAT_VALUES = """
+import sys
+import numpy as np
+from trapqip.oracles import xor_shift_permutation
+from trapqip.protocols import Prover, branch_overlap_pair, run_protocol
+from trapqip.reductions import add_noise, amplify, build_xor_reduction
+
+r = amplify(add_noise(build_xor_reduction(1, 1, 0), 0.1), 3)
+f = xor_shift_permutation(1, 1)
+for p, path in enumerate(sys.argv[1:], start=1):
+    prover = Prover.unitary_cheat(np.load(path), p)
+    for x in (0, 1):
+        values = [run_protocol(r, f, x, prover, accept_output=a) for a in (0, 1)]
+        print(repr([values[0].p0, values[1].p0, values[0].p1, *branch_overlap_pair(r, f, x, prover)]))
+"""
 
 
 class TestBlasThreads:
@@ -468,6 +494,21 @@ class TestBlasThreads:
     )
     def test_record_bytes_independent_of_blas_threads(self, config, tmp_path):
         assert _record_in_subprocess(config, 1, tmp_path) == _record_in_subprocess(config, 2, tmp_path)
+
+    def test_multi_copy_cheat_bytes_independent_of_blas_threads(self, tmp_path):
+        # the isometries are drawn once and loaded by both runs, since a Haar
+        # draw's QR itself depends on the thread count
+        rng = np.random.default_rng(5)
+        paths = [str(tmp_path / f"cheat{p}.npy") for p in (1, 2)]
+        for p, path in zip((1, 2), paths):
+            np.save(path, haar_unitary(64 << p, rng)[:, :64])
+
+        def values(blas_threads):
+            argv = [sys.executable, "-c", CHEAT_VALUES, *paths]
+            done = subprocess.run(argv, env=_blas_env(blas_threads), check=True, timeout=120, capture_output=True)
+            return done.stdout
+
+        assert values(1) == values(2)
 
 
 # Exact `trapqip run` output for fixed configs: any change to the arithmetic
@@ -695,7 +736,6 @@ class TestSweep:
             for x in range(8):
                 point = _write(tmp_path, head + f"t = {t}\nx = {x}\n", name="point.cfg")
                 protocols._honest_trap_accept.cache_clear()
-                protocols.trap_verifier.cache_clear()
                 reductions._uniform_table.cache_clear()
                 _, out = _run(["run", "--config", point, "--format", "csv"], capsys)
                 (row,) = csv.DictReader(io.StringIO(out))

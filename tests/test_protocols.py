@@ -1,6 +1,9 @@
 """Protocol engine tests: completeness, trap checks, cheating ceilings."""
 
+import gc
+import weakref
 from dataclasses import replace
+from functools import lru_cache
 from unittest import mock
 
 import numpy as np
@@ -27,7 +30,6 @@ from trapqip.oracles import inversion_table, random_permutation, xor_shift_permu
 from trapqip.protocols import (
     ProtocolResult,
     Prover,
-    _computation_branch,
     _copy_slice,
     _majority_accept,
     _pre_copy_state,
@@ -56,8 +58,12 @@ from trapqip.reductions import (
     generate_query_state,
     honest_answer_state,
     majority_error,
+    register_xor_table,
 )
 from trapqip.sampling import haar_unitary
+
+# the dense trap verifier, built once per permutation for the references below
+_dense_verifier = lru_cache(maxsize=16)(trap_verifier)
 
 
 def _yes_instance(m, s, bit):
@@ -171,31 +177,95 @@ def _dense_prover_stage(u, p, copies):
     return stage
 
 
+def _computation_branch(state, r, accept_output):
+    """The computation branch on the statevector kernels: erase every copy
+    register, then run the deciders and the vote of protocols._decide."""
+    for regs in copy_register_names(r.copies):
+        state = apply_basis_permutation(state, register_xor_table(r.m), [regs["query"], regs["copy"]])
+    return protocols._decide(state, r, accept_output)
+
+
+def _cheat_reference(r, f, x, u, p):
+    """A cheat's values on the statevector kernels through its dense unitary
+    u: p0 at accept_output 0 and 1, p1, and the two branch overlaps.  The
+    trap check runs the dense verifier on every copy, then reads every
+    register but the private one at zero."""
+    stage = _dense_prover_stage(u, p, r.copies)
+    responses = (honest_answer_state(r, f, x), trap_answer_state(r, f))
+    comp, trap = (stage(honest, None) for honest in responses)
+    # the private register is the most significant, so each row is one of its values
+    overlaps = [
+        np.linalg.norm(out.amplitudes.reshape(-1, honest.dim) @ honest.amplitudes.conj()) ** 2
+        for out, honest in zip((comp, trap), responses)
+    ]
+    names = copy_register_names(r.copies)
+    for regs in names:
+        trap = apply_on_registers(trap, _dense_verifier(f), [regs["query"], regs["answer"], regs["copy"]])
+    p1 = measure_probability(trap, {name: 0 for regs in names for name in regs.values()})
+    return [_computation_branch(comp, r, 0), _computation_branch(comp, r, 1), p1, *overlaps]
+
+
+def _unitary_completion(v):
+    """A unitary whose first columns are the isometry v, completed by an
+    orthonormal basis of the complement of its range."""
+    k = v.shape[1]
+    vh = np.linalg.svd(v.conj().T)[2]
+    return np.hstack([v, vh[k:].conj().T])
+
+
 class TestIsometryStage:
-    """Engines on a cheat's isometry against the dense unitary route."""
+    """Every cheat value against the dense unitary route on the statevector kernels."""
 
     @pytest.mark.parametrize(
         "m, t, p",
-        [(1, 1, p) for p in range(4)] + [(2, 1, p) for p in range(4)] + [(1, 3, 1)],
+        [(m, 1, p) for m in (1, 2) for p in range(4)] + [(3, 1, p) for p in range(3)] + [(1, 3, p) for p in range(3)],
     )
     def test_engines_match_dense_unitary_route(self, m, t, p, monkeypatch):
         rng = np.random.default_rng(40 + 8 * m + p)
-        f = random_permutation(m, 5)
-        raw = np.linspace(0.5, 1.5, 1 << m)
-        trap = amplify(add_noise(build_xor_reduction(m, 1, 0), 0.25), t)
-        smooth = amplify(add_noise(build_smooth_xor_reduction(m, 1, 0, DistributionTable(m, raw / raw.sum())), 0.1), t)
+        perms = [xor_shift_permutation(m, 1), random_permutation(m, 5)]
         u = haar_unitary(1 << (p + 2 * m * t), rng)
         prover = Prover.unitary_cheat(u, prover_qubits=p)
         assert prover.isometry.shape == (1 << (p + 2 * m * t), 1 << (2 * m * t))
+        worst = 0.0
+        for eps in (0.0, 0.1, 0.25):
+            base = build_xor_reduction(m, 1, 0)
+            r = amplify(add_noise(base, eps) if eps else base, t)
+            for f in perms:
+                for x in range(1 << m):
+                    want = _cheat_reference(r, f, x, u, p)
+                    overlaps = branch_overlap_pair(r, f, x, prover)
+                    for accept_output in (0, 1):
+                        res = run_protocol(r, f, x, prover, accept_output=accept_output)
+                        got = [res.p0, res.p1, *overlaps]
+                        worst = max(worst, np.abs(np.subtract(got, [want[accept_output], *want[2:]])).max())
+        assert worst <= 1e-12
+        # the smooth engine still runs the prover stage on the statevector
+        raw = np.linspace(0.5, 1.5, 1 << m)
+        smooth = amplify(add_noise(build_smooth_xor_reduction(m, 1, 0, DistributionTable(m, raw / raw.sum())), 0.1), t)
 
-        def both(x):
-            a, b = run_protocol(trap, f, x, prover), run_smooth_protocol(smooth, f, x, prover, seed=2)
-            return [a.p0, a.p1, b.p0, b.p1, *branch_overlap_pair(trap, f, x, prover)]
+        def smooth_p0():
+            return [run_smooth_protocol(smooth, perms[1], x, prover, seed=2).p0 for x in range(1 << m)]
 
-        fast = [both(x) for x in range(1 << m)]
+        fast = smooth_p0()
         monkeypatch.setattr(protocols, "_apply_prover_stage", _dense_prover_stage(u, p, t))
-        dense = [both(x) for x in range(1 << m)]
-        assert np.abs(np.array(fast) - np.array(dense)).max() <= 1e-12
+        assert np.abs(np.array(fast) - np.array(smooth_p0())).max() <= 1e-12
+
+    @pytest.mark.parametrize("m, t", [(1, 1), (1, 3), (4, 1)])
+    def test_identity_cheat_scores_honest_closed_form(self, m, t):
+        f = xor_shift_permutation(m, 1)
+        msg = 1 << (2 * m * t)
+        for p in range(3):
+            prover = Prover.unitary_cheat(np.eye(msg << p, msg), p)
+            for eps in (0.0, 0.1, 0.25):
+                base = build_xor_reduction(m, 1, 0)
+                r = amplify(add_noise(base, eps) if eps else base, t)
+                # one input per language side keeps m = 4 small
+                for x in (0, (1 << m) - 1):
+                    for accept_output in (0, 1):
+                        res = run_protocol(r, f, x, prover, accept_output=accept_output)
+                        want = 1.0 - r.epsilon if r.language(x) == accept_output else r.epsilon
+                        assert abs(res.p0 - want) <= 1e-12
+                        assert abs(res.p1 - 1.0) <= 1e-12
 
 
 def _never(*args, **kwargs):
@@ -235,13 +305,15 @@ class TestHonestResponsesBuiltOnce:
             protocols._honest_trap_accept.cache_clear()
             accepts = _counting(monkeypatch, protocols, "_trap_accept")
             checks = _counting(monkeypatch, protocols, "_trap_branch")
+            overlaps = _counting(monkeypatch, protocols, "_cheat_overlap")
             got = engine(r, f, 0, prover)
             monkeypatch.undo()
             assert (got.p0, got.p1, repr(got.metadata)) == (want.p0, want.p1, repr(want.metadata))
-            # one call on the full reduction, and the trap check runs once:
-            # an honest one on one copy, through the cold memo
+            # one call on the full reduction, and the trap branch is scored
+            # once: an honest check on one copy through the cold memo, or a
+            # cheat's overlap with t on the normal form
             assert [args[0] for args in accepts] == [r]
-            assert len(checks) == 1
+            assert (len(checks), len(overlaps)) == ((0, 1) if cheat else (1, 0))
 
 
 class TestHonestTrapMemo:
@@ -258,12 +330,12 @@ class TestHonestTrapMemo:
         for f in perms:
             got = protocols._honest_trap_accept(f)
             # every honest check reads the same value, so also check what it ran on
-            [(state, copies, verifier)] = checks
+            [(state, verifier)] = checks
             checks.clear()
             assert np.array_equal(state.amplitudes, trap_answer_state(r, f).amplitudes)
-            assert (copies, state.layout) == (1, trap_answer_state(r, f).layout)
-            assert np.array_equal(verifier.matrix, trap_verifier(f).matrix)
-            assert got == _trap_branch(trap_answer_state(r, f), 1, trap_verifier(f))
+            assert state.layout == trap_answer_state(r, f).layout
+            assert np.array_equal(verifier.matrix, _dense_verifier(f).matrix)
+            assert got == _trap_branch(trap_answer_state(r, f), _dense_verifier(f))
 
     def test_honest_p1_matches_cold_runs(self):
         m = 2
@@ -294,34 +366,35 @@ class TestHonestTrapMemo:
         m = 2
         f = random_permutation(m, 6)
         r = add_noise(build_xor_reduction(m, 1, 0), 0.1)
-        smooth = amplify(build_smooth_xor_reduction(m, 1, 0, _smooth_tables(m)[1]), 3)
+        smooth = build_smooth_xor_reduction(m, 1, 0, _smooth_tables(m)[1])
         cheat = Prover.unitary_cheat(haar_unitary(1 << (2 * m), np.random.default_rng(6)))
         protocols._honest_trap_accept.cache_clear()
-        trap_verifier.cache_clear()
         checks = _counting(monkeypatch, protocols, "_trap_branch")
+        built = _counting(monkeypatch, protocols, "trap_verifier")
         run_protocol(r, f, 0, Prover.honest())
-        run_smooth_protocol(smooth, f, 1, Prover.honest())
-        assert len(checks) == 1
-        # the honest check keeps no dense verifier; a cheat's run caches one
-        assert trap_verifier.cache_info().currsize == 0
-        for call in range(1, 4):
+        run_smooth_protocol(amplify(smooth, 3), f, 1, Prover.honest())
+        assert len(checks) == len(built) == 1
+        # a cheat is scored on the normal form: no dense check, no verifier
+        for _ in range(3):
             run_protocol(r, f, 0, cheat)
-            assert len(checks) == 1 + call
-        assert trap_verifier.cache_info().currsize == 1
+            run_smooth_protocol(smooth, f, 1, cheat)
+        assert len(checks) == len(built) == 1
 
     def test_wrapped_verifier_cache_stays_empty(self, monkeypatch):
-        # a tracer's wrapper exposes the lru_cache object as __wrapped__
-        cache = protocols.trap_verifier
+        # whatever wraps trap_verifier, as a tracer does, an honest run keeps
+        # no dense verifier once its memo has its value
+        made = []
 
         def traced(f):
-            return cache(f)
+            verifier = trap_verifier(f)
+            made.append(weakref.ref(verifier))
+            return verifier
 
-        traced.__wrapped__ = cache
         monkeypatch.setattr(protocols, "trap_verifier", traced)
         protocols._honest_trap_accept.cache_clear()
-        cache.cache_clear()
         run_protocol(build_xor_reduction(2, 1, 0), random_permutation(2, 7), 0, Prover.honest())
-        assert cache.cache_info().currsize == 0
+        gc.collect()
+        assert len(made) == 1 and made[0]() is None
 
 
 def _dense_projector(r, accept_output):
@@ -534,6 +607,9 @@ class TestProverSearch:
             prover, value = prover_search(r, f, x, p, iters, seed=seed, accept_output=accept_output)
         engine = run_protocol(r, f, x, prover, accept_output=accept_output)
         assert abs(value - engine.accept_prob) <= 1e-12
+        # the search and the engine share one scorer, so both answer to the kernels
+        want = _cheat_reference(r, f, x, _unitary_completion(prover.isometry), p)
+        assert abs(value - (want[accept_output] + want[2]) / 2.0) <= 1e-12
 
     def test_non_uniform_queries_rejected(self):
         table = DistributionTable(2, (0.5, 0.25, 0.125, 0.125))
@@ -592,7 +668,7 @@ def _per_copy_reference(r, f, x, accept_output):
     for i in range(r.copies):
         single = _copy_slice(r, i)
         ones.append(_computation_branch(answer_queries(generate_query_state(single, x), f, 1), single, 1))
-        trap_ok *= _trap_branch(answer_queries(trap_state(r.m), f, 1), 1, trap_verifier(f))
+        trap_ok *= _trap_branch(answer_queries(trap_state(r.m), f, 1), _dense_verifier(f))
     if r.copies == 1:
         return _computation_branch(answer_queries(generate_query_state(r, x), f, 1), r, accept_output), trap_ok, ones
     return _majority_accept(ones, r.copies, accept_output), trap_ok, ones
