@@ -17,8 +17,8 @@ decides the complement language; accept_output=1 flips the convention.
 After a copy's prep every verifier step is a basis map, so an honest copy's
 response lives on 2^m basis states, one per query.  Honest trap and
 classical runs are evaluated on that support and build no statevector, and
-cheats outside the smooth engine on the verifier normal form (_normal_form);
-the statevector kernels run the smooth engine and are the reference.
+every cheat on the verifier normal form (_normal_form); the statevector
+kernels run the smooth engine's resampling and honest copies.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .reductions import (
     answered_copy,
     apply_decider,
     apply_generator,
-    copy_register_names,
     decider_table,
     honest_answer_state,
     join_copies,
@@ -229,18 +228,6 @@ def _cheat_overlap(v: np.ndarray, response: np.ndarray) -> tuple[float, np.ndarr
 # the protocol engine
 
 
-def _apply_prover_stage(state: StateVector, prover: Prover) -> StateVector:
-    """A cheat's isometry on an honest response's messages, which lead the
-    smooth engine's layout; its private register joins as the most
-    significant.  Any other prover leaves the response as it is."""
-    if prover.kind != PROVER_UNITARY:
-        return state
-    lay = state.layout
-    if prover.prover_qubits:
-        lay = layout(("prover", prover.prover_qubits), *lay.registers)
-    return StateVector(lay, prover.isometry @ state.amplitudes.reshape(prover.isometry.shape[1], -1))
-
-
 def _rotation(r: Reduction) -> np.ndarray:
     """The decider's noise on out as a 2x2 matrix, the identity when there is none."""
     return np.eye(2) if r.noise is None else r.noise.matrix
@@ -264,20 +251,6 @@ def _honest_copy_prob(r: Reduction, f: Permutation, x: int, out: int) -> float:
     probs = np.zeros(1 << (4 * m))
     probs[((q << (2 * m)) | answer_work) << m] = np.abs(amps) ** 2
     return float(np.sum(probs))
-
-
-def _decide(state: StateVector, r: Reduction, accept_output: int) -> float:
-    """Adjoin an out qubit per copy, run the decider, vote over several copies, measure."""
-    outs = ["out"] if r.copies == 1 else [f"out{i}" for i in range(r.copies)]
-    for regs, out in zip(copy_register_names(r.copies), outs):
-        state = core.adjoin_register(state, out, 1)
-        state = apply_decider(state, r, regs["answer"], regs["work"], out)
-    final = outs[0]
-    if r.copies > 1:
-        state = core.adjoin_register(state, "vote", 1)
-        state = core.apply_basis_permutation(state, majority_vote_table(r.copies), [*outs, "vote"])
-        final = "vote"
-    return core.measure_probability(state, {final: accept_output})
 
 
 def _trap_branch(state: StateVector, verifier: UnitaryOperator) -> float:
@@ -340,9 +313,9 @@ def footprint(entry: str, r: Reduction, cheat: int | None = None) -> int:
 
     entry is "trap", "smooth", "classical", "overlap", "ceiling" or "search";
     cheat is the private width of the prover's isometry, None when it has none.
-    Smaller objects (preps, flag rotations) are dominated; the vote is a
-    basis table on the state, not a dense operator.  A cheat scored on the
-    normal form builds its isometry and its image of a response, 2^(p + 4mk).
+    Smaller objects (preps, flag rotations) are dominated.  Every cheat,
+    the smooth engine's too, is scored on the normal form and builds its
+    isometry and its image of a response, 2^(p + 4mk).
     """
     m, k, p = r.m, r.copies, cheat or 0
     if entry == "classical":
@@ -356,8 +329,6 @@ def footprint(entry: str, r: Reduction, cheat: int | None = None) -> int:
         # honest runs go once per distinct copy, with its out (or resampling
         # flag); the honest memo's trap verifier is dense on 3m
         widths = [4 * m + 1, 6 * m]
-    elif entry == "smooth":
-        widths = [p + 4 * m * k + k + (k > 1)]  # a cheat's statevector, outs and vote
     else:
         widths = [p + 4 * m * k]  # the normal-form scorer
     return max(widths)
@@ -450,12 +421,6 @@ def _pre_copy_state(r: Reduction, x: int, i: int) -> StateVector:
     return apply_generator(basis_state(lay, {"work": x}), r, i)
 
 
-def _geometric_rounds(rng, success_prob: float) -> int:
-    if success_prob >= 1.0:
-        return 1
-    return int(rng.geometric(success_prob))
-
-
 @dataclass(frozen=True, eq=False)
 class _SmoothBranch:
     """The smooth protocol's computation branch, exact and free of draws."""
@@ -468,39 +433,64 @@ class _SmoothBranch:
     down_impossible: bool
 
 
-def _smooth_branch(r: Reduction, f: Permutation, x: int, prover: Prover, accept_output: int):
-    """Resample every query up to uniform, run the prover, resample back down, decide."""
-    uniform = DistributionTable.uniform(r.m)
-    xor = register_xor_table(r.m)
-    up_probs, up_budgets = [], []
-    parts = []
-    for i in range(r.copies):
-        plan = rejection.make_plan(r.distributions[i], uniform)
-        state = _pre_copy_state(r, x, i)
-        step = rejection.qrs_round(state, plan, "query")
-        if abs(step.success_prob - plan.success_probability) > 1e-9:
-            raise InvariantError("pre-send resampling success deviates from 1/beta")
-        up_probs.append(step.success_prob)
-        up_budgets.append(rejection.copies_budget_to_uniform(r.distributions[i]))
-        state = core.adjoin_register(step.accepted, "copy", r.m)
-        parts.append(core.apply_basis_permutation(state, xor, ["query", "copy"]))
+def _cheat_resampled(r: Reduction, f: Permutation, x: int, v: np.ndarray, accept_output: int):
+    """A cheat v's down steps and p0 on the normal form of the uniform
+    reduction it is sent, as ([down successes], p0 or None).
 
-    comp = _apply_prover_stage(answer_queries(join_copies(parts), f, r.copies), prover)
-    down_probs, down_budgets = [], []
-    down_impossible = False
-    for i, regs in enumerate(copy_register_names(r.copies)):
-        comp = core.apply_basis_permutation(comp, xor, [regs["query"], regs["copy"]])
-        plan = rejection.make_plan(uniform, r.distributions[i])
-        step = rejection.qrs_round(comp, plan, regs["query"])
-        down_probs.append(step.success_prob)
-        down_budgets.append(rejection.copies_budget_from_uniform(r.distributions[i]))
-        if step.accepted is None:
-            down_impossible = True
-            break
-        comp = step.accepted
-    p0 = 0.0 if down_impossible else _decide(comp, r, accept_output)
+    The mass |v a0|^2 sits on (private, query_0 .. query_{t-1}, the rest).
+    Copy i's down step keeps flag_prob of its plan on query_i, and nothing
+    else reads the queries, so its success is the ratio of the mass after
+    and before it; the copy erasure only permutes (query, copy).  A step at
+    or below ATOL^2 is impossible and ends the steps.  p0 is then the
+    decider's weight (see _normal_form) over the mass that passed every flag.
+    """
+    m, t = r.m, r.copies
+    uniform = DistributionTable.uniform(m)
+    a0, bits, block = _normal_form(replace(r, distributions=(uniform,) * t), f, x, accept_output)
+    mass = (np.abs(v @ a0) ** 2).reshape(-1, *(1 << m,) * t, a0.size >> (m * t))
+    probs = []
+    for i, table in enumerate(r.distributions):
+        kept = mass * rejection.make_plan(uniform, table).flag_prob.reshape(-1, *(1,) * (t - i))
+        success = float(kept.sum() / mass.sum())
+        if success <= core.ATOL**2:
+            return [*probs, 0.0], None
+        probs.append(success)
+        mass = kept
+    return probs, float(np.sum(block[bits, bits].real * mass.reshape(-1, *a0.shape)) / mass.sum())
+
+
+def _smooth_branch(r: Reduction, f: Permutation, x: int, prover: Prover, accept_output: int) -> _SmoothBranch:
+    """Resample every query up to uniform, run the prover, resample back down, decide.
+
+    The up steps run on the statevector kernels, and so does an honest
+    prover's copy (run_smooth_protocol slices honest runs into single
+    copies); a cheat is scored on the uniform normal form (_cheat_resampled).
+    """
+    uniform = DistributionTable.uniform(r.m)
+    ups = []
+    for i, table in enumerate(r.distributions):
+        plan = rejection.make_plan(table, uniform)
+        ups.append(rejection.qrs_round(_pre_copy_state(r, x, i), plan, "query"))
+        if ups[-1].accepted is None or abs(ups[-1].success_prob - plan.success_probability) > 1e-9:
+            raise InvariantError("pre-send resampling success deviates from 1/beta")
+    if prover.kind == PROVER_HONEST:
+        xor = register_xor_table(r.m)
+        state = core.apply_basis_permutation(core.adjoin_register(ups[0].accepted, "copy", r.m), xor, ["query", "copy"])
+        state = core.apply_basis_permutation(answer_queries(state, f, 1), xor, ["query", "copy"])
+        step = rejection.qrs_round(state, rejection.make_plan(uniform, r.distributions[0]), "query")
+        down_probs, p0 = [step.success_prob], None
+        if step.accepted is not None:
+            state = apply_decider(core.adjoin_register(step.accepted, "out", 1), r, "answer", "work", "out")
+            p0 = core.measure_probability(state, {"out": accept_output})
+    else:
+        down_probs, p0 = _cheat_resampled(r, f, x, prover.isometry, accept_output)
     return _SmoothBranch(
-        p0, tuple(up_probs), tuple(up_budgets), tuple(down_probs), tuple(down_budgets), down_impossible
+        0.0 if p0 is None else p0,
+        tuple(step.success_prob for step in ups),
+        tuple(rejection.copies_budget_to_uniform(table) for table in r.distributions),
+        tuple(down_probs),
+        tuple(rejection.copies_budget_from_uniform(table) for table in r.distributions[: len(down_probs)]),
+        p0 is None,
     )
 
 
@@ -510,9 +500,11 @@ def _smooth_rounds(rng, branch: _SmoothBranch) -> dict:
     One draw per up step, then one per down step that can succeed; an
     impossible down step charges its whole budget without a draw.
     """
-    drawn = len(branch.down_probs) - branch.down_impossible
-    up_rounds = [_geometric_rounds(rng, p) for p in branch.up_probs]
-    down_rounds = [_geometric_rounds(rng, p) for p in branch.down_probs[:drawn]]
+    def rounds(probs):
+        return [1 if p >= 1.0 else int(rng.geometric(p)) for p in probs]
+
+    up_rounds = rounds(branch.up_probs)
+    down_rounds = rounds(branch.down_probs[: len(branch.down_probs) - branch.down_impossible])
     if branch.down_impossible:
         down_rounds.append(branch.down_budgets[-1])
     return dict(
@@ -546,7 +538,9 @@ def run_smooth_protocol(
     copies_budget_from_uniform of its table) land in metadata, including any
     budget overrun.  Honest provers are simulated once per distinct copy (one
     per distinct table), with each copy's rounds drawn from its own seed, and
-    combined by the exact majority law.
+    combined by the exact majority law.  A cheat acts on all copies' messages
+    at once, and its down steps and vote weigh its image of the uniform
+    normal form (_cheat_resampled).
     """
     _check_instance("smooth", r, f, x, accept_output, prover)
     rng = np.random.default_rng(seed)

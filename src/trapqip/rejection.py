@@ -35,7 +35,9 @@ class QrsPlan:
     out of each source amplitude, so alpha_q <= source_q.  flag_prob[q] =
     min(alpha_q / d_q, 1) is the chance the flag reads 1 at index q, and
     flag_amplitude = sqrt(flag_prob); both are 0 where d_q = 0.  All four are
-    read-only.
+    read-only.  A plan whose success probability 1/beta is at or below
+    core.ATOL^2 is refused: qrs_round reads such a round as impossible, and
+    its round budget would be past any loop.
     """
 
     source: DistributionTable
@@ -55,6 +57,8 @@ class QrsPlan:
             raise ValueError("target puts mass where the source has none; no finite beta")
         # a table sums to 1, so the target's support is never empty
         beta = 1.0 / float(np.min(src[live] / tgt[live]))
+        if 1.0 / beta <= core.ATOL**2:
+            raise ValueError(f"a resampling round succeeds with probability {1.0 / beta:.3g}, at most {core.ATOL**2:g}")
         alpha = tgt / beta
         live = src > 0
         prob = np.zeros(src.shape)

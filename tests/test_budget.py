@@ -158,6 +158,8 @@ def test_default_cap_limits():
     assert fits("classical", 4)
     # an entangling cheat runs every copy at once
     assert fits("trap", 1, t=3, cheat=2) and not fits("trap", 2, t=3, cheat=0)
+    # a smooth cheat is scored on the uniform normal form, so it counts p + 4mt too
+    assert fits("smooth", 1, t=3, cheat=6) and not fits("smooth", 1, t=3, cheat=7)
     # a cheat is scored on the normal form: its isometry and its image, p + 4mt
     assert fits("search", 2, cheat=10) and not fits("search", 2, cheat=11)
     assert fits("trap", 2, cheat=10) and not fits("trap", 2, cheat=11)

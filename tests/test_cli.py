@@ -189,6 +189,19 @@ class TestRun:
         np.testing.assert_allclose(rec["accept_prob"], 1 - 7 / 27, atol=1e-9)
         assert rec["upper_bound"] is None
 
+    def test_smooth_cheat_counts_its_normal_form(self, tmp_path, capsys):
+        # three m = 1 copies with p_qubits = 6 fill the 18-qubit budget with
+        # the isometry's image, p + 4mt; L(0) = 1, so p0 is the amplified error
+        text = "[run]\nprotocol = 3\nm = 1\ns = 1\neps = 0.1\nt = 3\nprover = identity\np_qubits = 6\n"
+        code, out = _run(["run", "--config", _write(tmp_path, text)], capsys)
+        assert code == 0
+        rec = json.loads(out)
+        assert abs(rec["p0"] - rec["amplified_error"]) <= 1e-9
+        assert abs(rec["p1"] - 1.0) <= 1e-9
+        wider = _write(tmp_path, text.replace("p_qubits = 6", "p_qubits = 7"))
+        assert cli.main(["run", "--config", wider]) == 3
+        assert "resource cap" in capsys.readouterr().err
+
 
 class TestRefusedConfigs:
     """A config that would run something other than what it asks for exits 2."""
@@ -295,6 +308,22 @@ class TestRefusedConfigs:
         text = f"[run]\nprotocol = 3\nm = 2\ndistribution = {dist}\n"
         assert cli.main(["run", "--config", _write(tmp_path, text)]) == 2
         assert capsys.readouterr().err == f"error: {dist}: line 4: expected '<2-bit q> <prob>'\n"
+
+    @pytest.mark.parametrize("command", ["run", "qrs-demo"])
+    def test_vanishing_resampling_refused(self, command, tmp_path):
+        # query 0 carries 1e-20, so resampling it up to uniform succeeds with
+        # 2e-20 per round: the plan is refused as a usage error
+        dist = tmp_path / "tiny.txt"
+        dist.write_text("0 1e-20\n1 1\n")
+        text = {
+            "run": f"[run]\nprotocol = 3\nm = 1\ns = 1\ndistribution = {dist}\n",
+            "qrs-demo": "[qrs]\nprobs = 1e-20, 1\n",
+        }[command]
+        argv = [sys.executable, "-m", "trapqip.cli", command, "--config", _write(tmp_path, text)]
+        done = subprocess.run(argv, env=_blas_env(1), timeout=60, capture_output=True, text=True)
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: a resampling round succeeds with probability 2e-20")
+        assert "Traceback" not in done.stderr
 
 
 class TestRemovedOptions:
@@ -489,8 +518,13 @@ class TestBlasThreads:
             "[run]\nprotocol = 1\nm = 2\neps = 0.25\nx = 2\nprover = search\np_qubits = 1\niters = 300\n",
             # its Haar start is a 2048 x 16 isometry
             "[run]\nprotocol = 1\nm = 2\neps = 0.25\nx = 2\nprover = search\np_qubits = 7\niters = 300\n",
+            # the searched cheat scored by the smooth engine on the uniform normal form
+            "[run]\nprotocol = 3\nm = 2\neps = 0.25\nx = 2\nprover = search\np_qubits = 7\niters = 300\n",
         ],
-        ids=["honest-trap-m3-t5", "classical-m3-t3", "search-m2-p1-haar-climb", "search-m2-p7-haar-climb"],
+        ids=[
+            "honest-trap-m3-t5", "classical-m3-t3", "search-m2-p1-haar-climb", "search-m2-p7-haar-climb",
+            "smooth-search-m2-p7-haar-climb",
+        ],
     )
     def test_record_bytes_independent_of_blas_threads(self, config, tmp_path):
         assert _record_in_subprocess(config, 1, tmp_path) == _record_in_subprocess(config, 2, tmp_path)

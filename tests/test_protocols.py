@@ -57,7 +57,9 @@ from trapqip.reductions import (
     copy_register_names,
     generate_query_state,
     honest_answer_state,
+    join_copies,
     majority_error,
+    majority_vote_table,
     register_xor_table,
 )
 from trapqip.sampling import haar_unitary
@@ -177,12 +179,26 @@ def _dense_prover_stage(u, p, copies):
     return stage
 
 
+def _decide_reference(state, r, accept_output):
+    """Adjoin an out qubit per copy, run each copy's decider, vote over
+    several copies into a vote qubit, and measure it (or the one out)."""
+    outs = ["out"] if r.copies == 1 else [f"out{i}" for i in range(r.copies)]
+    for regs, out in zip(copy_register_names(r.copies), outs):
+        state = adjoin_register(state, out, 1)
+        state = apply_decider(state, r, regs["answer"], regs["work"], out)
+    if r.copies == 1:
+        return measure_probability(state, {"out": accept_output})
+    state = adjoin_register(state, "vote", 1)
+    state = apply_basis_permutation(state, majority_vote_table(r.copies), [*outs, "vote"])
+    return measure_probability(state, {"vote": accept_output})
+
+
 def _computation_branch(state, r, accept_output):
     """The computation branch on the statevector kernels: erase every copy
-    register, then run the deciders and the vote of protocols._decide."""
+    register, then run the deciders and the vote."""
     for regs in copy_register_names(r.copies):
         state = apply_basis_permutation(state, register_xor_table(r.m), [regs["query"], regs["copy"]])
-    return protocols._decide(state, r, accept_output)
+    return _decide_reference(state, r, accept_output)
 
 
 def _cheat_reference(r, f, x, u, p):
@@ -220,7 +236,7 @@ class TestIsometryStage:
         "m, t, p",
         [(m, 1, p) for m in (1, 2) for p in range(4)] + [(3, 1, p) for p in range(3)] + [(1, 3, p) for p in range(3)],
     )
-    def test_engines_match_dense_unitary_route(self, m, t, p, monkeypatch):
+    def test_engines_match_dense_unitary_route(self, m, t, p):
         rng = np.random.default_rng(40 + 8 * m + p)
         perms = [xor_shift_permutation(m, 1), random_permutation(m, 5)]
         u = haar_unitary(1 << (p + 2 * m * t), rng)
@@ -239,16 +255,6 @@ class TestIsometryStage:
                         got = [res.p0, res.p1, *overlaps]
                         worst = max(worst, np.abs(np.subtract(got, [want[accept_output], *want[2:]])).max())
         assert worst <= 1e-12
-        # the smooth engine still runs the prover stage on the statevector
-        raw = np.linspace(0.5, 1.5, 1 << m)
-        smooth = amplify(add_noise(build_smooth_xor_reduction(m, 1, 0, DistributionTable(m, raw / raw.sum())), 0.1), t)
-
-        def smooth_p0():
-            return [run_smooth_protocol(smooth, perms[1], x, prover, seed=2).p0 for x in range(1 << m)]
-
-        fast = smooth_p0()
-        monkeypatch.setattr(protocols, "_apply_prover_stage", _dense_prover_stage(u, p, t))
-        assert np.abs(np.array(fast) - np.array(smooth_p0())).max() <= 1e-12
 
     @pytest.mark.parametrize("m, t", [(1, 1), (1, 3), (4, 1)])
     def test_identity_cheat_scores_honest_closed_form(self, m, t):
@@ -836,6 +842,120 @@ class TestSmoothCopySharing:
         for key in lists:
             parts[0][key].append(-1)
         assert [repr(p) for p in parts[1:]] == before
+
+
+def _smooth_cheat_reference(r, f, x, u, p, accept_output, seed):
+    """The multi-copy smooth route on the statevector kernels through the
+    dense unitary u: every copy resampled up and mirrored into its copy
+    register, the honest answers, u on all copies' messages at once, then
+    per copy the erasure and the down step, and last the deciders and the
+    vote.  Returns p0 and the metadata, rounds drawn from seed."""
+    uniform = DistributionTable.uniform(r.m)
+    xor = register_xor_table(r.m)
+    ups, parts = [], []
+    for i, table in enumerate(r.distributions):
+        step = rejection.qrs_round(_pre_copy_state(r, x, i), rejection.make_plan(table, uniform), "query")
+        ups.append(step.success_prob)
+        parts.append(apply_basis_permutation(adjoin_register(step.accepted, "copy", r.m), xor, ["query", "copy"]))
+    comp = _dense_prover_stage(u, p, r.copies)(answer_queries(join_copies(parts), f, r.copies), None)
+    downs = []
+    for regs, table in zip(copy_register_names(r.copies), r.distributions):
+        comp = apply_basis_permutation(comp, xor, [regs["query"], regs["copy"]])
+        step = rejection.qrs_round(comp, rejection.make_plan(uniform, table), regs["query"])
+        downs.append(step.success_prob)
+        if step.accepted is None:
+            break
+        comp = step.accepted
+    impossible = step.accepted is None
+    branch = protocols._SmoothBranch(
+        0.0 if impossible else _decide_reference(comp, r, accept_output),
+        tuple(ups),
+        tuple(rejection.copies_budget_to_uniform(table) for table in r.distributions),
+        tuple(downs),
+        tuple(rejection.copies_budget_from_uniform(table) for table in r.distributions[: len(downs)]),
+        impossible,
+    )
+    head = {"protocol": "smooth", "prover_kind": "unitary-cheat", "m": r.m, "copies": r.copies}
+    head.update(accept_output=accept_output, seed=seed)
+    return branch.p0, {**head, **protocols._smooth_rounds(np.random.default_rng(seed), branch)}
+
+
+def _assert_smooth_cheat_matches(r, f, x, u, p, accept_output, seed, p1):
+    """A smooth cheat's p0, p1 and success probabilities within 1e-12 of the
+    statevector route (p1 that of _cheat_reference), and every other
+    metadata value equal; returns the metadata."""
+    res = run_smooth_protocol(r, f, x, Prover.unitary_cheat(u, p), accept_output=accept_output, seed=seed)
+    p0, want = _smooth_cheat_reference(r, f, x, u, p, accept_output, seed)
+    assert abs(res.p0 - p0) <= 1e-12
+    assert abs(res.p1 - p1) <= 1e-12
+    assert list(res.metadata) == list(want)
+    for key, value in want.items():
+        if key.endswith("_success_probs"):
+            assert len(res.metadata[key]) == len(value)
+            assert np.abs(np.subtract(res.metadata[key], value)).max(initial=0.0) <= 1e-12
+        else:
+            assert res.metadata[key] == value, key
+    return res.metadata
+
+
+class TestSmoothCheats:
+    """A smooth cheat is scored on the uniform normal form; the multi-copy
+    statevector route, with its dense prover stage, per-copy down steps and
+    vote, is the reference."""
+
+    @pytest.mark.parametrize(
+        "m, t, p", [(m, 1, p) for m in (1, 2, 3) for p in range(3)] + [(1, 3, p) for p in range(3)]
+    )
+    def test_matches_multi_copy_route(self, m, t, p):
+        rng = np.random.default_rng(60 + 8 * m + p)
+        u = haar_unitary(1 << (p + 2 * m * t), rng)
+        # three distinct non-uniform tables at t = 3 (see test_uniform_table_down_step_is_certain)
+        tables = (_smooth_tables(m)[2],)
+        if t == 3:
+            tables = tuple(DistributionTable(1, (w, 1 - w)) for w in (0.3, 0.4, 0.45))
+        for eps in (0.0, 0.1, 0.25):
+            base = build_smooth_xor_reduction(m, 1, 0, tables[0])
+            r = replace(add_noise(base, eps) if eps else base, distributions=tables)
+            for f in (xor_shift_permutation(m, 1), random_permutation(m, 5)):
+                p1 = _cheat_reference(r, f, 0, u, p)[2]
+                for x in range(1 << m):
+                    for accept_output in (0, 1):
+                        _assert_smooth_cheat_matches(r, f, x, u, p, accept_output, x + 2 * accept_output, p1)
+
+    def test_uniform_table_down_step_is_certain(self):
+        # a uniform table's down step keeps every query's mass, so it reads
+        # exactly 1 and draws no round; the statevector route reads the norm
+        # of the cheat's image, which may fall an ulp short of 1 and then
+        # spends a geometric draw on it, so only the values are compared
+        r = build_known_smooth_reduction(1, 1, 0, _smooth_tables(1))
+        assert r.distributions[0].is_uniform
+        u = haar_unitary(1 << 7, np.random.default_rng(5))
+        f = random_permutation(1, 5)
+        for x in (0, 1):
+            for accept_output in (0, 1):
+                res = run_smooth_protocol(r, f, x, Prover.unitary_cheat(u, 1), accept_output=accept_output, seed=x)
+                p0, want = _smooth_cheat_reference(r, f, x, u, 1, accept_output, seed=x)
+                assert res.metadata["down_success_probs"][0] == 1.0
+                assert res.metadata["down_rounds"][0] == 1
+                assert abs(res.p0 - p0) <= 1e-12
+                for key in ("up_success_probs", "down_success_probs"):
+                    assert np.abs(np.subtract(res.metadata[key], want[key])).max() <= 1e-12
+
+    def test_impossible_first_down_step(self):
+        # the cheat swaps query 0 into its private qubit, so query 0 reads 0,
+        # where copy 0's down step keeps a 6e-19 share, at most ATOL^2
+        tables = [DistributionTable(1, (6e-19, 1.0)), DistributionTable(1, (0.3, 0.7)), DistributionTable.uniform(1)]
+        r = build_known_smooth_reduction(1, 1, 0, tables)
+        idx = np.arange(1 << 7)
+        u = np.eye(1 << 7)[:, idx ^ ((((idx >> 6) ^ (idx >> 5)) & 1) * 0b1100000)]
+        for f in (xor_shift_permutation(1, 1), random_permutation(1, 5)):
+            p1 = _cheat_reference(r, f, 0, u, 1)[2]
+            for x in (0, 1):
+                for accept_output in (0, 1):
+                    meta = _assert_smooth_cheat_matches(r, f, x, u, 1, accept_output, x, p1)
+                    assert meta["down_impossible"]
+                    assert meta["down_rounds"] == meta["down_budgets"] == [4]
+                    assert len(meta["down_success_probs"]) == 1
 
 
 def _classical_reference(r, f, x, prover, seed, accept_output=0):

@@ -71,6 +71,13 @@ class TestPlan:
         with pytest.raises(ValueError):
             make_plan(holes, DistributionTable.uniform(1))
 
+    def test_vanishing_success_refused(self):
+        # 1/beta = 2 * d_0: 2e-20 is at most ATOL^2 = 1e-18, 1.2e-18 is above it
+        uniform = DistributionTable.uniform(1)
+        with pytest.raises(ValueError, match="succeeds with probability 2e-20, at most 1e-18"):
+            make_plan(DistributionTable(1, (1e-20, 1.0)), uniform)
+        assert make_plan(DistributionTable(1, (6e-19, 1.0)), uniform).success_probability > 1e-18
+
     def test_plan_takes_only_its_tables(self):
         assert make_plan is QrsPlan
         with pytest.raises(TypeError):
