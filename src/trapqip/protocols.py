@@ -269,7 +269,8 @@ def _majority_accept(one_probs, copies: int, accept_output: int) -> float:
 
 
 def _copy_slice(r: Reduction, i: int) -> Reduction:
-    return replace(r, distributions=(r.distributions[i],))
+    """Copy i of r alone: the same instance with one table."""
+    return Reduction(r.m, r.base_epsilon, r.s, r.bit, (r.distributions[i],), r.noise)
 
 
 def _per_distinct_copy(r: Reduction, simulate) -> list:
@@ -597,7 +598,11 @@ def run_classical_query_protocol(
 ) -> ProtocolResult:
     """Measure the queries to basis values and verify answers by recomputing f.
 
-    Any answer a with f(a) != q rejects with certainty; otherwise the
+    Unless queries forces them, copy i's query is drawn from its table by
+    bisecting table.cdf at one rng.random() of the seeded generator, in copy
+    order: numpy's own arithmetic in rng.choice(2^m, p=table.probs), so the
+    draws are choice's, without re-checking p and summing it per copy.  Any
+    answer a with f(a) != q rejects with certainty; otherwise the
     reduction decides.  No state is built: a copy conditioned on its drawn
     query q holds the single amplitude prep[q, 0], renormalised, so each
     copy's decision is read from that entry and a decider_table lookup (see
@@ -613,7 +618,10 @@ def run_classical_query_protocol(
     drawn, replies, checks, ones = [], [], [], []
     for i, table in enumerate(r.distributions):
         probs = table.probs
-        q = int(queries[i]) if queries is not None else int(rng.choice(size, p=probs))
+        if queries is None:
+            q = int(table.cdf.searchsorted(rng.random(), side="right"))
+        else:
+            q = int(queries[i])
         if not 0 <= q < size:
             raise ValueError(f"query {q} does not fit {r.m} bits")
         if probs[q] <= 0:

@@ -36,7 +36,9 @@ class DistributionTable:
 
     Its smoothness certificate c is the tightest constant bounding 2^m * d_q
     into [1/c, c]; a table with an empty slot (d_q = 0) has no finite
-    certificate and is not smooth.
+    certificate and is not smooth.  probs is read-only, and so are the two
+    objects built from it once per table: prep, the query generator's gate,
+    and cdf, which the classical protocol bisects to draw its queries.
     """
 
     m: int
@@ -85,6 +87,15 @@ class DistributionTable:
     def is_uniform(self) -> bool:
         size = 1 << self.m
         return bool(np.allclose(self.probs, 1.0 / size, atol=DIST_SUM_TOL))
+
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """Read-only cumulative law, normalised by its last entry as rng.choice(size, p=probs)
+        normalises it, so bisecting it at one rng.random() draws the query that choice would."""
+        cdf = self.probs.cumsum()
+        cdf /= cdf[-1]
+        cdf.setflags(write=False)
+        return cdf
 
     @cached_property
     def prep(self) -> UnitaryOperator:

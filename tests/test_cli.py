@@ -215,6 +215,7 @@ class TestRefusedConfigs:
             ("sweep", "[run]\nm = 2\n[sweep]\neps = 0.1, nan\n", "eps"),
             ("separation-demo", "[separation]\nn = 6\ninstance = -1\n", "instance"),
             ("qrs-demo", "[qrs]\ntrials = -3\n", "trials"),
+            ("qrs-demo", "[qrs]\nprobs = 1\n", "probs"),
             ("run", "[run]\nprover = search\niters = -5\n", "iters"),
             ("sweep", "[run]\nm = 2\nprover = search\n[sweep]\niters = 10, -1\n", "iters"),
             ("separation-demo", "[separation]\nn = 6\nclassical_seeds = 0\n", "classical_seeds"),
@@ -244,7 +245,7 @@ class TestRefusedConfigs:
         ],
         ids=[
             "run-eps-negative", "run-eps-nan", "sweep-eps-negative", "sweep-eps-nan", "negative-instance",
-            "negative-trials", "run-iters-negative", "sweep-iters-negative", "zero-classical-seeds",
+            "negative-trials", "qrs-one-entry", "run-iters-negative", "sweep-iters-negative", "zero-classical-seeds",
             "negative-classical-seeds", "run-distribution-protocol-1", "sweep-distribution-classical",
             "run-p-qubits-honest", "sweep-p-qubits-classical", "run-iters-honest", "run-iters-identity",
             "sweep-iters-honest", "run-answer-past-last-query", "run-answers-all-out-of-range",
@@ -704,6 +705,59 @@ PINNED_SEPARATION_OUTPUTS = [
     ),
 ]
 
+
+class TestInstanceCache:
+    """A uniform instance is built once per process, and the cap is checked on every call."""
+
+    CONFIG = "[run]\nprotocol = 2\nm = 3\ns = 101\nbit = 1\neps = 0.1\nt = 3\nx = 3\n"
+
+    def test_cap_checked_after_a_cache_hit(self, tmp_path, monkeypatch, capsys):
+        cfg = _write(tmp_path, self.CONFIG)
+        assert cli.main(["run", "--config", cfg]) == 0
+        capsys.readouterr()
+        monkeypatch.setenv("TRAPQIP_MAX_QUBITS", "11")
+        dest = tmp_path / "never.json"
+        assert cli.main(["run", "--config", cfg, "--out", str(dest)]) == 3
+        assert capsys.readouterr().err == "resource cap: one copy needs 12 qubits of budget, cap is 11\n"
+        assert not dest.exists()
+
+    def test_second_run_is_a_cache_hit_with_the_same_bytes(self, tmp_path, capsys):
+        cfg = _write(tmp_path, self.CONFIG)
+        cli._uniform_instance.cache_clear()
+        first = _run(["run", "--config", cfg], capsys)
+        hits = cli._uniform_instance.cache_info().hits
+        assert _run(["run", "--config", cfg], capsys) == first
+        assert cli._uniform_instance.cache_info().hits == hits + 1
+
+    def test_distribution_runs_are_not_cached(self, tmp_path, monkeypatch, capsys):
+        # the file is read on every run, so an edit between runs shows
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "dist.txt").write_text("0 0.25\n1 0.75\n")
+        cfg = _write(tmp_path, "[run]\nprotocol = 3\nm = 1\ns = 1\ndistribution = dist.txt\n")
+        _, first = _run(["run", "--config", cfg], capsys)
+        (tmp_path / "dist.txt").write_text("0 0.5\n1 0.6\n")
+        assert cli.main(["run", "--config", cfg]) == 2
+        assert "sum to 1.1" in capsys.readouterr().err
+        (tmp_path / "dist.txt").write_text("0 0.25\n1 0.75\n")
+        assert _run(["run", "--config", cfg], capsys) == (0, first)
+
+
+_FLAT_TEXT = st.text(st.sampled_from(['"', "\\", "\n", "\t", "a", "Z", "é", "∑", "\x00", "😀", " ", ":", ","]))
+
+
+class TestFlatRecordWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.dictionaries(
+            st.text(),
+            st.none() | st.booleans() | st.integers() | st.floats() | st.just(-0.0) | _FLAT_TEXT | st.text(),
+            min_size=1,  # a record always has keys
+        )
+    )
+    def test_matches_indent_2(self, record):
+        assert cli._flat_json_bytes(record) == (json.dumps(record, sort_keys=True, indent=2) + "\n").encode()
+
+
 class TestPinnedRecords:
     @pytest.mark.parametrize("config, record", PINNED_RECORDS, ids=["protocol2", "protocol1", "classical"])
     def test_record_bytes(self, config, record, tmp_path, capsys):
@@ -758,7 +812,7 @@ class TestSweep:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert [int(r["x"]) for r in rows] == [0, 1, 2, 3]
 
-    @pytest.mark.parametrize("protocol", ["2", "3"])
+    @pytest.mark.parametrize("protocol", ["2", "3", "classical"])
     def test_warm_sweep_matches_cold_runs(self, protocol, tmp_path, capsys):
         head = f"[run]\nprotocol = {protocol}\nm = 3\ns = 101\nbit = 1\neps = 0.1\n"
         cfg = _write(tmp_path, head + "[sweep]\nt = 1, 3, 5\nx = all\n")
@@ -771,6 +825,7 @@ class TestSweep:
                 point = _write(tmp_path, head + f"t = {t}\nx = {x}\n", name="point.cfg")
                 protocols._honest_trap_accept.cache_clear()
                 reductions._uniform_table.cache_clear()
+                cli._uniform_instance.cache_clear()
                 _, out = _run(["run", "--config", point, "--format", "csv"], capsys)
                 (row,) = csv.DictReader(io.StringIO(out))
                 cold.append((row["t"], row["x"], row["p0"], row["p1"]))

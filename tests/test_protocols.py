@@ -1003,6 +1003,26 @@ class TestClassicalProtocol:
                     assert got == want
                     assert len(evaluated) == r.copies
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_draws_match_numpy_choice(self, m):
+        # an honest p0 does not depend on q, so the prover lies on every even
+        # query: p0 is 0 exactly when some copy draws one
+        f = xor_shift_permutation(m, 1)
+        liar = Prover.classical([f.inverse_of(q) ^ (q % 2 == 0) for q in range(1 << m)])
+        tables = [DistributionTable.uniform(m), *_smooth_tables(m)[1:]]
+        for table in tables:
+            base = add_noise(build_smooth_xor_reduction(m, 1, 0, table), 0.1)
+            for t in (1, 3, 5):
+                r = amplify(base, t)
+                for seed in range(300):
+                    rng = np.random.default_rng(seed)
+                    want = [int(rng.choice(1 << m, p=table.probs)) for _ in range(t)]
+                    forced = run_classical_query_protocol(r, f, 0, liar, queries=want, seed=seed)
+                    res = run_classical_query_protocol(r, f, 0, liar, seed=seed)
+                    assert res.metadata["queries"] == want
+                    assert res.p0.hex() == forced.p0.hex()
+                    assert (res.p0 == 0) == any(q % 2 == 0 for q in want)
+
     def test_honest_accepts_at_base_correctness(self):
         r = add_noise(build_xor_reduction(2, 1, 0), 1 / 3)
         f = xor_shift_permutation(2, 1)

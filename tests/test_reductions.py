@@ -141,6 +141,13 @@ class TestCopyIsItsTable:
         assert t.prep is t.prep
         np.testing.assert_allclose(t.prep.matrix[:, 0], np.sqrt(t.probs), atol=1e-15)
 
+    def test_cdf_built_once_read_only(self):
+        t = DistributionTable(2, np.array([0.5, 0.25, 0.125, 0.125]))
+        assert t.cdf is t.cdf
+        assert t.cdf.tolist() == [0.5, 0.75, 0.875, 1.0]
+        with pytest.raises(ValueError, match="read-only"):
+            t.cdf[0] = 0.0
+
     def test_amplify_repeats_one_table(self):
         base = build_smooth_xor_reduction(2, 1, 0, DistributionTable(2, np.array([0.4, 0.3, 0.2, 0.1])))
         r = amplify(base, 5)
