@@ -533,10 +533,10 @@ _QRS_KEYS = {"probs", "trials", "seed"}
 def cmd_qrs_demo(args) -> int:
     cfg, digest = _load_config(args.config, ("qrs",))
     sect = _section(cfg, "qrs", _QRS_KEYS)
-    raw = sect.get("probs", "0.5, 0.25, 0.125, 0.125")
-    probs = np.array([float(tok) for tok in raw.split(",")])
+    default = np.array([0.5, 0.25, 0.125, 0.125])
+    probs = _typed(sect, "probs", lambda raw: np.array([float(tok) for tok in raw.split(",")]), default)
     if probs.size < 2:
-        raise ConfigError(f"probs = {raw} needs at least two entries")
+        raise ConfigError(f"probs = {sect['probs']} needs at least two entries")
     m = int(round(math.log2(probs.size)))
     if 1 << m != probs.size:
         raise ConfigError(f"need a power-of-two probability list, got {probs.size} entries")

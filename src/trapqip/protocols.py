@@ -14,11 +14,14 @@ branch starts from an honest response (a0 or t) and the prover stage is the
 cheat alone.  By default the verifier accepts a decider output of 0, which
 decides the complement language; accept_output=1 flips the convention.
 
-After a copy's prep every verifier step is a basis map, so an honest copy's
-response lives on 2^m basis states, one per query.  Honest trap and
-classical runs are evaluated on that support and build no statevector, and
-every cheat on the verifier normal form (_normal_form); the statevector
-kernels run the smooth engine's resampling and honest copies.
+After a copy's prep every verifier step is a basis map, so an honest
+response of t copies lives on 2^(mt) basis states, one per query tuple: its
+support (response_support).  Honest trap and classical runs are evaluated on
+it and build no statevector.  Every cheat is scored on the verifier normal
+form (_normal_form), its image of a response the column gather of its
+isometry on that support, so it builds no statevector outside the smooth
+engine's up steps; the statevector kernels run the smooth engine's
+resampling and honest copies, and the honest trap memo's check.
 """
 
 from __future__ import annotations
@@ -43,14 +46,13 @@ from .reductions import (
     DistributionTable,
     Reduction,
     answer_queries,
-    answered_copy,
     apply_decider,
     apply_generator,
     decider_table,
-    honest_answer_state,
-    join_copies,
     majority_vote_table,
     register_xor_table,
+    response_support,
+    support_state,
 )
 from .sampling import haar_isometry
 
@@ -137,7 +139,13 @@ def trap_state(m: int, copies: int = 1, f: Permutation | None = None) -> StateVe
     """
     if m < 1:
         raise ValueError("query width must be >= 1")
-    return join_copies([answered_copy(m, f, 0, 1.0 / math.sqrt(1 << m))] * copies)
+    return support_state(m, _trap_support(m, copies, f))
+
+
+def _trap_support(m: int, copies: int, f: Permutation | None):
+    """The trap response's support: 1/sqrt(2^m) at |q, f^-1(q), 0, q> of each copy."""
+    # exactly 1.0 / sqrt(2^m): the honest memo's dense check reads it, and pinned p1 bytes come from that check
+    return response_support(m, f, None, [np.full(1 << m, 1.0 / math.sqrt(1 << m))] * copies)
 
 
 def trap_verifier(f: Permutation) -> UnitaryOperator:
@@ -174,33 +182,29 @@ def trap_answer_state(r: Reduction, f: Permutation) -> StateVector:
 # the verifier normal form, on which every cheat is scored
 
 
-def _response(state: StateVector) -> np.ndarray:
-    """An honest response as a square array: rows (queries, answers), columns (works, copies)."""
-    return state.amplitudes.reshape((1 << (state.layout.total_qubits // 2),) * 2)
-
-
 def _normal_form(r: Reduction, f: Permutation, x: int, accept_output: int):
     """The verifier's side of r's t copies, fixed before the prover moves:
-    (a0, bits, block), with a0 (and t) as _response holds it.
+    (a0, bits, block), with a0 (and t) as response_support holds it.
 
-    P0 is held as the decider holds it: bits[i] is the t-bit pattern (copy 0
-    first) of each copy's language bit of answer ^ work on index i, block =
-    R^dag diag(mask) R, R the noise rotation on every out and mask the outs
-    whose majority is accept_output, and P0 joins index i with outs o to
-    index i with outs o' by block[bits[i] ^ o, bits[i] ^ o'].  The copy
-    erasure only permutes (query, copy), which nothing after it reads, so it
-    cancels in P0, and every other entry of P0 is zero.  A response has every
-    out = 0, so it meets only block[bits, bits], the majority-law weights.
+    P0 is held as the decider holds it: bits[i, k] is the t-bit pattern (copy
+    0 first) of each copy's language bit of answer ^ work on row i, column
+    cols[k], block = R^dag diag(mask) R, R the noise rotation on every out
+    and mask the outs whose majority is accept_output, and P0 joins an index
+    with outs o to itself with outs o' by block[bits ^ o, bits ^ o'].  The
+    copy erasure only permutes (query, copy), which nothing after it reads,
+    so it cancels in P0, and every other entry of P0 is zero.  A cheat's
+    image of a0 lies on a0's columns with every out = 0, so it meets only
+    block[bits, bits], the majority-law weights.
     """
     m, t, low = r.m, r.copies, (1 << r.m) - 1
-    a0 = _response(honest_answer_state(r, f, x))
-    idx, bits = np.arange(a0.size), 0
+    a0 = response_support(m, f, x, [table.prep.matrix[:, 0] for table in r.distributions])
+    rows, cols, bits = np.arange(1 << (2 * m * t))[:, None], a0[1], 0
     for shift in range(m * (t - 1), -1, -m):  # copy 0 first within each register group
-        answer_work = (((idx >> (2 * m * t + shift)) & low) << m) | ((idx >> (m * t + shift)) & low)
+        answer_work = (((rows >> shift) & low) << m) | ((cols >> (m * t + shift)) & low)
         bits = (bits << 1) | (decider_table(m, r.bit)[answer_work << 1] & 1)
     rot = reduce(np.kron, [_rotation(r)] * t)
     mask = ((majority_vote_table(t)[np.arange(1 << t) << 1] & 1) == accept_output).astype(float)
-    return a0, bits.reshape(a0.shape), rot.conj().T @ (mask[:, None] * rot)
+    return a0, bits, rot.conj().T @ (mask[:, None] * rot)
 
 
 def _vdot(a: np.ndarray, b: np.ndarray) -> complex:
@@ -209,18 +213,22 @@ def _vdot(a: np.ndarray, b: np.ndarray) -> complex:
     return sum(np.vdot(a[i : i + 8192], b[i : i + 8192]) for i in range(0, a.size, 8192))
 
 
-def _cheat_p0(v: np.ndarray, a0: np.ndarray, weights: np.ndarray) -> tuple[float, np.ndarray]:
+def _cheat_p0(v: np.ndarray, a0, weights: np.ndarray) -> tuple[float, np.ndarray]:
     """A cheat v's computation-branch acceptance, sum of w |v a0|^2 with w =
-    block[bits, bits].real (see _normal_form), and w o v a0 for the gradient."""
-    b0 = (v @ a0).reshape(-1, *a0.shape)
+    block[bits, bits].real (see _normal_form), and w o v a0 for the gradient;
+    a0 has one entry per column, so v a0 is the column gather v[:, rows] amps."""
+    rows, _, amps = a0
+    b0 = (v[:, rows] * amps).reshape(-1, *weights.shape)
     wb0 = weights * b0
     return float(_vdot(b0, wb0).real), wb0
 
 
-def _cheat_overlap(v: np.ndarray, response: np.ndarray) -> tuple[float, np.ndarray]:
+def _cheat_overlap(v: np.ndarray, response) -> tuple[float, np.ndarray]:
     """Sum over private values of |<response|v response>|^2, and the overlaps:
-    on t = V^dagger|0> the trap branch's acceptance, on a0 its overlap."""
-    amp = np.einsum("kij,ij->k", (v @ response).reshape(-1, *response.shape), response.conj())
+    on t = V^dagger|0> the trap branch's acceptance, on a0 its overlap; one
+    entry per row and column makes each v's diagonal on rows, weighted |amps|^2."""
+    rows, _, amps = response
+    amp = v.reshape(-1, v.shape[1], v.shape[1])[:, rows, rows] @ np.abs(amps) ** 2
     return float(_vdot(amp, amp).real), amp
 
 
@@ -298,7 +306,7 @@ def _trap_accept(r: Reduction, f: Permutation, prover: Prover) -> float:
     alone: an honest prover's copies multiply one copy's memo, a cheat's is _cheat_overlap on t."""
     if prover.kind == PROVER_HONEST:
         return math.prod([_honest_trap_accept(f)] * r.copies)
-    return _cheat_overlap(prover.isometry, _response(trap_answer_state(r, f)))[0]
+    return _cheat_overlap(prover.isometry, _trap_support(r.m, r.copies, f))[0]
 
 
 def _header(protocol: str, prover: Prover, m: int, copies: int, accept_output: int, seed: int | None = None) -> dict:
@@ -314,9 +322,10 @@ def footprint(entry: str, r: Reduction, cheat: int | None = None) -> int:
 
     entry is "trap", "smooth", "classical", "overlap", "ceiling" or "search";
     cheat is the private width of the prover's isometry, None when it has none.
-    Smaller objects (preps, flag rotations) are dominated.  Every cheat,
-    the smooth engine's too, is scored on the normal form and builds its
-    isometry and its image of a response, 2^(p + 4mk).
+    Smaller objects (preps, flag rotations) are dominated.  Every cheat, the
+    smooth engine's too, is scored on the normal form: it counts the isometry
+    it is given, 2^(p + 4mk), since its image of a response is a column
+    gather on the response's 2^(mk)-entry support, 2^(p + 3mk).
     """
     m, k, p = r.m, r.copies, cheat or 0
     if entry == "classical":
@@ -438,7 +447,7 @@ def _cheat_resampled(r: Reduction, f: Permutation, x: int, v: np.ndarray, accept
     """A cheat v's down steps and p0 on the normal form of the uniform
     reduction it is sent, as ([down successes], p0 or None).
 
-    The mass |v a0|^2 sits on (private, query_0 .. query_{t-1}, the rest).
+    The mass |v a0|^2 (see _cheat_p0) sits on (private, query_0 .. query_{t-1}, the rest).
     Copy i's down step keeps flag_prob of its plan on query_i, and nothing
     else reads the queries, so its success is the ratio of the mass after
     and before it; the copy erasure only permutes (query, copy).  A step at
@@ -447,8 +456,8 @@ def _cheat_resampled(r: Reduction, f: Permutation, x: int, v: np.ndarray, accept
     """
     m, t = r.m, r.copies
     uniform = DistributionTable.uniform(m)
-    a0, bits, block = _normal_form(replace(r, distributions=(uniform,) * t), f, x, accept_output)
-    mass = (np.abs(v @ a0) ** 2).reshape(-1, *(1 << m,) * t, a0.size >> (m * t))
+    (rows, _, amps), bits, block = _normal_form(replace(r, distributions=(uniform,) * t), f, x, accept_output)
+    mass = (np.abs(v[:, rows] * amps) ** 2).reshape(-1, *(1 << m,) * t, bits.size >> (m * t))
     probs = []
     for i, table in enumerate(r.distributions):
         kept = mass * rejection.make_plan(uniform, table).flag_prob.reshape(-1, *(1,) * (t - i))
@@ -457,7 +466,7 @@ def _cheat_resampled(r: Reduction, f: Permutation, x: int, v: np.ndarray, accept
             return [*probs, 0.0], None
         probs.append(success)
         mass = kept
-    return probs, float(np.sum(block[bits, bits].real * mass.reshape(-1, *a0.shape)) / mass.sum())
+    return probs, float(np.sum(block[bits, bits].real * mass.reshape(-1, *bits.shape)) / mass.sum())
 
 
 def _smooth_branch(r: Reduction, f: Permutation, x: int, prover: Prover, accept_output: int) -> _SmoothBranch:
@@ -656,7 +665,7 @@ class CheatBound:
     sin_sq: float
 
 
-def _ceiling(a0: np.ndarray, bits: np.ndarray, block: np.ndarray) -> CheatBound:
+def _ceiling(a0, bits: np.ndarray, block: np.ndarray) -> CheatBound:
     """(1 + sin theta)/2 from the normal form, with its eigen-oracle cross-check.
 
     sin^2 theta = <a0|P0|a0>; a0 has out = 0, so it meets only the weights
@@ -666,13 +675,14 @@ def _ceiling(a0: np.ndarray, bits: np.ndarray, block: np.ndarray) -> CheatBound:
     least 1, while P0 has none above 1 elsewhere.  It is at most
     2^(m+1)-dimensional.  Both values must agree within 1e-9.
     """
-    sin_sq = float(np.sum(block[bits, bits].real * np.abs(a0) ** 2))
+    rows, _, amps = a0
+    own = bits[rows, np.arange(rows.size)]  # the pattern of each support entry
+    sin_sq = float(np.sum(block[own, own].real * np.abs(amps) ** 2))
     sin_sq = min(max(sin_sq, 0.0), 1.0)
     bound = (1.0 + math.sqrt(sin_sq)) / 2.0
-    support = np.flatnonzero(a0)
-    # each support index, then its out = 1 partner, so the partner of position k is k ^ 1
-    phi = (a0.ravel()[support, None] * np.array([1.0, 0.0])).ravel()
-    out = (bits.ravel()[support, None] ^ np.array([0, 1])).ravel()
+    # each support entry, then its out = 1 partner, so the partner of position k is k ^ 1
+    phi = (amps[:, None] * np.array([1.0, 0.0])).ravel()
+    out = (own[:, None] ^ np.array([0, 1])).ravel()
     k = np.arange(phi.size)
     restricted = np.outer(phi, phi.conj())
     restricted[k, k] += block[out, out]
@@ -701,8 +711,9 @@ def branch_overlap_pair(r: Reduction, f: Permutation, x: int, prover: Prover) ->
     their common deficit is what the trap branch charges the prover.
     """
     _check_instance("overlap", r, f, x, prover=prover)
-    a0, t = _response(honest_answer_state(r, f, x)), _response(trap_answer_state(r, f))
-    v = np.eye(len(a0)) if prover.kind == PROVER_HONEST else prover.isometry
+    a0 = response_support(r.m, f, x, [table.prep.matrix[:, 0] for table in r.distributions])
+    t = _trap_support(r.m, r.copies, f)
+    v = np.eye(1 << (2 * r.m * r.copies)) if prover.kind == PROVER_HONEST else prover.isometry
     return _cheat_overlap(v, a0)[0], _cheat_overlap(v, t)[0]
 
 
@@ -715,19 +726,24 @@ RESTART_EVERY = 250
 CLIMB_TOL = 1e-12
 
 
-def _search_context(a0: np.ndarray, t: np.ndarray, bits: np.ndarray, block: np.ndarray):
+def _search_context(a0, t, bits: np.ndarray, block: np.ndarray):
     """The search objective on v = u[:, :2^(2m)], the columns of a cheat u that
     a zero private register reaches: v -> (score, G), the engine's (p0 + p1)/2
     (_cheat_p0, _cheat_overlap on t) and its gradient in conj(v),
     G = [(w o v a0) a0^dagger + (amp o t) t^dagger]/2, amp the overlaps with t.
+    A response has one entry per row and column, so both terms are scatters
+    into its rows: t t^dagger is diagonal, |t amps|^2 on t's rows.
     """
-    msg = a0.shape[0]
-    weights = block[bits, bits].real
+    (rows, _, amps), (t_rows, _, t_amps) = a0, t
+    weights, t_weights = block[bits, bits].real, np.abs(t_amps) ** 2
 
     def objective(v: np.ndarray) -> tuple[float, np.ndarray]:
         p0, wb0 = _cheat_p0(v, a0, weights)
         p1, amp = _cheat_overlap(v, t)
-        grad = (wb0.reshape(-1, msg) @ a0.conj().T + (amp[:, None, None] * t).reshape(-1, msg) @ t.conj().T) / 2.0
+        grad = np.zeros_like(v)
+        grad[:, rows] = wb0.reshape(len(v), -1) * amps.conj()
+        grad.reshape(-1, v.shape[1], v.shape[1])[:, t_rows, t_rows] += amp[:, None] * t_weights
+        grad /= 2.0
         return (p0 + p1) / 2.0, grad
 
     return objective
@@ -786,8 +802,8 @@ def prover_search(
         raise ValueError(f"iters = {iters} must be >= 0")
     _check_instance("search", r, f, x, accept_output, cheat=p_qubits)
     a0, bits, block = _normal_form(r, f, x, accept_output)
-    dim, msg = 1 << (p_qubits + 2 * r.m), len(a0)
-    objective = _search_context(a0, _response(trap_answer_state(r, f)), bits, block)
+    dim, msg = 1 << (p_qubits + 2 * r.m), len(bits)
+    objective = _search_context(a0, _trap_support(r.m, 1, f), bits, block)
     rng = np.random.default_rng(seed)
     best, best_score = _climb(objective, np.eye(dim, msg, dtype=np.complex128), min(iters, RESTART_EVERY - 1))
     for start in range(RESTART_EVERY, iters + 1, RESTART_EVERY):

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from pathlib import Path
 
 import numpy as np
 
 from . import core
-from .core import StateVector, UnitaryOperator, basis_state, layout
+from .core import StateVector, UnitaryOperator, layout
 from .oracles import Permutation, inverse_answers, inversion_table
 
 DIST_SUM_TOL = 1e-12
@@ -309,11 +309,6 @@ def copy_register_names(k: int) -> list[dict[str, str]]:
     return [{kind: f"{kind}{i}" for kind in QUERY_REGISTER_KINDS} for i in range(k)]
 
 
-def _relabel(state: StateVector, mapping: dict[str, str]) -> StateVector:
-    new = tuple((mapping.get(n, n), w) for n, w in state.layout.registers)
-    return StateVector(core.RegisterLayout(new), state.amplitudes)
-
-
 def apply_generator(state: StateVector, r: Reduction, which: int) -> StateVector:
     """Run the which-th query generator on (query, work); work must hold x."""
     state = core.apply_on_registers(state, r.distributions[which].prep, ["query"])
@@ -328,29 +323,6 @@ def apply_decider(state: StateVector, r: Reduction, answer: str, work: str, out:
     return state
 
 
-def _single_query_state(r: Reduction, x: int, which: int) -> StateVector:
-    m = r.m
-    lay = layout(("query", m), ("answer", m), ("work", m), ("copy", m))
-    state = apply_generator(basis_state(lay, {"work": x}), r, which)
-    return core.apply_basis_permutation(state, register_xor_table(m), ["query", "copy"])
-
-
-def join_copies(parts) -> StateVector:
-    """Tensor per-copy states, in order, into one multi-copy state.
-
-    Register names carry the copy index and are grouped by kind (all query
-    registers first, then answers, work, copies) via an explicit qubit
-    permutation; a single part is returned as it is.
-    """
-    if len(parts) == 1:
-        return parts[0]
-    names = copy_register_names(len(parts))
-    state = _relabel(parts[0], names[0])
-    for regs, part in zip(names[1:], parts[1:]):
-        state = core.tensor_product(state, _relabel(part, regs))
-    return core.reorder_registers(state, [regs[kind] for kind in QUERY_REGISTER_KINDS for regs in names])
-
-
 def answer_queries(state: StateVector, f: Permutation, k: int) -> StateVector:
     """The honest inverse oracle on the (query, answer) pair of each of k copies."""
     table = inversion_table(f)
@@ -360,42 +332,50 @@ def answer_queries(state: StateVector, f: Permutation, k: int) -> StateVector:
 
 
 def generate_query_state(r: Reduction, x: int) -> StateVector:
-    """The verifier's pre-send state: generator output plus a basis copy of q,
-    one copy per query, joined by join_copies.  The kernel-path reference for
-    honest_answer_state."""
-    if not 0 <= x < (1 << r.m):
-        raise ValueError(f"input {x} does not fit {r.m} bits")
-    return join_copies([_single_query_state(r, x, i) for i in range(r.copies)])
+    """The verifier's pre-send state, each copy's generator output plus a
+    basis copy of q: honest_answer_state with the answers still zero."""
+    return honest_answer_state(r, None, x)
 
 
-def answered_copy(m: int, f: Permutation | None, work, amplitudes) -> StateVector:
-    """One copy on (query, answer, work, copy) holding amplitudes[q] at |q,
-    f^-1(q), work[q], q> for each query q, and zero elsewhere; with f None the
-    answer register stays zero.
+def response_support(m: int, f: Permutation | None, x: int | None, preps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The honest response of t = len(preps) copies as its 2^(mt)-entry support (rows, cols, amps).
 
-    A copy's honest response has this 2^m-entry support: everything after
-    the prep (or the trap's uniform superposition) is a basis map, so each
-    query's amplitude lands unchanged on one index.
+    Everything after the prep (or the trap's uniform superposition) is a
+    basis map, so copy i holds preps[i][q] unchanged at |q, f^-1(q), q ^ x, q>
+    of (query, answer, work, copy); x None gives the trap's zero work, f None
+    zero answers.  Entry k is query tuple k; rows are (queries, answers),
+    cols (works, copies), copy 0 first, and amps np.kron of the preps.  Rows
+    and cols both hold the queries, so no two entries share either.
     """
     if f is not None and f.m != m:
         raise core.LayoutError(f"permutation width {f.m} does not match query width {m}")
-    q = np.arange(1 << m)
-    answers = 0 if f is None else inverse_answers(f)
-    lay = layout(("query", m), ("answer", m), ("work", m), ("copy", m))
-    amps = np.zeros(lay.dim, dtype=np.complex128)
-    amps[(q << (3 * m)) | (answers << (2 * m)) | (work << m) | q] = amplitudes
-    return StateVector(lay, amps)
+    n, low = m * len(preps), (1 << m) - 1
+    answer_of = np.zeros(1 << m, dtype=int) if f is None else inverse_answers(f)
+    queries = np.arange(1 << n)
+    answers = works = np.zeros_like(queries)
+    for shift in range(n - m, -1, -m):
+        q = (queries >> shift) & low
+        answers = (answers << m) | answer_of[q]
+        works = (works << m) | (0 if x is None else q ^ x)
+    amps = reduce(np.kron, [np.asarray(prep, dtype=np.complex128) for prep in preps])
+    return (queries << n) | answers, (works << n) | queries, amps
 
 
-def honest_answer_state(r: Reduction, f: Permutation, x: int) -> StateVector:
-    """Query state after an honest inverse oracle filled the answer registers.
+def support_state(m: int, support) -> StateVector:
+    """A response's support scattered into its statevector, the registers of
+    every copy grouped by kind: all queries, then answers, works, copies."""
+    rows, cols, amps = support
+    names = copy_register_names((rows.size.bit_length() - 1) // m)
+    lay = layout(*((regs[kind], m) for kind in QUERY_REGISTER_KINDS for regs in names))
+    amplitudes = np.zeros(lay.dim, dtype=np.complex128)
+    amplitudes[(rows << (lay.total_qubits // 2)) | cols] = amps
+    return StateVector(lay, amplitudes)
 
-    Built from each copy's support with no kernel: the copy of table d holds
-    d.prep's first column at |q, f^-1(q), q ^ x, q>, bit for bit what
-    answer_queries(generate_query_state(r, x), f, r.copies) holds, and the
-    copies join through join_copies.
-    """
+
+def honest_answer_state(r: Reduction, f: Permutation | None, x: int) -> StateVector:
+    """Query state after an honest inverse oracle filled the answer registers:
+    its support's scatter, the copy of table d holding d.prep's first column,
+    bit for bit what the generator, the copy and the oracle's kernels make."""
     if not 0 <= x < (1 << r.m):
         raise ValueError(f"input {x} does not fit {r.m} bits")
-    work = np.arange(1 << r.m) ^ x
-    return join_copies([answered_copy(r.m, f, work, table.prep.matrix[:, 0]) for table in r.distributions])
+    return support_state(r.m, response_support(r.m, f, x, [table.prep.matrix[:, 0] for table in r.distributions]))

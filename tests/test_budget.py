@@ -210,3 +210,25 @@ def test_over_cap_table_refused_before_allocation(build):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20, f"refused after {peak} bytes"
+
+
+@pytest.mark.parametrize("entry", ["trap", "overlap", "smooth"])
+@pytest.mark.parametrize("m, t, p", [(m, 1, p) for m in (3, 4) for p in range(3)] + [(1, 3, 2)])
+def test_cheat_peak_within_its_isometry(entry, m, t, p):
+    """A cheat's call holds at most one array the size of the isometry it was
+    given (K = 1, fixed by design: its image of a response is a column gather
+    on the response's 2^(mt)-entry support, 2^(p+3mt) entries), so with warm
+    caches its peak traced bytes stay within 16 * 2^(p+4mt) + 64 KiB.
+    tracemalloc sees numpy's data buffers, not BLAS scratch space."""
+    r = _reduction(entry, m, t)
+    msg = 1 << (2 * m * t)
+    prover = Prover.unitary_cheat(np.eye(msg << p, msg), p)
+    _call(entry, r, prover, p)  # warms the builders' caches
+    tracemalloc.start()
+    try:
+        _call(entry, r, prover, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    budget = (16 << (p + 4 * m * t)) + (64 << 10)
+    assert peak <= budget, f"{entry} m={m} t={t} p={p}: peak {peak} bytes, budget {budget}"

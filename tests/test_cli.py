@@ -216,6 +216,8 @@ class TestRefusedConfigs:
             ("separation-demo", "[separation]\nn = 6\ninstance = -1\n", "instance"),
             ("qrs-demo", "[qrs]\ntrials = -3\n", "trials"),
             ("qrs-demo", "[qrs]\nprobs = 1\n", "probs"),
+            ("qrs-demo", "[qrs]\nprobs = 0.5, x\n", "bad value for probs: '0.5, x'"),
+            ("qrs-demo", "[qrs]\nprobs =\n", "bad value for probs: ''"),
             ("run", "[run]\nprover = search\niters = -5\n", "iters"),
             ("sweep", "[run]\nm = 2\nprover = search\n[sweep]\niters = 10, -1\n", "iters"),
             ("separation-demo", "[separation]\nn = 6\nclassical_seeds = 0\n", "classical_seeds"),
@@ -245,7 +247,8 @@ class TestRefusedConfigs:
         ],
         ids=[
             "run-eps-negative", "run-eps-nan", "sweep-eps-negative", "sweep-eps-nan", "negative-instance",
-            "negative-trials", "qrs-one-entry", "run-iters-negative", "sweep-iters-negative", "zero-classical-seeds",
+            "negative-trials", "qrs-one-entry", "qrs-malformed-entry", "qrs-empty-probs", "run-iters-negative",
+            "sweep-iters-negative", "zero-classical-seeds",
             "negative-classical-seeds", "run-distribution-protocol-1", "sweep-distribution-classical",
             "run-p-qubits-honest", "sweep-p-qubits-classical", "run-iters-honest", "run-iters-identity",
             "sweep-iters-honest", "run-answer-past-last-query", "run-answers-all-out-of-range",

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from trapqip import protocols, rejection
 from trapqip.core import CapacityError, InvariantError, LayoutError
 from trapqip.core import (
+    RegisterLayout,
     StateVector,
     UnitaryOperator,
     adjoin_register,
@@ -24,6 +25,7 @@ from trapqip.core import (
     layout,
     measure_probability,
     partial_trace,
+    reorder_registers,
     tensor_product,
 )
 from trapqip.oracles import inversion_table, random_permutation, xor_shift_permutation
@@ -46,26 +48,53 @@ from trapqip.protocols import (
     trap_verifier,
 )
 from trapqip.reductions import (
+    QUERY_REGISTER_KINDS,
     DistributionTable,
     add_noise,
     amplify,
     answer_queries,
     apply_decider,
+    apply_generator,
     build_known_smooth_reduction,
     build_smooth_xor_reduction,
     build_xor_reduction,
     copy_register_names,
+    decider_table,
     generate_query_state,
     honest_answer_state,
-    join_copies,
     majority_error,
     majority_vote_table,
     register_xor_table,
+    response_support,
 )
-from trapqip.sampling import haar_unitary
+from trapqip.sampling import haar_isometry, haar_unitary
 
 # the dense trap verifier, built once per permutation for the references below
 _dense_verifier = lru_cache(maxsize=16)(trap_verifier)
+
+
+def _join_copies(parts):
+    """Tensor per-copy states, in order, into one multi-copy state whose
+    registers carry the copy index and are grouped by kind (all queries, then
+    answers, works, copies) by an explicit qubit permutation; a single part
+    is returned as it is."""
+    if len(parts) == 1:
+        return parts[0]
+    names = copy_register_names(len(parts))
+    state = None
+    for regs, part in zip(names, parts):
+        part = StateVector(RegisterLayout(tuple((regs[n], w) for n, w in part.layout.registers)), part.amplitudes)
+        state = part if state is None else tensor_product(state, part)
+    return reorder_registers(state, [regs[kind] for kind in QUERY_REGISTER_KINDS for regs in names])
+
+
+def _kernel_query_state(r, x):
+    """The verifier's pre-send state on the statevector kernels: each copy's
+    generator, then q copied into its copy register, the copies joined; the
+    reference for the scattered responses."""
+    lay = layout(("query", r.m), ("answer", r.m), ("work", r.m), ("copy", r.m))
+    parts = [apply_generator(basis_state(lay, {"work": x}), r, i) for i in range(r.copies)]
+    return _join_copies([apply_basis_permutation(part, register_xor_table(r.m), ["query", "copy"]) for part in parts])
 
 
 def _yes_instance(m, s, bit):
@@ -152,7 +181,7 @@ class TestBranchBalance:
         u = haar_unitary(1 << (4 + p), rng)
         prover = Prover.unitary_cheat(u, prover_qubits=p)
         for x in range(4):
-            comp = (generate_query_state(r, x), honest_answer_state(r, f, x))
+            comp = (_kernel_query_state(r, x), honest_answer_state(r, f, x))
             trap = (trap_state(2), trap_answer_state(r, f))
             for value, (start, honest) in zip(branch_overlap_pair(r, f, x, prover), (comp, trap)):
                 state = tensor_product(basis_state(layout(("prover", p))), start) if p else start
@@ -229,6 +258,26 @@ def _unitary_completion(v):
     return np.hstack([v, vh[k:].conj().T])
 
 
+def _dense_cheat_values(r, f, x, v, accept_output):
+    """A cheat's values from dense products on the square responses, rows
+    (queries, answers) and columns (works, copies): p0 = sum w |v a0|^2 with
+    the decider's weight on every index, then each branch's overlap sum
+    |<response|v response>|^2 by an einsum, a0's and then t's (t's is p1)."""
+    m, t = r.m, r.copies
+    msg, low = 1 << (2 * m * t), (1 << m) - 1
+    a0 = honest_answer_state(r, f, x).amplitudes.reshape(msg, msg)
+    trap = trap_answer_state(r, f).amplitudes.reshape(msg, msg)
+    block = protocols._normal_form(r, f, x, accept_output)[2]
+    idx, bits = np.arange(msg * msg), 0
+    for shift in range(m * (t - 1), -1, -m):
+        answer_work = (((idx >> (2 * m * t + shift)) & low) << m) | ((idx >> (m * t + shift)) & low)
+        bits = (bits << 1) | (decider_table(m, r.bit)[answer_work << 1] & 1)
+    weights = block[bits, bits].real.reshape(msg, msg)
+    p0 = np.sum(weights * np.abs((v @ a0).reshape(-1, msg, msg)) ** 2)
+    amps = [np.einsum("kij,ij->k", (v @ resp).reshape(-1, msg, msg), resp.conj()) for resp in (a0, trap)]
+    return [p0, *(np.vdot(amp, amp).real for amp in amps)]
+
+
 class TestIsometryStage:
     """Every cheat value against the dense unitary route on the statevector kernels."""
 
@@ -256,6 +305,27 @@ class TestIsometryStage:
                         worst = max(worst, np.abs(np.subtract(got, [want[accept_output], *want[2:]])).max())
         assert worst <= 1e-12
 
+    @pytest.mark.parametrize("p", [0, 2])
+    def test_m4_matches_dense_products(self, p):
+        # the statevector route cannot reach m = 4: its dense trap verifier
+        # alone needs 24 qubits of budget, so dense products on the square
+        # responses are the reference here
+        m = 4
+        rng = np.random.default_rng(70 + p)
+        v = haar_isometry(1 << (p + 2 * m), 1 << (2 * m), rng)
+        prover = Prover.unitary_cheat(v, p)
+        r = add_noise(build_xor_reduction(m, 5, 1), 0.1)
+        worst = 0.0
+        for f in (xor_shift_permutation(m, 5), random_permutation(m, 8)):
+            for x in (0, 6, 15):
+                overlaps = branch_overlap_pair(r, f, x, prover)
+                for accept_output in (0, 1):
+                    p0, *want = _dense_cheat_values(r, f, x, prover.isometry, accept_output)
+                    res = run_protocol(r, f, x, prover, accept_output=accept_output)
+                    got = [res.p0, *overlaps]
+                    worst = max(worst, abs(res.p1 - want[1]), np.abs(np.subtract(got, [p0, *want])).max())
+        assert worst <= 1e-12
+
     @pytest.mark.parametrize("m, t", [(1, 1), (1, 3), (4, 1)])
     def test_identity_cheat_scores_honest_closed_form(self, m, t):
         f = xor_shift_permutation(m, 1)
@@ -275,11 +345,11 @@ class TestIsometryStage:
 
 
 def _never(*args, **kwargs):
-    raise AssertionError("called where an honest response already exists")
+    raise AssertionError("a statevector was built where the responses' supports suffice")
 
 
 class TestHonestResponsesBuiltOnce:
-    """Every branch starts from the honest responses a0 and t, each built once."""
+    """Every branch starts from the honest responses a0 and t, each built once as its support."""
 
     @pytest.mark.parametrize("p", [None, 0, 1, 2])
     def test_overlap_builds_each_response_once(self, p, monkeypatch):
@@ -289,14 +359,13 @@ class TestHonestResponsesBuiltOnce:
         prover = Prover.honest() if p is None else Prover.unitary_cheat(haar_unitary(1 << (4 + p), rng), p)
         for x in range(4):
             want = branch_overlap_pair(r, f, x, prover)
-            # trap_state runs once, inside trap_answer_state
-            counted = ("honest_answer_state", "trap_answer_state", "trap_state")
-            calls = [_counting(monkeypatch, protocols, name) for name in counted]
-            monkeypatch.setattr(protocols, "generate_query_state", _never, raising=False)
+            supports = _counting(monkeypatch, protocols, "response_support")
+            monkeypatch.setattr(StateVector, "__post_init__", _never)
             got = branch_overlap_pair(r, f, x, prover)
             monkeypatch.undo()
             assert got == want
-            assert [len(c) for c in calls] == [1, 1, 1]
+            # a0's support at x, then t's (x None), and no statevector
+            assert [args[2] for args in supports] == [x, None]
 
     @pytest.mark.parametrize("t, cheat", [(1, False), (3, False), (1, True), (3, True)])
     def test_engines_take_trap_acceptance_once(self, t, cheat, monkeypatch):
@@ -449,14 +518,16 @@ class TestStructuredProjector:
                 r = add_noise(base, eps) if eps else base
                 for accept_output in (0, 1):
                     dense = _dense_projector(r, accept_output)
-                    _, bits, block = protocols._normal_form(r, f, 0, accept_output)
-                    n = bits.size
-                    # index i with out o meets index i with out o' through
-                    # block[bits[i] ^ o, bits[i] ^ o']
-                    outs = bits.reshape(n, 1) ^ np.array([0, 1])
+                    (_, cols, _), bits, block = protocols._normal_form(r, f, 0, accept_output)
+                    n, msg = 1 << (4 * m), len(bits)
+                    # index (row i, column cols[k]) with out o meets itself with
+                    # out o' through block[bits[i, k] ^ o, bits[i, k] ^ o']; bits
+                    # holds every row and a0's columns, where a cheat's image of a0 lies
+                    held = (np.arange(msg)[:, None] * msg + cols).ravel()
+                    outs = bits.reshape(-1, 1) ^ np.array([0, 1])
                     want = block[outs[:, :, None], outs[:, None, :]]
                     per_index = dense.reshape(n, 2, n, 2)[np.arange(n), :, np.arange(n), :]
-                    assert np.abs(per_index - want).max() <= 1e-12
+                    assert np.abs(per_index[held] - want).max() <= 1e-12
                     rest = dense.reshape(n, 2, n, 2).copy()
                     rest[np.arange(n), :, np.arange(n), :] = 0.0
                     assert np.abs(rest).max() <= 1e-12
@@ -481,13 +552,14 @@ class TestCheatBound:
             assert abs(b.bound - b.eigen_bound) <= 1e-9
 
     def test_ceiling_builds_no_trap_response(self):
+        # a support's x is None for the trap response t alone
         r = add_noise(build_xor_reduction(2, 1, 0), 0.25)
         f = xor_shift_permutation(2, 1)
-        with mock.patch.object(protocols, "trap_answer_state", wraps=trap_answer_state) as t:
+        with mock.patch.object(protocols, "response_support", wraps=response_support) as built:
             cheat_upper_bound(r, f, 2)
-            assert t.call_count == 0
+            assert [call.args[2] for call in built.call_args_list] == [2]
             prover_search(r, f, 2, 0, 10, seed=0)
-            assert t.call_count == 1
+            assert [call.args[2] for call in built.call_args_list] == [2, 2, None]
 
     def test_multi_copy_rejected(self):
         r = amplify(build_xor_reduction(2, 1, 0), 3)
@@ -535,9 +607,10 @@ class TestProverSearch:
         def counted(name):
             return mock.patch.object(protocols, name, wraps=getattr(protocols, name))
 
-        with counted("_check_instance") as gate, counted("honest_answer_state") as a0, counted("trap_answer_state") as t:
+        with counted("_check_instance") as gate, counted("response_support") as built:
             prover_search(r, f, 2, 1, 100, seed=0)
-        assert (gate.call_count, a0.call_count, t.call_count) == (1, 1, 1)
+        # a0's support at x = 2, then t's
+        assert (gate.call_count, [call.args[2] for call in built.call_args_list]) == (1, [2, None])
 
     def test_seeded_determinism(self):
         r = add_noise(build_xor_reduction(2, 1, 0), 0.25)
@@ -574,8 +647,7 @@ class TestProverSearch:
             for p in (0, 1, 2):
                 x, accept_output = int(rng.integers(1 << m)), p % 2
                 a0, bits, block = protocols._normal_form(r, f, x, accept_output)
-                t = trap_answer_state(r, f).amplitudes.reshape(msg, msg)
-                objective = protocols._search_context(a0, t, bits, block)
+                objective = protocols._search_context(a0, protocols._trap_support(m, 1, f), bits, block)
                 start = haar_unitary(1 << (p + 2 * m), rng)[:, :msg]
                 calls = []
 
@@ -673,10 +745,10 @@ def _per_copy_reference(r, f, x, accept_output):
     ones, trap_ok = [], 1.0
     for i in range(r.copies):
         single = _copy_slice(r, i)
-        ones.append(_computation_branch(answer_queries(generate_query_state(single, x), f, 1), single, 1))
+        ones.append(_computation_branch(answer_queries(_kernel_query_state(single, x), f, 1), single, 1))
         trap_ok *= _trap_branch(answer_queries(trap_state(r.m), f, 1), _dense_verifier(f))
     if r.copies == 1:
-        return _computation_branch(answer_queries(generate_query_state(r, x), f, 1), r, accept_output), trap_ok, ones
+        return _computation_branch(answer_queries(_kernel_query_state(r, x), f, 1), r, accept_output), trap_ok, ones
     return _majority_accept(ones, r.copies, accept_output), trap_ok, ones
 
 
@@ -857,7 +929,7 @@ def _smooth_cheat_reference(r, f, x, u, p, accept_output, seed):
         step = rejection.qrs_round(_pre_copy_state(r, x, i), rejection.make_plan(table, uniform), "query")
         ups.append(step.success_prob)
         parts.append(apply_basis_permutation(adjoin_register(step.accepted, "copy", r.m), xor, ["query", "copy"]))
-    comp = _dense_prover_stage(u, p, r.copies)(answer_queries(join_copies(parts), f, r.copies), None)
+    comp = _dense_prover_stage(u, p, r.copies)(answer_queries(_join_copies(parts), f, r.copies), None)
     downs = []
     for regs, table in zip(copy_register_names(r.copies), r.distributions):
         comp = apply_basis_permutation(comp, xor, [regs["query"], regs["copy"]])
@@ -1135,7 +1207,8 @@ class TestHonestSupport:
         r, f = _draw_reduction(data, m, t)
         x = data.draw(st.integers(0, (1 << m) - 1))
         pairs = [
-            (honest_answer_state(r, f, x), answer_queries(generate_query_state(r, x), f, t)),
+            (generate_query_state(r, x), _kernel_query_state(r, x)),
+            (honest_answer_state(r, f, x), answer_queries(_kernel_query_state(r, x), f, t)),
             (trap_answer_state(r, f), answer_queries(trap_state(m, t), f, t)),
         ]
         for got, want in pairs:
@@ -1150,12 +1223,27 @@ class TestHonestSupport:
         runs += [(run_classical_query_protocol, amplify(base, t)) for t in (1, 3)]
         for engine, r in runs:
             engine(r, f, 0, Prover.honest())  # warms the trap memo and the prep
+        # a cheat is scored on the responses' supports, so it builds no state
+        # either; the ceiling and the search are refused at m = 3, so they run at m = 2
+        cheat = Prover.unitary_cheat(haar_isometry(1 << (2 * m + 1), 1 << (2 * m), np.random.default_rng(2)), 1)
+        small, g = add_noise(build_xor_reduction(2, 1, 0), 0.1), random_permutation(2, 2)
+        calls = [
+            lambda x: run_protocol(base, f, x, cheat),
+            lambda x: branch_overlap_pair(base, f, x, cheat),
+            lambda x: cheat_upper_bound(small, g, x % 4),
+            lambda x: prover_search(small, g, x % 4, 1, 20, seed=x),
+        ]
         built = _counting(monkeypatch, StateVector, "__post_init__")
         for engine, r in runs:
             for x in range(1 << m):
                 engine(r, f, x, Prover.honest())
+        for call in calls:
+            for x in range(1 << m):
+                call(x)
         assert built == []
-        run_protocol(base, f, 0, Prover.unitary_cheat(np.eye(1 << (2 * m))))
+        # the positive control: a cold honest trap memo builds its dense check's state
+        protocols._honest_trap_accept.cache_clear()
+        run_protocol(base, f, 0, Prover.honest())
         assert built
 
 

@@ -20,7 +20,7 @@ from trapqip.core import (
     measure_probability,
     tensor_product,
 )
-from trapqip.oracles import xor_shift_permutation
+from trapqip.oracles import random_permutation, xor_shift_permutation
 from trapqip.reductions import (
     DistributionTable,
     Reduction,
@@ -36,6 +36,7 @@ from trapqip.reductions import (
     load_distribution,
     majority_error,
     majority_vote_table,
+    response_support,
 )
 
 
@@ -177,6 +178,20 @@ class TestCopyIsItsTable:
 
 
 class TestQueryStates:
+    @pytest.mark.parametrize("m, t", [(1, 1), (2, 1), (3, 1), (4, 1), (1, 3), (2, 3)])
+    def test_support_entries_share_no_row_or_column(self, m, t):
+        # the search's gradient scatters into the support's rows and columns,
+        # which needs each to hold one entry at most
+        raw = np.linspace(1.0, 2.0, 1 << m)
+        preps = [DistributionTable(m, raw / raw.sum()).prep.matrix[:, 0]] * t
+        for seed in range(3):
+            f = random_permutation(m, seed)
+            for x in (None, 0, (1 << m) - 1):
+                rows, cols, amps = response_support(m, f, x, preps)
+                assert rows.size == cols.size == amps.size == 1 << (m * t)
+                assert np.unique(rows).size == rows.size
+                assert np.unique(cols).size == cols.size
+
     def test_single_query_amplitudes(self):
         r = build_xor_reduction(2, 1, 0)
         st = generate_query_state(r, x=2)
