@@ -18,8 +18,6 @@ from .oracles import Permutation, inversion_table, query_table
 from .reductions import register_xor_table
 
 PROJECTOR_TOL = 1e-9
-# fresh environment of a channel dilation; purification pairs already use sys and env
-DILATION_ENV = "dilation"
 
 
 @dataclass(frozen=True)
@@ -56,29 +54,28 @@ def _leading_targets(state: StateVector, width: int) -> list[str]:
 def purification_invariance(channel: UnitaryOperator, phi: StateVector, psi: StateVector) -> LemmaReport:
     """Overlap with the input is purification-independent under a local channel.
 
-    The channel is a Stinespring dilation on registers (sys, env), as
+    The channel is a Stinespring dilation U on registers (sys, env), as
     `sampling.random_channel` draws it.  Its system acts on the leading
     registers of each state that span the `sys` width.  Both states must
     reduce to the same operator on them (checked entrywise within 1e-9, else
     ValueError).  The report compares <phi| (channel (x) I)(|phi><phi|) |phi>
-    against the same value built from psi, each computed on statevectors as
-    sum_l |<state, l| U |state, 0>|^2 over a fresh environment register.
+    against the same value built from psi.  Each side is computed from its
+    own state's amplitude matrix M (sys rows, the rest columns) and the Kraus
+    blocks K[s', l, s] = <s', l| U |s, 0> as
+    sum_l |sum_{s,r} conj(M[s, r]) (K M)[s, l, r]|^2.
     """
     width = channel.layout.width("sys")
-    env_width = channel.layout.width("env")
-    phi_targets = _leading_targets(phi, width)
-    psi_targets = _leading_targets(psi, width)
-    red_phi = core.partial_trace(phi, keep=phi_targets)
-    red_psi = core.partial_trace(psi, keep=psi_targets)
-    if not np.allclose(red_phi.matrix, red_psi.matrix, atol=PROJECTOR_TOL):
+    dim, env_dim = 1 << width, 1 << channel.layout.width("env")
+    red_phi = core.partial_trace(phi, keep=_leading_targets(phi, width))
+    red_psi = core.partial_trace(psi, keep=_leading_targets(psi, width))
+    if not core.close(red_phi.matrix, red_psi.matrix, PROJECTOR_TOL):
         raise ValueError("states are not purifications of the same reduced operator")
+    kraus = channel.matrix.reshape(dim, env_dim, dim, env_dim)[:, :, :, 0].reshape(dim * env_dim, dim)
     sides = []
-    for state, names in ((phi, phi_targets), (psi, psi_targets)):
-        dilated = core.adjoin_register(state, DILATION_ENV, env_width)
-        dilated = core.apply_on_registers(dilated, channel, [*names, DILATION_ENV])
-        # rows: the state's basis index; columns: the fresh register's value l
-        amps = dilated.amplitudes.reshape(state.dim, 1 << env_width)
-        sides.append(float(np.linalg.norm(state.amplitudes.conj() @ amps) ** 2))
+    for state in (phi, psi):
+        amps = state.amplitudes.reshape(dim, -1)
+        v = np.einsum("sr,slr->l", amps.conj(), (kraus @ amps).reshape(dim, env_dim, -1))
+        sides.append(float(np.vdot(v, v).real))
     return LemmaReport("purification-invariance", sides[0], sides[1], PROJECTOR_TOL)
 
 
@@ -98,9 +95,9 @@ def _check_projector(pi_s: np.ndarray) -> np.ndarray:
     mat = np.asarray(pi_s, dtype=np.complex128)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("projector must be a square matrix")
-    if not np.allclose(mat, mat.conj().T, atol=PROJECTOR_TOL):
+    if not core.close(mat, mat.conj().T, PROJECTOR_TOL):
         raise ValueError("projector is not Hermitian")
-    if not np.allclose(mat @ mat, mat, atol=PROJECTOR_TOL):
+    if not core.close(mat @ mat, mat, PROJECTOR_TOL):
         raise ValueError("matrix is not idempotent")
     return mat
 

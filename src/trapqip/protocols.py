@@ -99,7 +99,7 @@ class Prover:
             mat = UnitaryOperator(layout(("cheat", int(round(math.log2(mat.shape[0]))))), mat).matrix[:, :cols]
         elif mat.shape != (cols << prover_qubits, cols) or cols & (cols - 1) or not cols:
             raise LayoutError(f"cheat of shape {mat.shape} is not 2^n columns on {prover_qubits} + n qubits")
-        elif not np.allclose(mat.conj().T @ mat, np.eye(cols), atol=1e-9):
+        elif not core.close(mat.conj().T @ mat, np.eye(cols), 1e-9):
             raise InvariantError("cheat columns are not orthonormal within tolerance")
         return Prover(kind=PROVER_UNITARY, isometry=core._readonly(mat), prover_qubits=prover_qubits)
 

@@ -86,7 +86,7 @@ class DistributionTable:
     @property
     def is_uniform(self) -> bool:
         size = 1 << self.m
-        return bool(np.allclose(self.probs, 1.0 / size, atol=DIST_SUM_TOL))
+        return core.close(self.probs, 1.0 / size, DIST_SUM_TOL)
 
     @cached_property
     def cdf(self) -> np.ndarray:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trapqip import core
 from trapqip.analysis import (
     LemmaReport,
     epr_trivialization,
@@ -15,6 +16,7 @@ from trapqip.analysis import (
     maxproj_report,
     purification_invariance,
 )
+from trapqip.core import LayoutError, StateVector, adjoin_register, apply_on_registers, layout
 from trapqip.oracles import random_permutation, xor_shift_permutation
 from trapqip.sampling import purification_pair, random_channel, random_density
 
@@ -41,6 +43,22 @@ def _kraus_overlap(dilation, state):
     return float(np.vdot(vec, out @ vec).real)
 
 
+def _dilation_overlap(dilation, state):
+    """The same value on statevectors, the route the lemma took before its
+    Kraus-block form: adjoin a fresh register, apply the dilation on the
+    leading sys-wide registers and that register, then read
+    sum_l |<state, l| U |state, 0>|^2."""
+    width, env = dilation.layout.width("sys"), dilation.layout.width("env")
+    names, total = [], 0
+    for name, w in state.layout.registers:
+        if total < width:
+            names.append(name)
+            total += w
+    dilated = apply_on_registers(adjoin_register(state, "dilation", env), dilation, [*names, "dilation"])
+    amps = dilated.amplitudes.reshape(state.dim, 1 << env)
+    return float(np.linalg.norm(state.amplitudes.conj() @ amps) ** 2)
+
+
 class TestPurificationInvariance:
     def test_equal_for_purification_pairs(self):
         rng = np.random.default_rng(8)
@@ -63,6 +81,38 @@ class TestPurificationInvariance:
         rep = purification_invariance(ch, phi, psi)
         assert abs(rep.left - _kraus_overlap(ch, phi)) <= 1e-12
         assert abs(rep.right - _kraus_overlap(ch, psi)) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(sys_q=st.integers(1, 2), env_q=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
+    def test_each_side_matches_the_dilated_statevector(self, sys_q, env_q, seed):
+        rng = np.random.default_rng(seed)
+        phi, psi = purification_pair(random_density(1 << sys_q, rng), sys_q, rng)
+        ch = random_channel(sys_q, env_q, rng)
+        rep = purification_invariance(ch, phi, psi)
+        assert abs(rep.left - _dilation_overlap(ch, phi)) <= 1e-12
+        assert abs(rep.right - _dilation_overlap(ch, psi)) <= 1e-12
+
+    def test_system_spanning_two_registers(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        phi, psi = purification_pair(random_density(4, rng), 2, rng)
+        split = StateVector(layout(("a", 1), ("b", 1), ("env", 2)), phi.amplitudes)
+        ch = random_channel(2, 1, rng)
+        want = (_dilation_overlap(ch, split), _dilation_overlap(ch, psi))
+        # the sides come from the Kraus blocks, never from a dilated statevector
+        for name in ("adjoin_register", "apply_on_registers"):
+            monkeypatch.setattr(core, name, None)
+        rep = purification_invariance(ch, split, psi)
+        assert rep.passed
+        assert abs(rep.left - want[0]) <= 1e-12
+        assert abs(rep.right - want[1]) <= 1e-12
+        assert abs(rep.left - _kraus_overlap(ch, phi)) <= 1e-12
+
+    def test_rejects_a_system_no_register_prefix_spans(self):
+        rng = np.random.default_rng(11)
+        phi, psi = purification_pair(random_density(4, rng), 2, rng)
+        odd = StateVector(layout(("a", 1), ("b", 2), ("c", 1)), phi.amplitudes)
+        with pytest.raises(LayoutError):
+            purification_invariance(random_channel(2, 1, rng), odd, psi)
 
     def test_rejects_unrelated_states(self):
         rng = np.random.default_rng(9)

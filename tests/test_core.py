@@ -1,8 +1,12 @@
 """Register layout and linear algebra kernel."""
 
+import itertools
+import math
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trapqip.core import (
@@ -16,6 +20,7 @@ from trapqip.core import (
     apply_basis_permutation,
     apply_on_registers,
     basis_state,
+    close,
     condition_on,
     fidelity,
     layout,
@@ -28,6 +33,44 @@ from trapqip.core import (
 )
 
 H = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@st.composite
+def _close_pairs(draw):
+    """(a, b, atol) for close: b an array of shape 1-4 x 1-4 (real or complex)
+    or a float scalar; a's entries sit at fractions of the tolerance from b's,
+    one of them maybe just past it, and NaN or infinities may be drawn into both."""
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    size = shape[0] * shape[1]
+    atol = draw(st.sampled_from([0.0, 1e-9, 1e-6]))
+    specials = draw(st.booleans())
+    entry = st.one_of(st.floats(-4, 4), st.sampled_from(NON_FINITE)) if specials else st.floats(-4, 4)
+    inside = st.sampled_from([0.0, 0.5, 0.999999, -0.999999])
+
+    def near(b):
+        scale = atol + 1e-5 * np.abs(np.where(np.isfinite(b), b, 0.0))
+        frac = np.array(draw(st.lists(inside, min_size=size, max_size=size))).reshape(shape)
+        if draw(st.booleans()):
+            frac.flat[draw(st.integers(0, size - 1))] = draw(st.sampled_from([1.000001, -1.000001, 2.0]))
+        return b + frac * scale
+
+    if draw(st.booleans()):
+        b = draw(entry)
+        a = near(np.full(shape, b))
+    else:
+        b = np.array(draw(st.lists(entry, min_size=size, max_size=size))).reshape(shape)
+        a = near(b)
+        if draw(st.booleans()):
+            # set the parts one by one: 1j * inf would put a NaN in the real part
+            im = np.array(draw(st.lists(entry, min_size=size, max_size=size))).reshape(shape)
+            b, a = b.astype(complex), a.astype(complex)
+            b.imag, a.imag = im, near(im)
+    if specials:
+        for i, v in draw(st.lists(st.tuples(st.integers(0, size - 1), st.sampled_from(NON_FINITE)), max_size=2)):
+            a.flat[i] = v
+    return a, b, atol
 
 
 class TestLayout:
@@ -236,6 +279,25 @@ class TestDensity:
         assert rho.layout.names == ("a", "c")
         assert rho.matrix[0b11, 0b11] == pytest.approx(1.0)
 
+    @settings(max_examples=40, deadline=None)
+    @given(widths=st.lists(st.integers(1, 2), min_size=2, max_size=4), seed=st.integers(0, 2**32 - 1))
+    @example(widths=[1, 2, 1], seed=0)
+    def test_partial_trace_is_the_tensordot_contraction_bytewise(self, widths, seed):
+        names = "abcd"[: len(widths)]
+        lay = layout(*zip(names, widths))
+        rng = np.random.default_rng(seed)
+        amps = rng.standard_normal(lay.dim) + 1j * rng.standard_normal(lay.dim)
+        state = StateVector(lay, amps / np.linalg.norm(amps))
+        keeps = [list(keep) for k in range(len(names) + 1) for keep in itertools.permutations(names, k)]
+        for keep in keeps:
+            rho = partial_trace(state, keep)
+            assert rho.layout.names == tuple(n for n in names if n in keep)
+            assert rho.matrix.tobytes() == _tensordot_partial_trace(state, keep).tobytes()
+
+    def test_partial_trace_rejects_a_repeated_register(self):
+        with pytest.raises(LayoutError):
+            partial_trace(basis_state(layout(("a", 1), ("b", 1))), keep=["a", "a"])
+
     def test_fidelity_and_trace_distance_extremes(self):
         a = basis_state(layout(("q", 1)), {"q": 0})
         b = basis_state(layout(("q", 1)), {"q": 1})
@@ -248,6 +310,34 @@ class TestDensity:
         lay = layout(("q", 1))
         with pytest.raises(InvariantError):
             DensityOperator(lay, np.array([[0.9, 0.0], [0.0, 0.0]]))
+
+
+class TestClose:
+    @settings(max_examples=400, deadline=None)
+    @given(pair=_close_pairs())
+    @example(pair=(np.array([math.inf, -math.inf]), np.array([math.inf, -math.inf]), 1e-9))
+    @example(pair=(np.array([1.0]), np.array([math.inf]), 1e-9))
+    @example(pair=(np.array([math.nan]), np.array([math.nan]), 1e-9))
+    @example(pair=(np.array([1.0 + 2e-5]), 1.0, 1e-9))
+    def test_close_gives_allclose_verdict(self, pair):
+        a, b, atol = pair
+        with np.errstate(all="ignore"):
+            expected = np.allclose(a, b, atol=atol)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert close(a, b, atol) is expected
+
+
+def _tensordot_partial_trace(state, keep):
+    """The reduced matrix as one tensordot over the dropped qubits, the form
+    partial_trace had before the Gram product."""
+    lay = state.layout
+    keep_axes = lay.positions(*keep)
+    n = lay.total_qubits
+    drop_axes = [a for a in range(n) if a not in set(keep_axes)]
+    psi = state.amplitudes.reshape([2] * n)
+    out = np.tensordot(psi, psi.conj(), axes=(drop_axes, drop_axes))
+    return out.reshape(1 << len(keep_axes), 1 << len(keep_axes))
 
 
 class TestChannels:
