@@ -76,6 +76,18 @@ def close(a, b, atol: float) -> bool:
         return bool(((abs(a - b) <= atol + 1e-5 * abs(b)) & np.isfinite(b) | (a == b)).all())
 
 
+def _orthonormal_columns(mat: np.ndarray) -> bool:
+    """close(mat.conj().T @ mat, np.eye(cols), 1e-9)'s verdict, computed one block
+    of Gram rows at a time, so at most about 2^14 Gram entries are live at once."""
+    cols = mat.shape[1]
+    step = max(1, (1 << 14) // cols)
+    for i in range(0, cols, step):
+        gram = mat[:, i : i + step].conj().T @ mat
+        if not close(gram, np.eye(len(gram), cols, i), 1e-9):
+            return False
+    return True
+
+
 def _readonly(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=np.complex128, copy=True, order="C")  # reshapes stay views
     out.setflags(write=False)
@@ -218,7 +230,8 @@ class DensityOperator:
 
 @dataclass(frozen=True, eq=False)
 class UnitaryOperator:
-    """Unitary matrix together with the sub-layout it acts on."""
+    """Unitary matrix together with the sub-layout it acts on; its unitarity
+    check holds one Gram block at a time, so a build costs its complex copy."""
 
     layout: RegisterLayout
     matrix: np.ndarray
@@ -229,7 +242,7 @@ class UnitaryOperator:
         dim = self.layout.dim
         if mat.shape != (dim, dim):
             raise LayoutError(f"unitary shape {mat.shape} for dim {dim}")
-        if not close(mat.conj().T @ mat, np.eye(dim), 1e-9):
+        if not _orthonormal_columns(mat):
             raise InvariantError("matrix is not unitary within tolerance")
         object.__setattr__(self, "matrix", mat)
 

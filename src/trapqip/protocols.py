@@ -99,7 +99,7 @@ class Prover:
             mat = UnitaryOperator(layout(("cheat", int(round(math.log2(mat.shape[0]))))), mat).matrix[:, :cols]
         elif mat.shape != (cols << prover_qubits, cols) or cols & (cols - 1) or not cols:
             raise LayoutError(f"cheat of shape {mat.shape} is not 2^n columns on {prover_qubits} + n qubits")
-        elif not core.close(mat.conj().T @ mat, np.eye(cols), 1e-9):
+        elif not core._orthonormal_columns(mat):
             raise InvariantError("cheat columns are not orthonormal within tolerance")
         return Prover(kind=PROVER_UNITARY, isometry=core._readonly(mat), prover_qubits=prover_qubits)
 
@@ -164,11 +164,12 @@ def trap_verifier(f: Permutation) -> UnitaryOperator:
     q = idx >> (2 * m)
     f_of = np.array([f(v) for v in range(size)])
     rows = ((q ^ f_of[a]) << (2 * m)) | (a << m) | (c ^ q)
-    full = np.kron(np.eye(size), np.kron(core.hadamard_power(m), np.eye(size)))
-    lay = layout(("query", m), ("answer", m), ("copy", m))
-    # the Hadamards after the basis chain, as a column gather; kept dense
-    # because the honest p1 bytes come from this dense contraction
-    return UnitaryOperator(lay, full[:, rows])
+    # the Hadamards after the basis chain, as a float scatter of each column's
+    # 2^m nonzeros; kept dense because the honest p1 bytes come from this dense contraction
+    full = np.zeros((dim, dim))
+    keep = rows & ~((size - 1) << m)
+    full[keep | (np.arange(size)[:, None] << m), idx] = core.hadamard_power(m)[:, a]
+    return UnitaryOperator(layout(("query", m), ("answer", m), ("copy", m)), full)
 
 
 def trap_answer_state(r: Reduction, f: Permutation) -> StateVector:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from trapqip.core import (
     CapacityError,
     DensityOperator,
+    UnitaryOperator,
     basis_state,
     layout,
     qubit_cap,
@@ -37,7 +38,7 @@ from trapqip.reductions import (
     build_smooth_xor_reduction,
     build_xor_reduction,
 )
-from trapqip.sampling import random_channel
+from trapqip.sampling import haar_unitary, random_channel
 
 ENTRIES = ("trap", "smooth", "classical", "overlap", "ceiling", "search")
 
@@ -232,3 +233,56 @@ def test_cheat_peak_within_its_isometry(entry, m, t, p):
         tracemalloc.stop()
     budget = (16 << (p + 4 * m * t)) + (64 << 10)
     assert peak <= budget, f"{entry} m={m} t={t} p={p}: peak {peak} bytes, budget {budget}"
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("entry", ["trap", "smooth"])
+@pytest.mark.parametrize("m, t", [(m, t) for m in (1, 2, 3) for t in (1, 3)])
+def test_cold_honest_memo_peak_within_its_verifier(entry, m, t):
+    """A cold honest trap memo holds the dense verifier's float scatter (8 B
+    an entry) and its complex read-only copy (16 B) while one 2^14-entry Gram
+    block is checked (K = 1.5, fixed by design), so with every other cache warm
+    its peak traced bytes stay within 24 * 2^(6m) + 1 MiB.  tracemalloc sees
+    numpy's data buffers, not BLAS scratch space."""
+    r = _reduction(entry, m, t)
+    _call(entry, r, Prover.honest(), None)  # warms the builders' caches
+    _honest_trap_accept.cache_clear()
+    try:
+        peak = _traced_peak(lambda: _call(entry, r, Prover.honest(), None))
+    finally:
+        _honest_trap_accept.cache_clear()
+    budget = (24 << (6 * m)) + (1 << 20)
+    assert peak <= budget, f"{entry} m={m} t={t}: peak {peak} bytes, budget {budget}"
+
+
+def test_unitary_check_peak_within_its_copy():
+    """UnitaryOperator holds its complex read-only copy while it checks one
+    2^14-entry Gram block at a time (K = 1, fixed by design), so on a prebuilt
+    512 x 512 unitary it peaks within 16 * d^2 + 1 MiB.  tracemalloc sees
+    numpy's data buffers, not BLAS scratch space."""
+    dim = 512
+    u = haar_unitary(dim, np.random.default_rng(0))
+    peak = _traced_peak(lambda: UnitaryOperator(layout(("a", 9)), u))
+    budget = 16 * dim * dim + (1 << 20)
+    assert peak <= budget, f"peak {peak} bytes, budget {budget}"
+
+
+def test_tall_cheat_check_peak_within_its_copy():
+    """Prover.unitary_cheat holds the tall isometry's complex read-only copy
+    after checking its columns one 2^14-entry Gram block at a time (K = 1,
+    fixed by design), so on the m = 4, p = 2 identity isometry it peaks within
+    16 * size + 1 MiB.  tracemalloc sees numpy's data buffers, not BLAS
+    scratch space."""
+    m, p = 4, 2
+    iso = np.eye(1 << (p + 2 * m), 1 << (2 * m), dtype=np.complex128)  # a real one needs no conj copy
+    peak = _traced_peak(lambda: Prover.unitary_cheat(iso, p))
+    budget = 16 * iso.size + (1 << 20)
+    assert peak <= budget, f"peak {peak} bytes, budget {budget}"

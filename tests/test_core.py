@@ -16,6 +16,7 @@ from trapqip.core import (
     LayoutError,
     StateVector,
     UnitaryOperator,
+    _orthonormal_columns,
     adjoin_register,
     apply_basis_permutation,
     apply_on_registers,
@@ -31,6 +32,8 @@ from trapqip.core import (
     tensor_product,
     trace_distance,
 )
+from trapqip.protocols import Prover
+from trapqip.sampling import haar_isometry
 
 H = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
@@ -210,6 +213,41 @@ class TestApply:
     def test_non_unitary_rejected(self):
         with pytest.raises(InvariantError):
             UnitaryOperator(layout(("a", 1)), np.array([[1.0, 0.0], [1.0, 1.0]]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_blocked_orthonormality_matches_one_shot(self, data):
+        # square and tall Haar isometries, cols 2^0-2^9 and rows up to 2^10, so
+        # wide ones span several 2^14-entry Gram blocks; perturbed near the
+        # tolerance, or with NaN or an infinity in some entries
+        k = data.draw(st.integers(0, 9), label="col qubits")
+        p = data.draw(st.integers(0, 10 - k), label="extra row qubits")
+        rows, cols = 1 << (k + p), 1 << k
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        mat = haar_isometry(rows, cols, rng)
+        scale = data.draw(st.sampled_from([0.0, 1e-11, 1e-10, 1e-9, 3e-9, 1e-8, 1e-7]), label="perturbation")
+        if data.draw(st.booleans(), label="one entry"):
+            mat[rng.integers(rows), rng.integers(cols)] += scale
+        else:
+            mat += scale * (rng.normal(size=mat.shape) + 1j * rng.normal(size=mat.shape))
+        for _ in range(data.draw(st.integers(0, 2), label="non-finite entries")):
+            mat[rng.integers(rows), rng.integers(cols)] = data.draw(st.sampled_from(NON_FINITE))
+        with np.errstate(all="ignore"):  # a Gram product of non-finite entries warns
+            want = close(mat.conj().T @ mat, np.eye(cols), 1e-9)
+            assert _orthonormal_columns(mat) == want
+            # the constructors keep their verdicts and messages
+            if rows == cols and 1 <= k <= qubit_cap() // 2:
+                try:
+                    UnitaryOperator(layout(("a", k)), mat)
+                    assert want
+                except InvariantError as exc:
+                    assert not want and str(exc) == "matrix is not unitary within tolerance"
+            if p:
+                try:
+                    Prover.unitary_cheat(mat, p)
+                    assert want
+                except InvariantError as exc:
+                    assert not want and str(exc) == "cheat columns are not orthonormal within tolerance"
 
     def test_stored_matrix_is_c_ordered(self):
         # a transpose is Fortran-ordered; stored in C order,

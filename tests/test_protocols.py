@@ -22,6 +22,7 @@ from trapqip.core import (
     apply_on_registers,
     basis_state,
     condition_on,
+    hadamard_power,
     layout,
     measure_probability,
     partial_trace,
@@ -71,6 +72,20 @@ from trapqip.sampling import haar_isometry, haar_unitary
 
 # the dense trap verifier, built once per permutation for the references below
 _dense_verifier = lru_cache(maxsize=16)(trap_verifier)
+
+
+def _kron_verifier(f):
+    """trap_verifier(f)'s matrix as the Hadamards' float Kronecker product,
+    column-gathered by the basis chain: a dense reference for its scatter."""
+    m = f.m
+    size = 1 << m
+    idx = np.arange(size**3)
+    c = idx & (size - 1)
+    a = (idx >> m) & (size - 1)
+    q = idx >> (2 * m)
+    f_of = np.array([f(v) for v in range(size)])
+    rows = ((q ^ f_of[a]) << (2 * m)) | (a << m) | (c ^ q)
+    return np.kron(np.eye(size), np.kron(hadamard_power(m), np.eye(size)))[:, rows]
 
 
 def _join_copies(parts):
@@ -411,6 +426,19 @@ class TestHonestTrapMemo:
             assert state.layout == trap_answer_state(r, f).layout
             assert np.array_equal(verifier.matrix, _dense_verifier(f).matrix)
             assert got == _trap_branch(trap_answer_state(r, f), _dense_verifier(f))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_scatter_verifier_equals_kron_reference(self, m):
+        # equal in value; only the signs of some zeros differ, which array_equal ignores
+        lay = layout(("query", m), ("answer", m), ("copy", m))
+        perms = [xor_shift_permutation(m, s) for s in range(1 << m)]
+        perms += [random_permutation(m, seed) for seed in range(3)]
+        for f in perms:
+            reference = _kron_verifier(f)
+            assert np.array_equal(trap_verifier(f).matrix, reference)
+            protocols._honest_trap_accept.cache_clear()
+            want = _trap_branch(trap_state(m, 1, f), UnitaryOperator(lay, reference))
+            assert float(protocols._honest_trap_accept(f)).hex() == float(want).hex()
 
     def test_honest_p1_matches_cold_runs(self):
         m = 2
